@@ -12,7 +12,6 @@ from .density import (
     density_exact_half,
     density_exp_time,
     density_exp_time_mixture,
-    density_general_both,
     density_general_mc,
     density_general_quad,
     exp_time_total_mass,
@@ -22,7 +21,6 @@ from .density import (
     myor_conditional_laplace,
     myor_psi,
     myor_psi_profile,
-    variants_disagree,
     write_density_csv,
 )
 from .errors import ConvergenceError, DomainError

@@ -93,14 +93,7 @@ def cmd_density(args):
         seed = _resolve_seed(args)
         grid = np.geomspace(args.x_min, args.x_max, points)
         curve, _ = curve_general_mc(
-            args.gamma,
-            args.mu,
-            args.t,
-            grid,
-            args.n,
-            seed,
-            variant=args.variant,
-            threads=args.threads,
+            args.gamma, args.mu, args.t, grid, args.n, seed, threads=args.threads
         )
     _atomic_write(args.output, lambda fh: write_density_csv(curve, fh))
     if mass is None:
@@ -115,10 +108,7 @@ def cmd_laplace(args):
     besq_error = None
     rows = []
     try:
-        est = laplace_mc_besq(
-            args.lam, params, args.t, args.n, seed, horizon=args.besq_horizon,
-            threads=args.threads,
-        )
+        est = laplace_mc_besq(args.lam, params, args.t, args.n, seed, threads=args.threads)
         rows.append(("besq", est))
     except DomainError as exc:
         besq_error = exc
@@ -203,13 +193,6 @@ def build_parser():
     d.add_argument("--gamma", type=float, default=1.0, help="crowding parameter (general-mc)")
     d.add_argument("--n", type=int, default=100_000, help="MC sample size (general-mc)")
     d.add_argument(
-        "--variant",
-        choices=("unconditional", "endpoint-conditional"),
-        default="endpoint-conditional",
-        help="general-mc estimator; endpoint-conditional is the one the "
-        "arbitration rule selects against path histograms",
-    )
-    d.add_argument(
         "--points", type=int, default=None,
         help="number of grid points (default depends on --kind)",
     )
@@ -225,13 +208,6 @@ def build_parser():
     l.add_argument("--beta", type=float, default=1.0)
     l.add_argument("--t", type=float, default=1.0)
     l.add_argument("--n", type=int, default=100_000)
-    l.add_argument(
-        "--besq-horizon",
-        choices=("t", "t4"),
-        default="t",
-        help="time parameter inside the squared-Bessel kernel; the validation "
-        "suite records which one agrees with the direct route",
-    )
     _add_common(l)
     l.set_defaults(fn=cmd_laplace)
 

@@ -22,7 +22,6 @@ from .specfun import (
     _panels,
     _theta_scaled_grid,
     bessel_product_F,
-    hartman_watson_theta,
 )
 
 PSI_FLOOR = 1e-12
@@ -212,37 +211,22 @@ def exp_time_total_mass(x_start, lam, cfg=DEFAULT_QUAD):
 
 def myor_psi(mu, t, v, x, cfg=DEFAULT_QUAD):
     """Joint density at (v, x) of the time-t integrated drift-mu GBM and its
-    terminal log.
-
-    Stable grouping: the Gaussian-in-1/v factor exp(-2(1+e^{x/2})^2/v)
-    absorbs Theta's e^{-r} at r = 4 e^{x/2}/v, leaving the e^{r}-scaled
-    Theta(r, t/4), which grows only algebraically in r.  Theta comes from
-    the one kernel that myor_psi_profile also uses, evaluated on this
-    point's own node set.
-    """
-    if v <= 0:
-        raise DomainError("myor_psi needs v > 0")
-    if t < 4.0 * cfg.t_min_theta:
-        raise DomainError(
-            f"myor_psi needs t >= 4*t_min_theta = {4.0 * cfg.t_min_theta:g}"
-        )
-    q = math.exp(0.5 * x)
-    expo = mu * x - 0.5 * mu * mu * t - 2.0 * (1.0 + q) ** 2 / v
-    if expo < -700.0:
-        return 0.0
-    r = 4.0 * q / v
-    return 0.5 * math.exp(expo) / v * hartman_watson_theta(r, 0.25 * t, cfg, scaled=True)
+    terminal log: myor_psi_profile at the one point v."""
+    return float(myor_psi_profile(mu, t, [v], x, cfg)[0])
 
 
 def myor_psi_profile(mu, t, vs, x, cfg=DEFAULT_QUAD):
-    """myor_psi along an array of v at fixed x.
+    """Joint density at (v, x) of the time-t integrated drift-mu GBM and its
+    terminal log, along an array of v at fixed x.
 
-    Both share one Theta kernel, here on a node set shared by the whole
-    array.  Where that is a point's own node set, the value equals
-    myor_psi's exactly; otherwise the shared set only adds tail panels
-    past the point's own cut, below abs_tol * z_cut_factor on the e^{r}
-    scale, or refines the panels when a small v (large r) needs a width
-    below the half-period t/4.
+    Stable grouping: the Gaussian-in-1/v factor exp(-2(1+e^{x/2})^2/v)
+    absorbs Theta's e^{-r} at r = 4 e^{x/2}/v, leaving the e^{r}-scaled
+    Theta(r, t/4), which grows only algebraically in r.  The whole array
+    shares one Theta node set.  Where that is a point's own node set, the
+    value equals the point's alone (myor_psi) exactly; otherwise the
+    shared set only adds tail panels past the point's own cut, below
+    abs_tol * z_cut_factor on the e^{r} scale, or refines the panels when
+    a small v (large r) needs a width below the half-period t/4.
     """
     vs = np.asarray(vs, dtype=float)
     if np.any(vs <= 0):
@@ -427,22 +411,17 @@ def _theta_log_interp(r_lo, r_hi, tau, cfg, n=2000):
     return interp, r_reliable
 
 
-_GENERAL_VARIANTS = ("unconditional", "endpoint-conditional")
-
-
-def _general_mc_engine(gamma, mu, t, xs, n, seed, cfg, threads=1):
-    """Both variants' density values and standard errors over an x grid,
-    from one sample set.
+def _tilt_kernels(gamma, mu, t, xs, n, seed, cfg, threads=1):
+    """Per-draw tilt kernels and endpoint-conditioning log-weights, one x
+    at a time, from one sample set.
 
     Draws (v_i, b_i) = (integrated GBM, terminal log) from one drift-mu
-    run and evaluates, per x, the sample average of the tilt kernel H
-    either straight over the draws (`unconditional`) or reweighted to the
-    conditional law given b = ln x (`endpoint-conditional`, self-normalized
-    importance weights psi(v_i, ln x) N(b_i) / psi(v_i, b_i)).  Both
-    reductions reuse the same kernel evaluations, so computing the pair
-    costs barely more than one, and disagreement between them is always
-    observable.  All Theta factors go through one dense log-r interpolant
-    shared by every x.
+    run and yields, for each x in xs, (pref, h, logw): the tilt kernel
+    h_i = H(v_i, x) with its x-only prefactor pref split off, and the
+    self-normalized importance log-weights psi(v_i, ln x) N(b_i) /
+    psi(v_i, b_i) (up to a constant) that move the draws to the
+    conditional law given b = ln x.  All Theta factors go through one
+    dense log-r interpolant shared by every x.
 
     Theta evaluations below the interpolant's trust edge never enter
     log-scale arithmetic directly.  A kernel whose numerator argument
@@ -450,14 +429,13 @@ def _general_mc_engine(gamma, mu, t, xs, n, seed, cfg, threads=1):
     arguments are below it, their log-ratio is taken from the leading
     small-argument form ln Theta~ ~ -(ln 1/r)^2/(2 tau), whose difference
     vanishes as the two arguments coalesce -- this keeps the gamma -> 0
-    limit exact.  Endpoint-conditional weights at an untrusted argument
-    are zeroed outright: the dropped target mass is beyond all orders.
+    limit exact.  Weights at an untrusted argument are zeroed outright:
+    the dropped target mass is beyond all orders.
     """
     if gamma <= 0:
         raise DomainError("general density needs gamma > 0")
     if t < 4.0 * cfg.t_min_theta:
         raise DomainError("general density needs t >= 4*t_min_theta")
-    xs = np.asarray(xs, dtype=float)
     if np.any(xs <= 0):
         raise DomainError("general density needs x > 0")
 
@@ -485,7 +463,6 @@ def _general_mc_engine(gamma, mu, t, xs, n, seed, cfg, threads=1):
     log_norm_b = -((b - mu * t) ** 2) / (2.0 * t) - 0.5 * math.log(2.0 * math.pi * t)
     rb_ok = rb >= r_rel
 
-    out = {name: (np.empty(xs.size), np.empty(xs.size)) for name in _GENERAL_VARIANTS}
     for k, x_val in enumerate(xs):
         r0 = 4.0 * sx[k] / v
         phi = r0 * ssr
@@ -506,11 +483,6 @@ def _general_mc_engine(gamma, mu, t, xs, n, seed, cfg, threads=1):
         h = np.exp(log_h)
         pref = lognormal_density(mu, t, x_val) * math.exp(-gamma * (x_val - 1.0))
 
-        est = float(h.mean())
-        se = float(h.std(ddof=1) / math.sqrt(h.size))
-        out["unconditional"][0][k] = pref * est
-        out["unconditional"][1][k] = pref * se
-
         lnx = math.log(x_val)
         logw = np.where(
             (r0 >= r_rel) & rb_ok,
@@ -521,6 +493,23 @@ def _general_mc_engine(gamma, mu, t, xs, n, seed, cfg, threads=1):
             - psi_b_core,
             -np.inf,
         )
+        yield pref, h, logw
+
+
+def _general_mc_engine(gamma, mu, t, xs, n, seed, cfg, threads=1):
+    """Density values and standard errors over an x grid, from one sample
+    set: per x, the tilt kernel averaged under the conditional law of the
+    draws given the endpoint b = ln x (self-normalized importance
+    weights from _tilt_kernels).  The tilt kernel is a conditional
+    Laplace transform given the endpoint, so only that conditional
+    average is the density; the plain average over the draws is not.
+    """
+    xs = np.asarray(xs, dtype=float)
+    vals = np.empty(xs.size)
+    errs = np.empty(xs.size)
+    for k, (pref, h, logw) in enumerate(
+        _tilt_kernels(gamma, mu, t, xs, n, seed, cfg, threads)
+    ):
         top = logw.max()
         if not np.isfinite(top):
             est = se = 0.0
@@ -529,14 +518,9 @@ def _general_mc_engine(gamma, mu, t, xs, n, seed, cfg, threads=1):
             wbar = wgt / wgt.sum()
             est = float(np.dot(wbar, h))
             se = float(np.sqrt(np.sum((wbar * (h - est)) ** 2)))
-        out["endpoint-conditional"][0][k] = pref * est
-        out["endpoint-conditional"][1][k] = pref * se
-    return out
-
-
-def _check_variant(variant):
-    if variant not in _GENERAL_VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}")
+        vals[k] = pref * est
+        errs[k] = pref * se
+    return vals, errs
 
 
 def density_general_quad(gamma, mu, t, x, cfg=DEFAULT_QUAD, n=4000):
@@ -568,53 +552,24 @@ def density_general_quad(gamma, mu, t, x, cfg=DEFAULT_QUAD, n=4000):
     return float(np.trapezoid(ys, vs)) / x
 
 
-def density_general_mc(
-    gamma, mu, t, x, n, seed, cfg=DEFAULT_QUAD, variant="unconditional", threads=1
-):
-    """Monte Carlo value of the general-drift density at one point x."""
-    _check_variant(variant)
-    both = _general_mc_engine(gamma, mu, t, np.array([float(x)]), n, seed, cfg, threads)
-    vals, errs = both[variant]
+def density_general_mc(gamma, mu, t, x, n, seed, cfg=DEFAULT_QUAD, threads=1):
+    """Monte Carlo value of the general-drift density at one point x, the
+    endpoint-conditional average of the tilt kernel."""
+    vals, errs = _general_mc_engine(gamma, mu, t, np.array([float(x)]), n, seed, cfg, threads)
     return McEstimate(mean=float(vals[0]), stderr=float(errs[0]), n=n)
 
 
-def density_general_both(gamma, mu, t, x, n, seed, cfg=DEFAULT_QUAD, threads=1):
-    """Both variant estimates at one x, plus a disagreement flag.
-
-    The flag trips when the two estimates differ by more than 5 combined
-    standard errors -- the signal that the variants genuinely measure
-    different things at these parameters and an external oracle has to
-    arbitrate.
-    """
-    both = _general_mc_engine(gamma, mu, t, np.array([float(x)]), n, seed, cfg, threads)
-    ests = {
-        name: McEstimate(mean=float(v[0]), stderr=float(e[0]), n=n)
-        for name, (v, e) in both.items()
-    }
-    uncond = ests["unconditional"]
-    cond = ests["endpoint-conditional"]
-    return uncond, cond, variants_disagree(uncond, cond)
-
-
-def variants_disagree(a, b, k=5.0):
-    """True when two MC estimates differ by more than k combined stderr."""
-    return abs(a.mean - b.mean) > k * math.hypot(a.stderr, b.stderr)
-
-
-def curve_general_mc(
-    gamma, mu, t, x_grid, n, seed, cfg=DEFAULT_QUAD, variant="unconditional", threads=1
-):
+def curve_general_mc(gamma, mu, t, x_grid, n, seed, cfg=DEFAULT_QUAD, threads=1):
     """General-drift density curve over x_grid plus per-point standard
-    errors; one path batch shared by every grid point."""
-    _check_variant(variant)
+    errors; one path batch shared by every grid point, and each point the
+    same estimate density_general_mc gives there."""
     x_grid = np.asarray(x_grid, dtype=float)
-    both = _general_mc_engine(gamma, mu, t, x_grid, n, seed, cfg, threads)
-    vals, errs = both[variant]
+    vals, errs = _general_mc_engine(gamma, mu, t, x_grid, n, seed, cfg, threads)
     curve = DensityCurve(
         x_grid,
         vals,
         kind="general_mc",
-        params=f"gamma={gamma:g} mu={mu:g} t={t:g} n={n} seed={seed} variant={variant}",
+        params=f"gamma={gamma:g} mu={mu:g} t={t:g} n={n} seed={seed}",
     )
     return curve, errs
 

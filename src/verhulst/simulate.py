@@ -426,17 +426,14 @@ def sample_exp_time(rate, rng, size=None):
 # --- Laplace-transform routes -----------------------------------------------
 
 
-def laplace_mc_besq(lam, params, t, n, seed, horizon="t", threads=1):
+def laplace_mc_besq(lam, params, t, n, seed, threads=1):
     """E e^{-lambda theta_t} through the squared-Bessel representation.
 
-    Draws a terminal Gaussian G with doubled drift, an exact
-    dimension-0 squared Bessel value started at lambda e^{2G} run to
-    time 1/2, and averages the arcosh kernel at (x=G, z=draw/(4 beta)).
-
-    `horizon` picks the time parameter used for both G and the kernel:
-    "t" (literal) or "t4" (t/4, the Brownian-rescaling reading).  The
-    two disagree; the validation suite arbitrates against the direct
-    route and records the winner.
+    The representation is stated for e^{2W}, and B_s = 2 W_{s/4} turns
+    e^{B} on [0, t] into it on the horizon h = t/4.  Draws a terminal
+    Gaussian G ~ N(2 mu h, h) with doubled drift, an exact dimension-0
+    squared Bessel value started at lambda e^{2G} run to time 1/2, and
+    averages the arcosh kernel at (x=G, z=draw/(4 beta)) with time h.
     """
     if params.beta <= 0:
         raise DomainError("squared-Bessel route needs beta > 0")
@@ -446,11 +443,9 @@ def laplace_mc_besq(lam, params, t, n, seed, horizon="t", threads=1):
         # lam = 0 is the absorbed boundary: the Bessel draw is identically
         # 0 and the kernel identically 1, matching E e^{-0 theta} = 1
         raise DomainError("lam must be >= 0")
-    if horizon not in ("t", "t4"):
-        raise DomainError("horizon must be 't' or 't4'")
-    h = t if horizon == "t" else 0.25 * t
-    if h <= 0:
+    if t <= 0:
         raise DomainError("t must be > 0")
+    h = 0.25 * t
     sqh = math.sqrt(h)
     vals = np.empty(n)
 

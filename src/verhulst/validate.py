@@ -24,7 +24,7 @@ from .density import (
     curve_general_mc,
     density_exp_time,
     density_exp_time_mixture,
-    density_general_both,
+    density_general_mc,
     density_general_quad,
     moment_exp_int_theta,
 )
@@ -704,30 +704,19 @@ def _pairwise_z(a, b):
 def _check_laplace(config, knobs, seed):
     params = ModelParams(mu=0.0, beta=1.0, x0=1.0)
     n = knobs["n"]
-    besq = {
-        h: laplace_mc_besq(1.0, params, 1.0, n, seed + i, horizon=h)
-        for i, h in enumerate(("t", "t4"))
-    }
+    besq = laplace_mc_besq(1.0, params, 1.0, n, seed + 1)
     gbm = laplace_mc_gbm(1.0, params, 1.0, n, seed + 2)
     direct = laplace_mc_direct(1.0, params, 1.0, n, seed + 3)
-    z_gd = _pairwise_z(gbm, direct)
-    scored = {
-        h: max(_pairwise_z(est, gbm), _pairwise_z(est, direct), z_gd)
-        for h, est in besq.items()
-    }
-    winner = min(scored, key=scored.get)
-    loser = "t4" if winner == "t" else "t"
+    z = max(_pairwise_z(besq, gbm), _pairwise_z(besq, direct), _pairwise_z(gbm, direct))
     return [
         TestReport(
             name="laplace_triangle",
-            statistic=scored[winner],
+            statistic=z,
             threshold=3.0,
             n_or_tolerance=f"n={n}",
             details=(
-                f"lam=1 mu=0 beta=1 t=1; besq horizon winner={winner} "
-                f"(besq={besq[winner].mean:.5f}, gbm={gbm.mean:.5f}, "
-                f"direct={direct.mean:.5f}); rejected horizon {loser} max z="
-                f"{scored[loser]:.1f}"
+                f"lam=1 mu=0 beta=1 t=1; besq={besq.mean:.5f}, gbm={gbm.mean:.5f}, "
+                f"direct={direct.mean:.5f}"
             ),
         )
     ]
@@ -743,36 +732,29 @@ def _check_general_density(config, knobs, seed):
     se_hist = math.sqrt(max(count, 1)) / (2.0 * half * hist_n)
 
     n = knobs["n"]
-    uncond, cond, flagged = density_general_both(gamma, mu, t, 1.0, n, seed + 1)
-    z = {
-        "unconditional": abs(uncond.mean - p_hist) / math.hypot(uncond.stderr, se_hist),
-        "endpoint-conditional": abs(cond.mean - p_hist) / math.hypot(cond.stderr, se_hist),
-    }
-    winner = min(z, key=z.get)
-    loser = next(k for k in z if k != winner)
+    est = density_general_mc(gamma, mu, t, 1.0, n, seed + 1)
     quad = density_general_quad(gamma, mu, t, 1.0)
-    arb = TestReport(
-        name="general_density_arbitration",
-        statistic=z[winner],
+    hist = TestReport(
+        name="general_density_histogram",
+        statistic=abs(est.mean - p_hist) / math.hypot(est.stderr, se_hist),
         threshold=3.0,
         n_or_tolerance=f"n={n}",
         details=(
-            f"gamma=1 mu=0 t=1 x=1; winner={winner} (z={z[winner]:.2f}) vs "
-            f"{loser} (z={z[loser]:.1f}); histogram={p_hist:.4f}+-{se_hist:.4f} "
-            f"(n={hist_n}, halfwidth={half:g}); substitution quadrature={quad:.4f}; "
-            f"variants_disagree={flagged}"
+            f"gamma=1 mu=0 t=1 x=1; estimate={est.mean:.4f}+-{est.stderr:.4f}; "
+            f"histogram={p_hist:.4f}+-{se_hist:.4f} (n={hist_n}, halfwidth={half:g}); "
+            f"substitution quadrature={quad:.4f}"
         ),
     )
     x_grid = np.geomspace(0.01, 20.0, 72)
-    curve, _ = curve_general_mc(gamma, mu, t, x_grid, n, seed + 1, variant=winner)
+    curve, _ = curve_general_mc(gamma, mu, t, x_grid, n, seed + 1)
     mass = TestReport(
         name="general_density_mass",
         statistic=abs(curve.total_mass - 1.0),
         threshold=2e-2,
         n_or_tolerance=f"n={n}",
-        details=f"variant={winner}; mass={curve.total_mass:.4f}; grid=[0.01,20]x72",
+        details=f"mass={curve.total_mass:.4f}; grid=[0.01,20]x72",
     )
-    return [arb, mass]
+    return [hist, mass]
 
 
 def _check_representation(config, knobs, seed):

@@ -50,6 +50,20 @@ def test_unknown_density_kind_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["laplace", "--besq-horizon", "t4"],
+        ["density", "--kind", "general-mc", "--variant", "endpoint-conditional",
+         "--output", "c.csv"],
+    ],
+)
+def test_removed_estimator_flags_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 # --- density -------------------------------------------------------------------
 
 
@@ -156,12 +170,20 @@ def test_laplace_beta_zero_prints_other_routes(capsys):
 
 def test_laplace_routes_agree(capsys):
     rc = main(["laplace", "--lambda", "1", "--beta", "1", "--mu", "0", "--t", "1",
-               "--n", "20000", "--besq-horizon", "t4", "--seed", "29"])
+               "--n", "20000", "--seed", "29"])
     assert rc == 0
     rows = _parse_laplace(capsys.readouterr().out)
     for a in ("besq", "gbm"):
         diff = abs(rows[a][0] - rows["direct"][0])
         assert diff <= 4 * math.hypot(rows[a][1], rows["direct"][1])
+
+
+def test_laplace_default_besq_agrees_with_direct(capsys):
+    rc = main(["laplace", "--n", "20000", "--seed", "7"])
+    assert rc == 0
+    rows = _parse_laplace(capsys.readouterr().out)
+    diff = abs(rows["besq"][0] - rows["direct"][0])
+    assert diff <= 4 * math.hypot(rows["besq"][1], rows["direct"][1])
 
 
 # --- simulate ------------------------------------------------------------------

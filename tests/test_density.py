@@ -5,10 +5,10 @@ scaled Hartman-Watson kernel) computed at dps=30 and frozen below.
 Distributional claims are checked two ways: quadrature of the density
 against exact normalization/marginals, and KS distance against the
 exact path simulator at sample sizes where the gates sit several sigma
-away from the expected statistic.  The general-drift density gets three
-independent routes (substitution quadrature, unconditional tilt
-average, endpoint-conditional reweighting) that must not be collapsed:
-their disagreement pattern is itself under test.
+away from the expected statistic.  The general-drift density has two
+independent routes (substitution quadrature and the endpoint-conditional
+tilt average); the plain tilt average over the draws stays here as a
+negative control that must keep disagreeing with them.
 """
 
 import io
@@ -20,6 +20,7 @@ import pytest
 from verhulst.density import (
     DensityCurve,
     MyorEval,
+    _tilt_kernels,
     curve_exact_half,
     curve_exp_time,
     curve_general_mc,
@@ -27,7 +28,6 @@ from verhulst.density import (
     density_exact_half,
     density_exp_time,
     density_exp_time_mixture,
-    density_general_both,
     density_general_mc,
     density_general_quad,
     exp_time_total_mass,
@@ -37,11 +37,11 @@ from verhulst.density import (
     myor_conditional_laplace,
     myor_psi,
     myor_psi_profile,
-    variants_disagree,
     write_density_csv,
 )
 from verhulst.errors import DomainError
 from verhulst.simulate import (
+    McEstimate,
     ModelParams,
     TimeGrid,
     simulate_exp_terminal,
@@ -422,47 +422,46 @@ def test_general_quad_resolution_stable():
 
 
 def test_general_mc_small_gamma_is_lognormal():
-    for variant in ("unconditional", "endpoint-conditional"):
-        est = density_general_mc(
-            1e-8, 0.0, 1.0, 1.0, 5_000, seed=3, variant=variant
-        )
-        assert est.mean == pytest.approx(lognormal_density(0.0, 1.0, 1.0), rel=1e-6)
+    est = density_general_mc(1e-8, 0.0, 1.0, 1.0, 5_000, seed=3)
+    assert est.mean == pytest.approx(lognormal_density(0.0, 1.0, 1.0), rel=1e-6)
 
 
 def test_general_mc_conditional_matches_quad():
     xg = np.array([0.5, 1.0, 2.0])
-    curve, errs = curve_general_mc(
-        1.0, 0.0, 1.0, xg, 30_000, seed=41, variant="endpoint-conditional"
-    )
+    curve, errs = curve_general_mc(1.0, 0.0, 1.0, xg, 30_000, seed=41)
     for x, v, e in zip(xg, curve.values, errs):
         q = density_general_quad(1.0, 0.0, 1.0, x)
         assert abs(v - q) < 4.0 * e
 
 
-def test_general_mc_variants_disagree_at_unit_gamma():
-    # the two readings of the tilt average genuinely differ here; the
-    # histogram arbitration in the acceptance suite picks the winner
-    u, c, warn = density_general_both(1.0, 0.0, 1.0, 1.0, 20_000, seed=77)
-    assert warn
-    assert variants_disagree(u, c)
-    assert not variants_disagree(c, c)
+def _unconditional_mc(gamma, mu, t, x, n, seed):
+    # negative control: the tilt kernel averaged over the draws without
+    # conditioning them on the endpoint
+    ((pref, h, _),) = _tilt_kernels(gamma, mu, t, np.array([x]), n, seed, DEFAULT_QUAD)
+    return McEstimate(
+        mean=pref * float(h.mean()), stderr=pref * float(h.std(ddof=1) / math.sqrt(n)), n=n
+    )
+
+
+def test_general_mc_unconditional_average_disagrees():
+    # the kernel is a Laplace transform conditional on the endpoint, so
+    # its plain average is a different quantity: 0.3122+-0.0010 against
+    # 0.3522+-0.0017 here, with the substitution quadrature at 0.3541
+    u = _unconditional_mc(1.0, 0.0, 1.0, 1.0, 20_000, seed=77)
+    c = density_general_mc(1.0, 0.0, 1.0, 1.0, 20_000, seed=77)
+    assert abs(u.mean - c.mean) > 5.0 * math.hypot(u.stderr, c.stderr)
+    assert abs(u.mean - density_general_quad(1.0, 0.0, 1.0, 1.0)) > 5.0 * u.stderr
 
 
 def test_general_mc_conditional_curve_mass():
     xg = np.geomspace(0.05, 8.0, 80)
-    curve, _ = curve_general_mc(
-        1.0, 0.0, 1.0, xg, 20_000, seed=77, variant="endpoint-conditional"
-    )
+    curve, _ = curve_general_mc(1.0, 0.0, 1.0, xg, 20_000, seed=77)
     assert abs(curve.total_mass - 1.0) < 2e-2
 
 
 def test_general_mc_thread_count_invariance():
-    a = density_general_mc(
-        1.0, 0.0, 1.0, 1.0, 4_000, seed=9, variant="endpoint-conditional", threads=1
-    )
-    b = density_general_mc(
-        1.0, 0.0, 1.0, 1.0, 4_000, seed=9, variant="endpoint-conditional", threads=3
-    )
+    a = density_general_mc(1.0, 0.0, 1.0, 1.0, 4_000, seed=9, threads=1)
+    b = density_general_mc(1.0, 0.0, 1.0, 1.0, 4_000, seed=9, threads=3)
     assert (a.mean, a.stderr) == (b.mean, b.stderr)
 
 
@@ -473,8 +472,6 @@ def test_general_mc_domain():
         density_general_mc(1.0, 0.0, 0.5, 1.0, 100, seed=1)  # t < 4*t_min_theta
     with pytest.raises(DomainError):
         density_general_mc(1.0, 0.0, 1.0, -1.0, 100, seed=1)
-    with pytest.raises(DomainError):
-        density_general_mc(1.0, 0.0, 1.0, 1.0, 100, seed=1, variant="nope")
 
 
 # --- moment identity -----------------------------------------------------------

@@ -333,8 +333,6 @@ def test_laplace_besq_domain():
         laplace_mc_besq(1.0, ModelParams(mu=0.0, beta=1.0, x0=2.0), 1.0, 100, seed=1)
     with pytest.raises(DomainError):
         laplace_mc_besq(-1.0, ok, 1.0, 100, seed=1)
-    with pytest.raises(DomainError):
-        laplace_mc_besq(1.0, ok, 1.0, 100, seed=1, horizon="half")
 
 
 def test_laplace_direct_monotone_in_lambda():
@@ -369,7 +367,7 @@ def test_laplace_routes_agree():
     p = ModelParams(mu=0.0, beta=1.0, x0=1.0)
     d = laplace_mc_direct(1.0, p, 1.0, 30_000, seed=16, n_steps=500)
     g = laplace_mc_gbm(1.0, p, 1.0, 30_000, seed=17, n_steps=500)
-    b = laplace_mc_besq(1.0, p, 1.0, 30_000, seed=18, horizon="t4")
+    b = laplace_mc_besq(1.0, p, 1.0, 30_000, seed=18)
     for lhs, rhs in ((d, g), (d, b), (g, b)):
         z = abs(lhs.mean - rhs.mean) / math.hypot(lhs.stderr, rhs.stderr)
         assert z < 4.0
