@@ -26,6 +26,17 @@ BLOCK_PATHS = 4096
 # reflection floor for the Euler guard, as a fraction of the start value
 EULER_FLOOR_FRAC = 1e-12
 
+# element budget of one (steps x active paths) chunk buffer of the
+# exp-time sampler: 2**14 doubles = 128 KiB.  At 2**17 the block
+# runner's threads left glibc's arenas holding more memory: about 20 MB
+# more peak RSS over the mc-oracle benchmark's operations
+_EXP_CHUNK_ELEMS = 2**14
+
+# chunks at least this wide take their running sums one step row at a
+# time: np.cumsum down axis 0 costs about 5 ns per element at a few rows,
+# a row-wide np.add about 1 us per call plus 0.5 ns per element
+_ROW_SUM_MIN_WIDTH = 256
+
 
 def _block_rng(seed, block):
     return np.random.Generator(
@@ -296,13 +307,36 @@ def simulate_terminal_batch(params, grid, n, seed, threads=1):
     return out
 
 
+def _cumsum_steps(x):
+    """In place, row i of x becomes the sum of rows 0..i, each partial
+    sum formed as np.cumsum(x, axis=0) forms it, so bit for bit equal."""
+    if x.shape[1] < _ROW_SUM_MIN_WIDTH:
+        np.cumsum(x, axis=0, out=x)
+    else:
+        for i in range(1, len(x)):
+            np.add(x[i - 1], x[i], out=x[i])
+
+
 def simulate_exp_terminal(params, rate, dt, n, seed, threads=1):
     """theta evaluated at an independent Exp(rate) time, n replicates.
 
-    Horizons are rounded to the step grid (at least one step).  Within a
-    block, paths are sorted by decreasing horizon and advanced jointly;
-    the active prefix shrinks as horizons expire, so total work is the
-    sum of the horizons rather than block size times the longest one.
+    Horizons are rounded to the step grid (at least one step); a rounded
+    horizon beyond int64 raises DomainError.  Within a block, paths are
+    sorted by decreasing horizon, so the paths still active at step s
+    are always a prefix; total work is the sum of the horizons rather
+    than block size times the longest one.
+
+    A block advances in chunks of steps.  A chunk that starts with k
+    active paths spans at most 2**14 // k steps and ends before fewer
+    than k/2 paths remain, so its zero-padded (steps x k) buffers hold
+    at most 2**14 doubles (128 KiB; about 1 MiB per worker in all) and
+    at most twice the real work.  One normal draw per chunk consumes the
+    Philox stream in the same step-major order as one draw per step,
+    and the running sums are sequential sums along the step axis, so
+    the result is bit for bit that of the step-by-step recursion.  The
+    chunk's work is numpy calls over whole step rows or the whole chunk,
+    which release the interpreter lock, so worker threads run
+    concurrently.
     """
     if rate <= 0:
         raise DomainError("rate must be > 0")
@@ -319,28 +353,44 @@ def simulate_exp_terminal(params, rate, dt, n, seed, threads=1):
         m = min(BLOCK_PATHS, n - lo)
         rng = _block_rng(seed, b)
         horizons = -np.log1p(-rng.random(m)) / rate
-        n_steps = np.maximum(1, np.rint(horizons / dt).astype(np.int64))
+        steps = np.rint(horizons / dt)
+        if not np.all(steps < 2.0**63):
+            raise DomainError(
+                f"horizon of {np.max(horizons):.3g} at dt={dt:g} exceeds int64 steps"
+            )
+        n_steps = np.maximum(1, steps.astype(np.int64))
         order = np.argsort(-n_steps, kind="stable")
         ns = n_steps[order]
-        n_max = int(ns[0])
-        cnt = np.bincount(ns, minlength=n_max + 2)
-        geq = np.cumsum(cnt[::-1])[::-1]  # geq[s] = number of paths with ns >= s
+        ns_up = ns[::-1]  # ascending, for geq(s) = m - searchsorted(ns_up, s)
 
         bm = np.zeros(m)
         a = np.zeros(m)
         e_prev = np.ones(m)
         res = np.empty(m)
-        for s in range(1, n_max + 1):
-            act = int(geq[s])
-            g = rng.standard_normal(act)
-            bm[:act] += g * sqdt + mu * dt
-            e = np.exp(bm[:act])
-            a[:act] += 0.5 * dt * (e_prev[:act] + e)
-            e_prev[:act] = e
-            retire_lo = int(geq[s + 1]) if s + 1 <= n_max else 0
-            if retire_lo < act:
-                sl = slice(retire_lo, act)
-                res[sl] = x0 * e[sl] / (1.0 + beta * a[sl])
+        s0, act = 1, m  # first step of the chunk, paths active there
+        while act:
+            # last step: at least half of the act paths still active, and
+            # the (steps x act) buffers within the element budget
+            s1 = min(int(ns[(act - 1) // 2]), s0 + max(1, _EXP_CHUNK_ELEMS // act) - 1)
+            live = m - np.searchsorted(ns_up, np.arange(s0, s1 + 2))  # geq(s0..s1+1)
+            mask = np.arange(act) < live[:-1, None]
+            bmc = np.zeros((s1 - s0 + 1, act))
+            bmc[mask] = rng.standard_normal(int(live[:-1].sum())) * sqdt + mu * dt
+            bmc[0] += bm[:act]
+            _cumsum_steps(bmc)
+            e = np.exp(bmc)
+            ac = np.empty_like(e)
+            ac[0] = e_prev[:act] + e[0]
+            np.add(e[:-1], e[1:], out=ac[1:])
+            ac *= 0.5 * dt
+            ac[0] += a[:act]
+            _cumsum_steps(ac)
+            # paths live[-1]..act-1 take their last step in this chunk
+            done = np.arange(int(live[-1]), act)
+            row = ns[done] - s0
+            res[done] = x0 * e[row, done] / (1.0 + beta * ac[row, done])
+            bm[:act], e_prev[:act], a[:act] = bmc[-1], e[-1], ac[-1]
+            s0, act = s1 + 1, int(live[-1])
         block_out = np.empty(m)
         block_out[order] = res
         out[lo : lo + m] = block_out

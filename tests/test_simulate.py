@@ -15,6 +15,7 @@ import pytest
 
 from verhulst.errors import DomainError
 from verhulst.simulate import (
+    BLOCK_PATHS,
     PATH_CSV_HEADER,
     McEstimate,
     ModelParams,
@@ -301,6 +302,68 @@ def test_exp_terminal_sampler():
     # drift is -theta^2 here, so longer horizons sit lower on average
     quick = simulate_exp_terminal(p, 20.0, 2e-3, 4_000, seed=10)
     assert quick.mean() > th1.mean() + 0.1
+
+
+def _exp_terminal_stepwise(params, rate, dt, n, seed):
+    """Reference: the exp-time sampler advanced one time step per iteration."""
+    sqdt = math.sqrt(dt)
+    mu, beta, x0 = params.mu, params.beta, params.x0
+    out = np.empty(n)
+    for b in range((n + BLOCK_PATHS - 1) // BLOCK_PATHS):
+        lo = b * BLOCK_PATHS
+        m = min(BLOCK_PATHS, n - lo)
+        rng = _block_rng(seed, b)
+        horizons = -np.log1p(-rng.random(m)) / rate
+        n_steps = np.maximum(1, np.rint(horizons / dt).astype(np.int64))
+        order = np.argsort(-n_steps, kind="stable")
+        ns = n_steps[order]
+        n_max = int(ns[0])
+        cnt = np.bincount(ns, minlength=n_max + 2)
+        geq = np.cumsum(cnt[::-1])[::-1]  # geq[s] = number of paths with ns >= s
+
+        bm = np.zeros(m)
+        a = np.zeros(m)
+        e_prev = np.ones(m)
+        res = np.empty(m)
+        for s in range(1, n_max + 1):
+            act = int(geq[s])
+            g = rng.standard_normal(act)
+            bm[:act] += g * sqdt + mu * dt
+            e = np.exp(bm[:act])
+            a[:act] += 0.5 * dt * (e_prev[:act] + e)
+            e_prev[:act] = e
+            retire_lo = int(geq[s + 1]) if s + 1 <= n_max else 0
+            if retire_lo < act:
+                sl = slice(retire_lo, act)
+                res[sl] = x0 * e[sl] / (1.0 + beta * a[sl])
+        out[lo + order] = res
+    return out
+
+
+@pytest.mark.parametrize(
+    "params, rate, dt, n",
+    [
+        (ModelParams.coupled_start(1.0), 1.0, 1e-3, 3 * BLOCK_PATHS + 17),
+        (ModelParams.coupled_start(1.0), 1.0, 1e-3, 1),
+        (ModelParams.coupled_start(1.0), 1.0, 1e-3, BLOCK_PATHS + 1),
+        (ModelParams.coupled_start(1.0), 20.0, 1e-3, 5_000),
+        (ModelParams.coupled_start(1.0), 1.0, 1e3, 5_000),  # every horizon is 1 step
+        (ModelParams(mu=0.3, beta=2.0, x0=0.7), 0.5, 2e-3, 5_000),
+        (ModelParams.coupled_start(1.0), 0.1, 1e-3, 300),  # tens of thousands of steps
+    ],
+)
+def test_exp_terminal_chunks_match_stepwise(params, rate, dt, n):
+    ref = _exp_terminal_stepwise(params, rate, dt, n, seed=21)
+    for threads in (1, 3):
+        got = simulate_exp_terminal(params, rate, dt, n, seed=21, threads=threads)
+        assert np.array_equal(got, ref)
+
+
+def test_exp_terminal_horizon_overflow_refused():
+    # 1e20 / 1e-3 steps do not fit int64; an unchecked cast turns them
+    # into one step and returns values near x0
+    with pytest.raises(DomainError, match="int64"):
+        simulate_exp_terminal(ModelParams.coupled_start(1.0), 1e-20, 1e-3, 5, seed=3)
 
 
 # --- Laplace-transform routes -----------------------------------------------
