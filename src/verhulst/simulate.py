@@ -26,10 +26,15 @@ BLOCK_PATHS = 4096
 # reflection floor for the Euler guard, as a fraction of the start value
 EULER_FLOOR_FRAC = 1e-12
 
+# element budget of one (paths x steps) chunk buffer of the terminal
+# batch sampler: 2**17 doubles = 1 MiB, so its two buffers fit a 2 MiB L2
+_BATCH_CHUNK_ELEMS = 2**17
+
 # element budget of one (steps x active paths) chunk buffer of the
 # exp-time sampler: 2**14 doubles = 128 KiB.  At 2**17 the block
-# runner's threads left glibc's arenas holding more memory: about 20 MB
-# more peak RSS over the mc-oracle benchmark's operations
+# runner's threads left glibc's arenas holding more memory: 89-92 MB
+# peak RSS over the mc-oracle benchmark's operations against 76-79 MB,
+# at the same wall time
 _EXP_CHUNK_ELEMS = 2**14
 
 # chunks at least this wide take their running sums one step row at a
@@ -255,8 +260,16 @@ def simulate_sde_euler(params, grid, seed):
 def simulate_terminal_batch(params, grid, n, seed, threads=1):
     """Terminal summaries of n functional paths, block-parallel.
 
-    Per block the node matrix is built once and reduced immediately, so
-    memory stays at a few BLOCK_PATHS x n_steps buffers regardless of n.
+    A block runs in chunks of max(2, 2**17 // n_steps) paths through two
+    reused (chunk x n_steps) buffers, so a worker holds about 3 MiB (the
+    buffers and one temporary; more once n_steps exceeds 2**16)
+    regardless of n.  The Generator fills its output in C order, so
+    consecutive chunks consume the block's Philox stream as one
+    (paths x n_steps) draw does, and every path's arithmetic runs along
+    its own row: the result is bit for bit that of the whole block at
+    once.  Only a one-path block runs a one-row chunk: beyond 8192 steps
+    numpy's einsum sums a lone row in a different order than rows of a
+    taller matrix.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -265,6 +278,7 @@ def simulate_terminal_batch(params, grid, n, seed, threads=1):
     sqdt = math.sqrt(dt)
     mu, beta, x0 = params.mu, params.beta, params.x0
     drift = mu * dt * np.arange(1, S + 1)
+    rows = max(2, _BATCH_CHUNK_ELEMS // S)
 
     out = TerminalStats(*(np.empty(n) for _ in range(6)))
 
@@ -272,36 +286,43 @@ def simulate_terminal_batch(params, grid, n, seed, threads=1):
         lo = b * BLOCK_PATHS
         m = min(BLOCK_PATHS, n - lo)
         rng = _block_rng(seed, b)
-        w = rng.standard_normal((m, S))
-        w *= sqdt
-        np.cumsum(w, axis=1, out=w)
-        w += drift  # now B + mu t at nodes 1..S
-        bmd_T = w[:, -1].copy()
-        np.exp(w, out=w)  # now e^{B + mu t}
-        e_T = w[:, -1].copy()
-        ee_sum = np.einsum("ij,ij->i", w, w)
+        ends = list(range(rows, m, rows))
+        if ends and ends[-1] == m - 1:
+            ends.pop()  # a lone last path joins the chunk before it
+        w_buf = np.empty((min(m, rows + 1), S))
+        cum_buf = np.empty_like(w_buf)
+        for c0, c1 in zip([0] + ends, ends + [m]):
+            w, cum = w_buf[: c1 - c0], cum_buf[: c1 - c0]
+            rng.standard_normal(out=w)
+            w *= sqdt
+            np.cumsum(w, axis=1, out=w)
+            w += drift  # now B + mu t at nodes 1..S
+            bmd_T = w[:, -1].copy()
+            np.exp(w, out=w)  # now e^{B + mu t}
+            e_T = w[:, -1].copy()
+            ee_sum = np.einsum("ij,ij->i", w, w)
 
-        cum = np.cumsum(w, axis=1)
-        cum -= 0.5 * w
-        cum += 0.5
-        cum *= dt  # now the running a_t (trapezoid, a_0 = 0 folded in)
-        a_T = cum[:, -1].copy()
+            np.cumsum(w, axis=1, out=cum)
+            cum -= 0.5 * w
+            cum += 0.5
+            cum *= dt  # now the running a_t (trapezoid, a_0 = 0 folded in)
+            a_T = cum[:, -1].copy()
 
-        cum *= beta
-        cum += 1.0
-        np.divide(w, cum, out=w)
-        w *= x0  # now theta at nodes 1..S
-        th_T = w[:, -1].copy()
-        th_sum = w.sum(axis=1)
-        thth_sum = np.einsum("ij,ij->i", w, w)
+            cum *= beta
+            cum += 1.0
+            np.divide(w, cum, out=w)
+            w *= x0  # now theta at nodes 1..S
+            th_T = w[:, -1].copy()
+            th_sum = w.sum(axis=1)
+            thth_sum = np.einsum("ij,ij->i", w, w)
 
-        sl = slice(lo, lo + m)
-        out.theta[sl] = th_T
-        out.bmd[sl] = bmd_T
-        out.a[sl] = a_T
-        out.A[sl] = dt * (ee_sum - 0.5 * e_T * e_T + 0.5)
-        out.int_theta[sl] = dt * (th_sum - 0.5 * th_T + 0.5 * x0)
-        out.int_theta_sq[sl] = dt * (thth_sum - 0.5 * th_T * th_T + 0.5 * x0 * x0)
+            sl = slice(lo + c0, lo + c1)
+            out.theta[sl] = th_T
+            out.bmd[sl] = bmd_T
+            out.a[sl] = a_T
+            out.A[sl] = dt * (ee_sum - 0.5 * e_T * e_T + 0.5)
+            out.int_theta[sl] = dt * (th_sum - 0.5 * th_T + 0.5 * x0)
+            out.int_theta_sq[sl] = dt * (thth_sum - 0.5 * th_T * th_T + 0.5 * x0 * x0)
 
     _run_blocks(n, fill, threads)
     return out

@@ -5,6 +5,7 @@ Theta(r,t), and the arcosh-based Laplace kernel.  Everything is plain
 numpy; no external special-function library.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -314,9 +315,7 @@ def _completion_bracket(anchors_s, anchors_c, s, tau):
     E = np.exp(-np.outer(anchors_s, grid))
     target = np.exp(-s * grid)
     k = len(anchors_s)
-    idx = np.array(
-        [c for c in __import__("itertools").combinations(range(grid.size), k)]
-    )
+    idx = np.array(list(itertools.combinations(range(grid.size), k)))
     A = E[:, idx].transpose(1, 0, 2)
     det = np.linalg.det(A)
     ok = np.abs(det) > 1e-13
@@ -388,19 +387,3 @@ def theta_time_laplace(r, s, cfg=DEFAULT_QUAD):
     value, bound = _theta_time_core(np.array([float(r)]), s, cfg)
     scale = math.exp(-float(r))
     return float(value[0]) * scale, float(bound[0]) * scale
-
-
-def theta_time_laplace_scaled(rs, s, cfg=DEFAULT_QUAD):
-    """e^{r} integral_0^inf e^{-s t} Theta(r,t) dt over an array of r.
-
-    Same construction as theta_time_laplace but sharing one set of t nodes
-    across the whole r grid, and left on the e^{r} scale (the natural one
-    when the caller's integrand carries a compensating e^{-r}).  Returns
-    (values, bounds) arrays.
-    """
-    rs = np.asarray(rs, dtype=float)
-    if rs.ndim != 1 or rs.size == 0:
-        raise DomainError("theta_time_laplace_scaled needs a 1-d r grid")
-    if np.any(rs <= 0):
-        raise DomainError("theta needs r > 0")
-    return _theta_time_core(rs, s, cfg)

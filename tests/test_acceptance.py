@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from verhulst.density import (
+    DensityCurve,
     _tilt_kernels,
     curve_exact_half,
     curve_exp_time,
@@ -240,13 +241,16 @@ def test_criterion_10_general_density():
     def z(est):
         return abs(est.mean - p_hist) / math.hypot(est.stderr, se_hist)
 
-    z_cond = z(density_general_mc(gamma, mu, t, 1.0, n, seed=99001))
+    # one path batch serves the histogram point x = 1 and the CDF grid
+    x_grid = np.geomspace(0.01, 20.0, 72)
+    k = int(np.searchsorted(x_grid, 1.0))
+    both, errs = curve_general_mc(gamma, mu, t, np.insert(x_grid, k, 1.0), n, 99001)
+    z_cond = z(McEstimate(mean=float(both.values[k]), stderr=float(errs[k]), n=n))
+    curve = DensityCurve(x_grid, np.delete(both.values, k))
     z_uncond = z(_unconditional_mc(gamma, mu, t, 1.0, n, seed=99001))
     assert z_uncond > 3.0
     assert z_uncond > z_cond
 
-    x_grid = np.geomspace(0.01, 20.0, 72)
-    curve, _ = curve_general_mc(gamma, mu, t, x_grid, n, 99001)
     sup_cdf = ks_distance(samples, _curve_cdf(curve))
     mass_err = abs(curve.total_mass - 1.0)
     _verdict(10, "general-drift density sup-CDF", sup_cdf, 1e-2,

@@ -36,7 +36,7 @@ from verhulst.simulate import (
     simulate_sde_euler,
     simulate_terminal_batch,
 )
-from verhulst.simulate import _block_rng
+from verhulst.simulate import _BATCH_CHUNK_ELEMS, _block_rng
 
 
 # --- parameter types --------------------------------------------------------
@@ -130,13 +130,80 @@ def test_batch_path_zero_matches_single_path():
     assert batch.bmd[0] == single.bmd[-1]
 
 
+_STATS_FIELDS = ("theta", "bmd", "a", "A", "int_theta", "int_theta_sq")
+
+
 def test_batch_thread_count_invariance():
     p = ModelParams(mu=0.0, beta=1.0, x0=1.0)
     g = TimeGrid(0.5, 300)
     one = simulate_terminal_batch(p, g, 6_000, seed=5, threads=1)
     three = simulate_terminal_batch(p, g, 6_000, seed=5, threads=3)
-    for f in ("theta", "bmd", "a", "A", "int_theta", "int_theta_sq"):
+    for f in _STATS_FIELDS:
         assert np.array_equal(getattr(one, f), getattr(three, f))
+
+
+def _terminal_batch_whole_block(params, grid, n, seed):
+    """Reference: the batch sampler with each block's (paths x steps)
+    matrices built whole."""
+    S, dt = grid.n_steps, grid.dt
+    sqdt = math.sqrt(dt)
+    mu, beta, x0 = params.mu, params.beta, params.x0
+    drift = mu * dt * np.arange(1, S + 1)
+    out = TerminalStats(*(np.empty(n) for _ in range(6)))
+    for b in range((n + BLOCK_PATHS - 1) // BLOCK_PATHS):
+        lo = b * BLOCK_PATHS
+        m = min(BLOCK_PATHS, n - lo)
+        rng = _block_rng(seed, b)
+        w = rng.standard_normal((m, S))
+        w *= sqdt
+        np.cumsum(w, axis=1, out=w)
+        w += drift
+        bmd_T = w[:, -1].copy()
+        np.exp(w, out=w)
+        e_T = w[:, -1].copy()
+        ee_sum = np.einsum("ij,ij->i", w, w)
+        cum = np.cumsum(w, axis=1)
+        cum -= 0.5 * w
+        cum += 0.5
+        cum *= dt
+        a_T = cum[:, -1].copy()
+        cum *= beta
+        cum += 1.0
+        np.divide(w, cum, out=w)
+        w *= x0
+        th_T = w[:, -1].copy()
+        th_sum = w.sum(axis=1)
+        thth_sum = np.einsum("ij,ij->i", w, w)
+        sl = slice(lo, lo + m)
+        out.theta[sl] = th_T
+        out.bmd[sl] = bmd_T
+        out.a[sl] = a_T
+        out.A[sl] = dt * (ee_sum - 0.5 * e_T * e_T + 0.5)
+        out.int_theta[sl] = dt * (th_sum - 0.5 * th_T + 0.5 * x0)
+        out.int_theta_sq[sl] = dt * (thth_sum - 0.5 * th_T * th_T + 0.5 * x0 * x0)
+    return out
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(mu=0.3, beta=1.0),
+    ModelParams(mu=0.3, beta=0.0),
+    ModelParams.coupled_start(2.0),
+    ModelParams(mu=1.0, beta=0.5, x0=0.7),
+])
+@pytest.mark.parametrize("n_steps, n", [
+    *((s, n) for s in (1, 7, 1000) for n in (1, 5, 2 * BLOCK_PATHS + 3)),
+    # one path per element budget: a lone path's row sums would differ
+    # from the whole block's, so the sampler must never run one alone
+    (_BATCH_CHUNK_ELEMS + 1, 3),
+    (_BATCH_CHUNK_ELEMS + 1, 5),
+])
+def test_batch_row_chunks_match_whole_block(params, n_steps, n):
+    grid = TimeGrid(1.0, n_steps)
+    ref = _terminal_batch_whole_block(params, grid, n, seed=23)
+    for threads in (1, 3):
+        got = simulate_terminal_batch(params, grid, n, seed=23, threads=threads)
+        for f in _STATS_FIELDS:
+            assert np.array_equal(getattr(got, f), getattr(ref, f)), f
 
 
 @pytest.mark.parametrize("params", [
