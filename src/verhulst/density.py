@@ -18,10 +18,10 @@ from .simulate import McEstimate, ModelParams, TimeGrid, simulate_terminal_batch
 from .specfun import (
     DEFAULT_QUAD,
     BesselOrder,
-    _completion_bracket,
-    _panels,
-    _theta_scaled_grid,
+    anchor_completion,
     bessel_product_F,
+    hartman_watson_theta_grid,
+    log_panels,
 )
 
 PSI_FLOOR = 1e-12
@@ -103,12 +103,6 @@ def lognormal_density(mu, t, x):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_axis_nodes(u_lo, u_hi):
-    # 2 GL-16 panels per unit of log z
-    n = max(2, int(math.ceil(2.0 * (u_hi - u_lo))))
-    return _panels(np.linspace(u_lo, u_hi, n + 1))
-
-
 def density_exact_half(x_start, t, w, cfg=DEFAULT_QUAD):
     """Fixed-time density at w for the drift -1/2, beta = x0 = x_start process.
 
@@ -130,9 +124,8 @@ def density_exact_half(x_start, t, w, cfg=DEFAULT_QUAD):
     u_hi = math.log(2.0 * cut)
     if u_lo >= u_hi:  # kernel never rises above the cut: density underflows
         return 0.0
-    u, gw = _log_axis_nodes(u_lo, u_hi)
-    z = np.exp(u)
-    kern = np.exp(-0.5 * z - 0.5 * q / z) * _theta_scaled_grid(x * w / z, t, cfg)
+    z, gw = log_panels(u_lo, u_hi, 2.0, 2)
+    kern = np.exp(-0.5 * z - 0.5 * q / z) * hartman_watson_theta_grid(x * w / z, t, cfg)
     total = float(np.dot(gw, kern))
     if total <= 0.0:
         return 0.0
@@ -200,12 +193,9 @@ def exp_time_total_mass(x_start, lam, cfg=DEFAULT_QUAD):
         raise DomainError("exp_time_total_mass supports rates in [0.05, 20]")
     nu = BesselOrder.from_rate(lam).nu
     lo = x * 10.0 ** (-max(9.0, 12.0 / (nu - 0.5)))
-    hi = 0.5 * x + 30.0
-    u_lo, u_k, u_hi = math.log(lo), math.log(x), math.log(hi)
-    b1 = np.linspace(u_lo, u_k, max(4, int(math.ceil((u_k - u_lo) * 2.4))) + 1)
-    b2 = np.linspace(u_k, u_hi, max(4, int(math.ceil((u_hi - u_k) * 2.4))) + 1)[1:]
-    u, w = _panels(np.concatenate([b1, b2]))
-    z = np.exp(u)
+    # past the kink z = x for every x; beyond it the density falls like e^{-2(z - x)}
+    hi = x + 30.0
+    z, w = log_panels(math.log(lo), math.log(hi), 2.4, 4, math.log(x))
     return float(np.dot(w, z * np.array([density_exp_time(x, lam, zi, cfg) for zi in z])))
 
 
@@ -235,14 +225,23 @@ def myor_psi_profile(mu, t, vs, x, cfg=DEFAULT_QUAD):
         raise DomainError(
             f"myor_psi needs t >= 4*t_min_theta = {4.0 * cfg.t_min_theta:g}"
         )
-    q = math.exp(0.5 * x)
-    expo = mu * x - 0.5 * mu * mu * t - 2.0 * (1.0 + q) ** 2 / vs
+    return _psi(mu, t, vs, x, cfg)[0]
+
+
+def _psi(mu, t, vs, b, cfg):
+    """psi(v, b) along vs, grouped as myor_psi_profile states, with b a
+    scalar or an array like vs, and the mask of entries whose Theta factor
+    is trusted; entries whose exponent is below -700 are 0 and trusted."""
+    q = np.exp(0.5 * b)
+    expo = mu * b - 0.5 * mu * mu * t - 2.0 * (1.0 + q) ** 2 / vs
     out = np.zeros_like(vs)
+    trusted = np.ones(vs.shape, dtype=bool)
     live = expo > -700.0
     if np.any(live):
-        tt = _theta_scaled_grid(4.0 * q / vs[live], 0.25 * t, cfg)
+        tt, ok = hartman_watson_theta_grid((4.0 * q / vs)[live], 0.25 * t, cfg, with_floor=True)
         out[live] = 0.5 * np.exp(expo[live]) / vs[live] * tt
-    return out
+        trusted[live] = ok
+    return out, trusted
 
 
 def _sinh_ratio(s):
@@ -299,10 +298,10 @@ def myor_conditional_laplace(ev, cfg=DEFAULT_QUAD):
     r0 = 4.0 * math.exp(0.5 * ev.x) / ev.v
     phi = r0 * ssr
     expo = (r0 - phi) - ev.lam * (1.0 + math.exp(ev.x)) * rem
-    vals, floor = _theta_scaled_grid(
+    vals, trusted = hartman_watson_theta_grid(
         np.array([phi, r0]), 0.25 * ev.t, cfg, with_floor=True
     )
-    if np.any(vals <= 30.0 * floor):
+    if not trusted.all():
         raise ConvergenceError(
             "Theta ratio below quadrature trust edge at this (v, x, lam)"
         )
@@ -356,9 +355,7 @@ def density_exp_time_mixture(x_start, lam, w, cfg=DEFAULT_QUAD):
         raise DomainError(f"mixture supports 0 < lam <= {rates[-1]:g}")
     # the integrand carries e^{-(rate + 1/8) t} overall; 45 e-foldings
     t_hi = 45.0 / (rates[0] + 0.125)
-    n_pan = int(math.ceil(2.0 * math.log(t_hi / cfg.t_min_theta)))
-    u, gw = _panels(np.linspace(math.log(cfg.t_min_theta), math.log(t_hi), n_pan + 1))
-    ts = np.exp(u)
+    ts, gw = log_panels(math.log(cfg.t_min_theta), math.log(t_hi), 2.0, 2)
     gwt = gw * ts
     dens = np.array([density_exact_half(x, t, w, cfg) for t in ts])
 
@@ -366,20 +363,10 @@ def density_exp_time_mixture(x_start, lam, w, cfg=DEFAULT_QUAD):
         return float(np.dot(gwt, np.exp(-rate * ts) * dens))
 
     base = q(lam)
-    anchors = np.empty(rates.size)
-    for j, rate in enumerate(rates):
-        anchors[j] = max(density_exp_time(x, rate, w, cfg) / rate - q(rate), 0.0)
-    for j in range(1, rates.size):  # transforms are nonincreasing in the rate
-        anchors[j] = min(anchors[j], anchors[j - 1])
-    noise = 1e-6 * (anchors[0] + q(rates[0]))
+    anchors = np.array([density_exp_time(x, rate, w, cfg) / rate - q(rate) for rate in rates])
+    noise = 1e-6 * (np.maximum(anchors[0], 0.0) + q(rates[0]))
     tail = math.exp(-45.0) * float(dens.max()) * t_hi
-    br = _completion_bracket(rates, anchors, lam, cfg.t_min_theta)
-    if br is None:
-        mid = half = 0.5 * anchors[0]
-    else:
-        lo, hi = br
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
+    mid, half = anchor_completion(rates, anchors, lam, cfg.t_min_theta)
     return lam * (base + mid), lam * (half + noise + tail)
 
 
@@ -393,10 +380,9 @@ def _theta_log_interp(r_lo, r_hi, tau, cfg, n=2000):
     evaluation at r < r_reliable.
     """
     grid = np.geomspace(r_lo, r_hi, n)
-    vals, floor = _theta_scaled_grid(grid, tau, cfg, with_floor=True)
+    vals, trusted = hartman_watson_theta_grid(grid, tau, cfg, with_floor=True)
     logs = np.log(np.maximum(vals, 1e-300))
     lg = np.log(grid)
-    trusted = vals > 30.0 * floor
     if trusted.all():
         r_reliable = 0.0
     elif trusted.any():
@@ -540,16 +526,8 @@ def density_general_quad(gamma, mu, t, x, cfg=DEFAULT_QUAD, n=4000):
     if t < 4.0 * cfg.t_min_theta:
         raise DomainError("general density needs t >= 4*t_min_theta")
     vs = np.geomspace(1e-6, 400.0, n)
-    b = math.log(x) + np.log1p(gamma * vs)
-    q = np.exp(0.5 * b)
-    expo = mu * b - 0.5 * mu * mu * t - 2.0 * (1.0 + q) ** 2 / vs
-    ys = np.zeros_like(vs)
-    live = expo > -700.0
-    if np.any(live):
-        tt, floor = _theta_scaled_grid(4.0 * q[live] / vs[live], 0.25 * t, cfg, with_floor=True)
-        tt = np.where(tt > 30.0 * floor, tt, 0.0)
-        ys[live] = 0.5 * np.exp(expo[live]) / vs[live] * tt
-    return float(np.trapezoid(ys, vs)) / x
+    ys, trusted = _psi(mu, t, vs, math.log(x) + np.log1p(gamma * vs), cfg)
+    return float(np.trapezoid(np.where(trusted, ys, 0.0), vs)) / x
 
 
 def density_general_mc(gamma, mu, t, x, n, seed, cfg=DEFAULT_QUAD, threads=1):

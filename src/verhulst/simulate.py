@@ -14,7 +14,7 @@ worker threads.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,15 +49,21 @@ def _block_rng(seed, block):
     )
 
 
-def _run_blocks(n, fill, threads):
-    """Call fill(block_index) for every block covering n paths."""
+def _run_blocks(n, seed, fill, threads):
+    """Call fill(lo, m, rng) for every block covering n paths: the block's
+    m paths start at index lo and draw from its generator rng."""
+
+    def run(b):
+        lo = b * BLOCK_PATHS
+        fill(lo, min(BLOCK_PATHS, n - lo), _block_rng(seed, b))
+
     n_blocks = (n + BLOCK_PATHS - 1) // BLOCK_PATHS
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(fill, range(n_blocks)))
+            list(ex.map(run, range(n_blocks)))
     else:
         for b in range(n_blocks):
-            fill(b)
+            run(b)
 
 
 @dataclass(frozen=True)
@@ -129,14 +135,7 @@ class PathSample:
         """Cumulative trapezoid series (int theta, int theta^2, a_t, A_t)."""
         dt = self.grid.dt
         e = np.exp(self.bmd)
-
-        def ctrap(v):
-            out = np.empty_like(v)
-            out[0] = 0.0
-            np.cumsum(0.5 * dt * (v[1:] + v[:-1]), out=out[1:])
-            return out
-
-        return ctrap(self.theta), ctrap(self.theta**2), ctrap(e), ctrap(e * e)
+        return tuple(_cum_trapezoid(v, dt) for v in (self.theta, self.theta**2, e, e * e))
 
 
 @dataclass(frozen=True)
@@ -169,6 +168,25 @@ class TerminalStats:
     int_theta_sq: np.ndarray
 
 
+def _cum_trapezoid(v, dt):
+    """Running trapezoid integral of node values v with step dt; starts at 0."""
+    out = np.empty_like(v)
+    out[0] = 0.0
+    np.cumsum(0.5 * dt * (v[1:] + v[:-1]), out=out[1:])
+    return out
+
+
+def _trapezoid(v, dt):
+    """Terminal trapezoid integral of node values v with step dt."""
+    return float(dt * (v.sum() - 0.5 * (v[0] + v[-1])))
+
+
+def _increments(grid, seed):
+    """Brownian increments over grid from the stream of (seed, block 0),
+    so path 0 of a batch run with the same seed sees the same ones."""
+    return _block_rng(seed, 0).standard_normal((1, grid.n_steps))[0] * math.sqrt(grid.dt)
+
+
 def _path_from_increments(params, grid, g):
     dt = grid.dt
     bmd = np.empty(grid.n_steps + 1)
@@ -176,22 +194,16 @@ def _path_from_increments(params, grid, g):
     np.cumsum(g, out=bmd[1:])
     bmd[1:] += params.mu * dt * np.arange(1, grid.n_steps + 1)
     e = np.exp(bmd)
-    a = np.empty_like(e)
-    a[0] = 0.0
-    np.cumsum(0.5 * dt * (e[1:] + e[:-1]), out=a[1:])
+    a = _cum_trapezoid(e, dt)
     theta = params.x0 * e / (1.0 + params.beta * a)
-
-    def trap(v):
-        return float(dt * (v.sum() - 0.5 * (v[0] + v[-1])))
-
     return PathSample(
         grid=grid,
         theta=theta,
         bmd=bmd,
-        int_theta=trap(theta),
-        int_theta_sq=trap(theta**2),
+        int_theta=_trapezoid(theta, dt),
+        int_theta_sq=_trapezoid(theta**2, dt),
         a_T=float(a[-1]),
-        A_T=trap(e * e),
+        A_T=_trapezoid(e * e, dt),
     )
 
 
@@ -202,9 +214,7 @@ def simulate_functional(params, grid, seed):
     trapezoid bias.  Uses the stream of (seed, block 0), so path 0 of a
     batch run with the same seed sees the same increments.
     """
-    rng = _block_rng(seed, 0)
-    g = rng.standard_normal((1, grid.n_steps))[0] * math.sqrt(grid.dt)
-    return _path_from_increments(params, grid, g)
+    return _path_from_increments(params, grid, _increments(grid, seed))
 
 
 def simulate_sde_euler(params, grid, seed):
@@ -215,9 +225,8 @@ def simulate_sde_euler(params, grid, seed):
     floor and counted in n_clamped; the exact simulator is the primary
     oracle, this one is a consistency witness.
     """
-    rng = _block_rng(seed, 0)
     dt = grid.dt
-    g = rng.standard_normal((1, grid.n_steps))[0] * math.sqrt(dt)
+    g = _increments(grid, seed)
     mu, x0 = params.mu, params.x0
     quad = params.beta / x0
     floor = EULER_FLOOR_FRAC * x0
@@ -233,26 +242,11 @@ def simulate_sde_euler(params, grid, seed):
             clamped += 1
         theta[i + 1] = nxt
 
-    bmd = np.empty(grid.n_steps + 1)
-    bmd[0] = 0.0
-    np.cumsum(g, out=bmd[1:])
-    bmd[1:] += mu * dt * np.arange(1, grid.n_steps + 1)
-    e = np.exp(bmd)
-
-    def trap(v):
-        return float(dt * (v.sum() - 0.5 * (v[0] + v[-1])))
-
-    a = np.empty_like(e)
-    a[0] = 0.0
-    np.cumsum(0.5 * dt * (e[1:] + e[:-1]), out=a[1:])
-    return PathSample(
-        grid=grid,
+    return replace(
+        _path_from_increments(params, grid, g),
         theta=theta,
-        bmd=bmd,
-        int_theta=trap(theta),
-        int_theta_sq=trap(theta**2),
-        a_T=float(a[-1]),
-        A_T=trap(e * e),
+        int_theta=_trapezoid(theta, dt),
+        int_theta_sq=_trapezoid(theta**2, dt),
         n_clamped=clamped,
     )
 
@@ -282,10 +276,7 @@ def simulate_terminal_batch(params, grid, n, seed, threads=1):
 
     out = TerminalStats(*(np.empty(n) for _ in range(6)))
 
-    def fill(b):
-        lo = b * BLOCK_PATHS
-        m = min(BLOCK_PATHS, n - lo)
-        rng = _block_rng(seed, b)
+    def fill(lo, m, rng):
         ends = list(range(rows, m, rows))
         if ends and ends[-1] == m - 1:
             ends.pop()  # a lone last path joins the chunk before it
@@ -324,7 +315,7 @@ def simulate_terminal_batch(params, grid, n, seed, threads=1):
             out.int_theta[sl] = dt * (th_sum - 0.5 * th_T + 0.5 * x0)
             out.int_theta_sq[sl] = dt * (thth_sum - 0.5 * th_T * th_T + 0.5 * x0 * x0)
 
-    _run_blocks(n, fill, threads)
+    _run_blocks(n, seed, fill, threads)
     return out
 
 
@@ -369,11 +360,8 @@ def simulate_exp_terminal(params, rate, dt, n, seed, threads=1):
     mu, beta, x0 = params.mu, params.beta, params.x0
     out = np.empty(n)
 
-    def fill(b):
-        lo = b * BLOCK_PATHS
-        m = min(BLOCK_PATHS, n - lo)
-        rng = _block_rng(seed, b)
-        horizons = -np.log1p(-rng.random(m)) / rate
+    def fill(lo, m, rng):
+        horizons = sample_exp_time(rate, rng, m)
         steps = np.rint(horizons / dt)
         if not np.all(steps < 2.0**63):
             raise DomainError(
@@ -416,7 +404,7 @@ def simulate_exp_terminal(params, rate, dt, n, seed, threads=1):
         block_out[order] = res
         out[lo : lo + m] = block_out
 
-    _run_blocks(n, fill, threads)
+    _run_blocks(n, seed, fill, threads)
     return out
 
 
@@ -431,27 +419,20 @@ def girsanov_weight(path, gamma, params):
     turns the exponential martingale of -gamma theta into this
     expression in the path's own integrals.  Expectation 1.
     """
-    if gamma <= 0:
-        raise DomainError("gamma must be > 0")
-    return float(
-        _girsanov_exponent(
-            path.theta[-1], path.int_theta, path.int_theta_sq, gamma, params, np.exp
-        )
-    )
+    theta_T = path.theta[-1]
+    return float(_girsanov_weight(theta_T, path.int_theta, path.int_theta_sq, gamma, params))
 
 
 def girsanov_weight_batch(stats, gamma, params):
     """Vectorized girsanov_weight over a TerminalStats batch."""
+    return _girsanov_weight(stats.theta, stats.int_theta, stats.int_theta_sq, gamma, params)
+
+
+def _girsanov_weight(theta_T, int_theta, int_theta_sq, gamma, params):
     if gamma <= 0:
         raise DomainError("gamma must be > 0")
-    return _girsanov_exponent(
-        stats.theta, stats.int_theta, stats.int_theta_sq, gamma, params, np.exp
-    )
-
-
-def _girsanov_exponent(theta_T, int_theta, int_theta_sq, gamma, params, exp):
     quad = gamma * params.beta / params.x0 + 0.5 * gamma * gamma
-    return exp(
+    return np.exp(
         -gamma * (theta_T - params.x0)
         + gamma * (params.mu + 0.5) * int_theta
         - quad * int_theta_sq
@@ -520,15 +501,12 @@ def laplace_mc_besq(lam, params, t, n, seed, threads=1):
     sqh = math.sqrt(h)
     vals = np.empty(n)
 
-    def fill(b):
-        lo = b * BLOCK_PATHS
-        m = min(BLOCK_PATHS, n - lo)
-        rng = _block_rng(seed, b)
+    def fill(lo, m, rng):
         gauss = rng.standard_normal(m) * sqh + 2.0 * params.mu * h
         r_draw = sample_besq0(lam * np.exp(2.0 * gauss), 0.5, rng)
         vals[lo : lo + m] = laplace_kernel_F(gauss, r_draw / (4.0 * params.beta), h)
 
-    _run_blocks(n, fill, threads)
+    _run_blocks(n, seed, fill, threads)
     return McEstimate.from_samples(vals)
 
 

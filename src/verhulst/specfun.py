@@ -77,6 +77,26 @@ def _panels(breaks):
     return z, w
 
 
+def log_panels(u_lo, u_hi, per_unit, min_panels, u_kink=None):
+    """Gauss-Legendre 16 nodes z = e^u and weights for du = dz/z over
+    [u_lo, u_hi] in u = ln z.
+
+    A u_kink strictly inside the range becomes a panel break, and each
+    side of it (or the whole range) gets max(min_panels, ceil(per_unit *
+    length)) equal panels, so no panel straddles the kink.
+    """
+    if u_kink is not None and u_lo < u_kink < u_hi:
+        pieces = [(u_lo, u_kink), (u_kink, u_hi)]
+    else:
+        pieces = [(u_lo, u_hi)]
+    breaks = [
+        np.linspace(a, b, max(min_panels, int(math.ceil(per_unit * (b - a)))) + 1)
+        for a, b in pieces
+    ]
+    u, w = _panels(np.concatenate([breaks[0]] + [b[1:] for b in breaks[1:]]))
+    return np.exp(u), w
+
+
 def bessel_i(nu, x, cfg=DEFAULT_QUAD):
     """Modified Bessel I_nu(x) by the ascending power series.
 
@@ -196,18 +216,18 @@ def hartman_watson_theta(r, t, cfg=DEFAULT_QUAD, scaled=False):
         integrands consume (their own exponentials absorb the e^{-r}).
 
     Gauss-Legendre 16 on panels aligned with the sign changes of
-    sin(pi z/t), evaluated as _theta_scaled_grid of the one r (the scaled
-    value is the grid's bit for bit).  Sign rule, on the e^{r} scale like
-    the quadrature cut: with the error floor (8 eps + rel_tol) *
-    prefactor * unsigned mass, a scaled value below -max(abs_tol, floor)
-    raises ConvergenceError and smaller negatives are clamped to 0; the
-    unscaled value is the scaled one times e^{-r}.
+    sin(pi z/t), evaluated as hartman_watson_theta_grid of the one r
+    (the scaled value is the grid's bit for bit).  Sign rule, on the
+    e^{r} scale like the quadrature cut: with the error floor (8 eps +
+    rel_tol) * prefactor * unsigned mass, a scaled value below
+    -max(abs_tol, floor) raises ConvergenceError and smaller negatives
+    are clamped to 0; the unscaled value is the scaled one times e^{-r}.
     """
-    value = float(_theta_scaled_grid(np.array([float(r)]), t, cfg)[0])
+    value = float(hartman_watson_theta_grid(np.array([float(r)]), t, cfg)[0])
     return value if scaled else value * math.exp(-r)
 
 
-def _theta_scaled_grid(rs, t, cfg=DEFAULT_QUAD, with_floor=False):
+def hartman_watson_theta_grid(rs, t, cfg=DEFAULT_QUAD, with_floor=False):
     """e^{r} Theta(r,t) for an array of r values at one t: the kernel
     behind hartman_watson_theta (quadrature and sign rule stated there).
 
@@ -220,12 +240,13 @@ def _theta_scaled_grid(rs, t, cfg=DEFAULT_QUAD, with_floor=False):
     when the largest r narrows the panel width below the half-period t,
     finer panels.
 
-    with_floor additionally returns the *realistic* cancellation scale
-    8 eps * prefactor * unsigned mass: at small r the true value sinks
-    below it (Theta vanishes faster than any power of r) and the clamped
-    output is then positive noise a caller must discount.  The raise
-    guard keeps the larger rel_tol-based floor so that an honest tiny
-    negative never trips it.
+    with_floor additionally returns the mask `trusted`: values above 30
+    times the *realistic* cancellation floor 8 eps * prefactor * unsigned
+    mass.  At small r the true value sinks below that floor (Theta
+    vanishes faster than any power of r) and an untrusted output is
+    positive noise a caller must discount.  The raise guard keeps the
+    larger rel_tol-based floor so that an honest tiny negative never
+    trips it.
     """
     rs = np.asarray(rs, dtype=float)
     if np.any(rs <= 0):
@@ -249,7 +270,7 @@ def _theta_scaled_grid(rs, t, cfg=DEFAULT_QUAD, with_floor=False):
             f"theta at t={t:g} negative beyond quadrature floor: {float(vals.min()):g}"
         )
     vals = np.where(vals < 0.0, 0.0, vals)
-    return (vals, 8.0 * _EPS * unsigned) if with_floor else vals
+    return (vals, vals > 30.0 * (8.0 * _EPS * unsigned)) if with_floor else vals
 
 
 def phi_arcosh(x, y):
@@ -301,74 +322,45 @@ def _theta_time_nodes(rs, cfg):
     t = np.exp(u)
     theta = np.empty((t.size, rs.size))
     for i, ti in enumerate(t):
-        theta[i] = _theta_scaled_grid(rs, ti, cfg)
+        theta[i] = hartman_watson_theta_grid(rs, ti, cfg)
     return t, w * t, theta
 
 
-def _completion_bracket(anchors_s, anchors_c, s, tau):
-    """Sharp two-sided bracket for integral e^{-s T} d mu(T) over positive
-    measures mu on [0, tau] matching the anchor values
-    integral e^{-s_j T} d mu = c_j.  Extremal measures put mass on at most
-    len(anchors) atoms; all atom supports on a grid are scanned.
+def anchor_completion(rates, anchors, s, tau):
+    """Completion (mid, half) of a Laplace transform at rate s from the
+    mass on [0, tau] that quadrature cannot reach.
+
+    anchors[j] is that mass's transform at rates[j] (increasing rates),
+    measured as a closed form minus the quadrature.  The anchors are
+    clamped at 0 and made nonincreasing in the rate, as any transform of
+    a positive measure is.  mid and half are the midpoint and halfwidth
+    of the sharp two-sided bracket of integral e^{-s T} d mu(T) over
+    positive measures mu on [0, tau] with those anchor values.  Extremal
+    measures put mass on at most len(rates) atoms; all atom supports on
+    a grid are scanned.  When no support fits, (c_0/2, c_0/2) with c_0
+    the first anchor: the transform lies in [0, c_0] for s >= rates[0].
     """
+    c = np.minimum.accumulate(np.maximum(np.asarray(anchors, dtype=float), 0.0))
     grid = np.linspace(0.0, tau, 41)
-    E = np.exp(-np.outer(anchors_s, grid))
+    E = np.exp(-np.outer(rates, grid))
     target = np.exp(-s * grid)
-    k = len(anchors_s)
+    k = len(rates)
     idx = np.array(list(itertools.combinations(range(grid.size), k)))
     A = E[:, idx].transpose(1, 0, 2)
     det = np.linalg.det(A)
     ok = np.abs(det) > 1e-13
-    if not np.any(ok):
-        return None
-    b = np.ascontiguousarray(
-        np.broadcast_to(np.reshape(anchors_c, (1, k, 1)), (int(ok.sum()), k, 1))
-    )
-    w = np.linalg.solve(A[ok], b)[:, :, 0]
-    feas = np.all(w >= -1e-11 * max(anchors_c[0], 1e-300), axis=1)
+    feas = np.zeros(0, dtype=bool)
+    if np.any(ok):
+        b = np.ascontiguousarray(
+            np.broadcast_to(np.reshape(c, (1, k, 1)), (int(ok.sum()), k, 1))
+        )
+        w = np.linalg.solve(A[ok], b)[:, :, 0]
+        feas = np.all(w >= -1e-11 * max(c[0], 1e-300), axis=1)
     if not np.any(feas):
-        return None
+        return 0.5 * c[0], 0.5 * c[0]
     vals = np.einsum("ij,ij->i", w[feas], target[idx[ok][feas]])
-    return float(vals.min()), float(vals.max())
-
-
-def _theta_time_core(rs, s, cfg):
-    """Scaled Laplace values e^{r} integral e^{-st} Theta(r,t) dt and their
-    bounds over an r grid.  Everything (quadrature, anchors, bracket) lives
-    on the e^{r} scale so the grid form never underflows at large r."""
-    s_anchors = np.array([0.5 * a * a for a in _ANCHOR_ORDERS])
-    if not 0.0 < s <= s_anchors[-1]:
-        raise DomainError("theta_time_laplace supports 0 < s <= 12.5")
-    t, w, theta = _theta_time_nodes(rs, cfg)
-
-    def q(rate):
-        return (w * np.exp(-rate * t)) @ theta
-
-    value = q(s)
-    er = np.exp(rs)
-    anchors_c = np.maximum(
-        [er * np.array([bessel_i(nu, r, cfg) for r in rs]) - q(s_a)
-         for nu, s_a in zip(_ANCHOR_ORDERS, s_anchors)],
-        0.0,
-    )
-    for j in range(1, len(_ANCHOR_ORDERS)):  # Laplace values are nonincreasing in s
-        anchors_c[j] = np.minimum(anchors_c[j], anchors_c[j - 1])
-    noise = 4e-9 * (er + er * np.array([bessel_i(0.3, r, cfg) for r in rs]))
-    bound = np.empty_like(value)
-    for k in range(rs.size):
-        if anchors_c[0, k] <= noise[k]:
-            # missing mass indistinguishable from quadrature noise; bounds itself
-            bound[k] = anchors_c[0, k] + noise[k]
-            continue
-        br = _completion_bracket(s_anchors, anchors_c[:, k], s, cfg.t_min_theta)
-        if br is None:
-            value[k] += anchors_c[0, k] * 0.5
-            bound[k] = anchors_c[0, k] * 0.5 + noise[k]
-        else:
-            lo, hi = br
-            value[k] += 0.5 * (lo + hi)
-            bound[k] = 0.5 * (hi - lo) + noise[k]
-    return value, bound
+    lo, hi = float(vals.min()), float(vals.max())
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
 def theta_time_laplace(r, s, cfg=DEFAULT_QUAD):
@@ -381,9 +373,38 @@ def theta_time_laplace(r, s, cfg=DEFAULT_QUAD):
     the completion added to Q(s) is the midpoint of the sharp bracket over
     all positive measures on [0, t_min_theta] consistent with those
     anchors, and `bound` is the bracket halfwidth (plus anchor noise).
-    Requires 0 < s <= max anchor rate; beyond 400 the e^{-st} tail is below
-    1e-30 of the result for every supported s.
+
+    Requires 0.045 <= s <= 12.5, the range of the anchor rates.  Beyond
+    400 the e^{-st} tail is below e^{-400 s} I_0(r): under 1e-30 of the
+    result from s = 0.18 on, and nearer 0.045 the first anchor, which
+    carries its own tail, moves most of it into the completion.  Below
+    0.045 the tail outgrows the bound (at s = 1e-3, r = 0.5 the value
+    misses by 9.2e-3 relative against a bound of 7.1e-9): DomainError.
+
+    Quadrature, anchors and bracket live on the e^{r} scale, so nothing
+    underflows at large r; the results are scaled back at the end.
     """
-    value, bound = _theta_time_core(np.array([float(r)]), s, cfg)
-    scale = math.exp(-float(r))
-    return float(value[0]) * scale, float(bound[0]) * scale
+    s_anchors = np.array([0.5 * a * a for a in _ANCHOR_ORDERS])
+    if not s_anchors[0] <= s <= s_anchors[-1]:
+        raise DomainError(
+            f"theta_time_laplace supports {s_anchors[0]:g} <= s <= {s_anchors[-1]:g}"
+        )
+    r = float(r)
+    t, w, theta = _theta_time_nodes(np.array([r]), cfg)
+
+    def q(rate):
+        return ((w * np.exp(-rate * t)) @ theta)[0]
+
+    er = np.exp(r)
+    anchors = np.array(
+        [er * bessel_i(nu, r, cfg) - q(s_a) for nu, s_a in zip(_ANCHOR_ORDERS, s_anchors)]
+    )
+    noise = 4e-9 * (er + er * bessel_i(0.3, r, cfg))
+    missing = max(anchors[0], 0.0)
+    if missing <= noise:
+        # missing mass indistinguishable from quadrature noise; bounds itself
+        mid, half = 0.0, missing
+    else:
+        mid, half = anchor_completion(s_anchors, anchors, s, cfg.t_min_theta)
+    scale = math.exp(-r)
+    return float(q(s) + mid) * scale, float(half + noise) * scale

@@ -26,10 +26,12 @@ from .density import (
     density_exp_time,
     density_exp_time_mixture,
     density_general_quad,
+    exp_time_total_mass,
     moment_exp_int_theta,
 )
 from .errors import DomainError
 from .simulate import (
+    McEstimate,
     ModelParams,
     TimeGrid,
     girsanov_weight_batch,
@@ -42,9 +44,9 @@ from .simulate import (
 )
 from .specfun import (
     DEFAULT_QUAD,
-    _panels,
     bessel_i,
     bessel_product_F,
+    log_panels,
     theta_time_laplace,
 )
 
@@ -190,10 +192,7 @@ def _bessel_product_quad(nu, x, w, cfg=DEFAULT_QUAD):
     L = -math.log(cfg.abs_tol) + 14.0
     z_hi = 2.0 * L
     z_lo = max(d * d / (2.0 * L), 2.0 * math.pi * p * 2.5e-21)
-    u_lo, u_hi = math.log(z_lo), math.log(z_hi)
-    breaks = np.linspace(u_lo, u_hi, max(8, int(math.ceil((u_hi - u_lo) * 2.5))) + 1)
-    u, wts = _panels(breaks)
-    z = np.exp(u)
+    z, wts = log_panels(math.log(z_lo), math.log(z_hi), 2.5, 8)
     a = p / z
     vals = np.empty_like(z)
     big = a > 120.0
@@ -415,19 +414,10 @@ def _mean_representation_residual(rp, grid, seeds):
 # --- exponential-time symmetry -----------------------------------------------
 
 
-def _log_panel_integral(fn, lo, hi, kink=None, per_unit=2.4):
+def _log_panel_integral(fn, lo, hi, kink):
     """Composite GL16 integral of fn over [lo, hi] in log coordinates,
-    with a break pinned at the interior kink when one is given."""
-    u_lo, u_hi = math.log(lo), math.log(hi)
-    if kink is not None and lo < kink < hi:
-        ku = math.log(kink)
-        b1 = np.linspace(u_lo, ku, max(4, int(math.ceil((ku - u_lo) * per_unit))) + 1)
-        b2 = np.linspace(ku, u_hi, max(4, int(math.ceil((u_hi - ku) * per_unit))) + 1)[1:]
-        breaks = np.concatenate([b1, b2])
-    else:
-        breaks = np.linspace(u_lo, u_hi, max(6, int(math.ceil((u_hi - u_lo) * per_unit))) + 1)
-    u, wts = _panels(breaks)
-    z = np.exp(u)
+    with a break pinned at the interior kink."""
+    z, wts = log_panels(math.log(lo), math.log(hi), 2.4, 4, math.log(kink))
     return float(np.dot(wts, z * np.array([fn(zi) for zi in z])))
 
 
@@ -580,9 +570,7 @@ def _check_fixed_time(config, knobs, seed):
 
 
 def _check_exp_time(config, knobs, seed):
-    mass_val = _log_panel_integral(
-        lambda z: density_exp_time(1.0, 1.0, z), 1e-9, 30.0, kink=1.0
-    )
+    mass_val = exp_time_total_mass(1.0, 1.0)
     mass = TestReport(
         name="exp_time_mass",
         statistic=abs(mass_val - 1.0),
@@ -641,9 +629,8 @@ def _check_martingale(config, knobs, seed):
         params = ModelParams(mu=mu, beta=beta, x0=1.0)
         grid = TimeGrid(T, int(round(T / knobs["dt"])))
         stats = simulate_terminal_batch(params, grid, n, seed + j)
-        w = girsanov_weight_batch(stats, gamma, params)
-        se = float(w.std(ddof=1) / math.sqrt(n))
-        z = abs(float(w.mean()) - 1.0) / se
+        est = McEstimate.from_samples(girsanov_weight_batch(stats, gamma, params))
+        z = abs(est.mean - 1.0) / est.stderr
         if z > worst:
             worst, at = z, (gamma, mu, beta, T)
     return [
@@ -681,9 +668,8 @@ def _check_moment(config, knobs, seed):
         params = ModelParams(mu=mu, beta=beta, x0=1.0)
         grid = TimeGrid(T, int(round(T / knobs["dt"])))
         stats = simulate_terminal_batch(params, grid, n, seed + j)
-        vals = np.exp(beta * stats.int_theta)
-        se = float(vals.std(ddof=1) / math.sqrt(n))
-        z = abs(float(vals.mean()) - moment_exp_int_theta(params, T)) / se
+        est = McEstimate.from_samples(np.exp(beta * stats.int_theta))
+        z = abs(est.mean - moment_exp_int_theta(params, T)) / est.stderr
         if z > worst:
             worst, at = z, (mu, beta, T)
     return [

@@ -210,7 +210,11 @@ def test_exp_time_mass(lam):
     assert abs(mass - 1.0) < 1e-6
 
 
-@pytest.mark.parametrize("x,lam", [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0)])
+@pytest.mark.parametrize(
+    "x,lam",
+    # the last three need an upper cut past the kink at z = x > 60
+    [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0), (61.0, 20.0), (100.0, 20.0), (300.0, 1.0)],
+)
 def test_exp_time_total_mass(x, lam):
     assert abs(exp_time_total_mass(x, lam) - 1.0) < 1e-6
 

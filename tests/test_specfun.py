@@ -21,11 +21,11 @@ from verhulst.specfun import (
     BesselOrder,
     QuadConfig,
     _theta_breaks,
-    _theta_scaled_grid,
     bessel_i,
     bessel_k,
     bessel_product_F,
     hartman_watson_theta,
+    hartman_watson_theta_grid,
     laplace_kernel_F,
     phi_arcosh,
     theta_time_laplace,
@@ -216,7 +216,7 @@ def test_theta_scaled_flag():
 
 def test_theta_grid_matches_scalar():
     rs = np.array([0.5, 1.0, 2.0, 5.0, 20.0])
-    grid = _theta_scaled_grid(rs, 1.0)
+    grid = hartman_watson_theta_grid(rs, 1.0)
     for r, g in zip(rs, grid):
         assert g == pytest.approx(hartman_watson_theta(r, 1.0, scaled=True), rel=1e-9)
 
@@ -224,14 +224,14 @@ def test_theta_grid_matches_scalar():
 def test_theta_grid_rows_independent_of_batch():
     t = 0.25
     for r in (0.5, 2.0544, 17.12):
-        assert hartman_watson_theta(r, t, scaled=True) == _theta_scaled_grid([r], t)[0]
+        assert hartman_watson_theta(r, t, scaled=True) == hartman_watson_theta_grid([r], t)[0]
     # 2.0 and 2.5 alone build the batch's node set; 3.0 alone does not
     rs = np.array([2.0, 2.5, 3.0])
     batch_breaks = _theta_breaks(rs.min(), t, DEFAULT_QUAD, r_cap=rs.max())
-    grid = _theta_scaled_grid(rs, t)
+    grid = hartman_watson_theta_grid(rs, t)
     for r, g in zip(rs[:2], grid[:2]):
         assert np.array_equal(_theta_breaks(r, t, DEFAULT_QUAD), batch_breaks)
-        assert g == _theta_scaled_grid([r], t)[0]
+        assert g == hartman_watson_theta_grid([r], t)[0]
 
 
 def test_theta_nonnegative():
@@ -332,5 +332,7 @@ def test_theta_time_laplace_domain():
         theta_time_laplace(1.0, 0.0)
     with pytest.raises(DomainError):
         theta_time_laplace(1.0, 12.6)
+    with pytest.raises(DomainError):
+        theta_time_laplace(0.5, 1e-3)  # below the smallest anchor rate 0.045
     val, bound = theta_time_laplace(1.0, 12.5)  # boundary rate is allowed
     assert val > 0.0 and bound >= 0.0
