@@ -21,6 +21,7 @@ from .specfun import (
     anchor_completion,
     bessel_product_F,
     hartman_watson_theta_grid,
+    log_panel_integral,
     log_panels,
 )
 
@@ -165,6 +166,8 @@ def density_exp_time(x_start, lam, z, cfg=DEFAULT_QUAD):
 def curve_exp_time(x_start, lam, n_points=600, z_lo=1e-8, z_hi=40.0, cfg=DEFAULT_QUAD):
     # z = x_start is a grid point: the density has a slope kink there
     # (I/K swap arguments), and trapezoid panels must not straddle it
+    if not z_lo < x_start < z_hi:
+        raise DomainError(f"curve_exp_time needs z_lo={z_lo:g} < x_start < z_hi={z_hi:g}")
     n_lo = max(2, int(round(n_points * math.log(x_start / z_lo)
                             / math.log(z_hi / z_lo))))
     grid = np.concatenate(
@@ -195,8 +198,7 @@ def exp_time_total_mass(x_start, lam, cfg=DEFAULT_QUAD):
     lo = x * 10.0 ** (-max(9.0, 12.0 / (nu - 0.5)))
     # past the kink z = x for every x; beyond it the density falls like e^{-2(z - x)}
     hi = x + 30.0
-    z, w = log_panels(math.log(lo), math.log(hi), 2.4, 4, math.log(x))
-    return float(np.dot(w, z * np.array([density_exp_time(x, lam, zi, cfg) for zi in z])))
+    return log_panel_integral(lambda zi: density_exp_time(x, lam, zi, cfg), lo, hi, x)
 
 
 def myor_psi(mu, t, v, x, cfg=DEFAULT_QUAD):

@@ -97,6 +97,13 @@ def log_panels(u_lo, u_hi, per_unit, min_panels, u_kink=None):
     return np.exp(u), w
 
 
+def log_panel_integral(fn, lo, hi, kink):
+    """Integral of the scalar fn over [lo, hi] on log panels (2.4 per
+    unit of ln z, at least 4 a side), with a break at the kink."""
+    z, w = log_panels(math.log(lo), math.log(hi), 2.4, 4, math.log(kink))
+    return float(np.dot(w, z * np.array([fn(zi) for zi in z])))
+
+
 def bessel_i(nu, x, cfg=DEFAULT_QUAD):
     """Modified Bessel I_nu(x) by the ascending power series.
 

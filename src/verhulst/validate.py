@@ -46,6 +46,7 @@ from .specfun import (
     DEFAULT_QUAD,
     bessel_i,
     bessel_product_F,
+    log_panel_integral,
     log_panels,
     theta_time_laplace,
 )
@@ -414,13 +415,6 @@ def _mean_representation_residual(rp, grid, seeds):
 # --- exponential-time symmetry -----------------------------------------------
 
 
-def _log_panel_integral(fn, lo, hi, kink):
-    """Composite GL16 integral of fn over [lo, hi] in log coordinates,
-    with a break pinned at the interior kink."""
-    z, wts = log_panels(math.log(lo), math.log(hi), 2.4, 4, math.log(kink))
-    return float(np.dot(wts, z * np.array([fn(zi) for zi in z])))
-
-
 def z2_symmetry_check(lam, z_grid, cfg=DEFAULT_QUAD, threshold=1e-3, name=None):
     """Exchange symmetry of the exponential-time law against a squared
     start average: z^2 int 2 e^{-2x} p_x(z) dx = 2 e^{-2z} int w^2 p_z(w) dw.
@@ -439,13 +433,13 @@ def z2_symmetry_check(lam, z_grid, cfg=DEFAULT_QUAD, threshold=1e-3, name=None):
     worst = -1.0
     at = None
     for z in zg:
-        lhs = z * z * _log_panel_integral(
+        lhs = z * z * log_panel_integral(
             lambda x: 2.0 * math.exp(-2.0 * x) * density_exp_time(x, lam, z, cfg),
             1e-8,
             x_hi,
             kink=z,
         )
-        rhs = 2.0 * math.exp(-2.0 * z) * _log_panel_integral(
+        rhs = 2.0 * math.exp(-2.0 * z) * log_panel_integral(
             lambda w: w * w * density_exp_time(z, lam, w, cfg),
             1e-8,
             x_hi + z + 4.0,
@@ -494,16 +488,18 @@ _BUDGETS = {
         hist_half=0.05,
         cells="corners",
         curve_points=400,
+        general_cdf=False,
     ),
     "full": dict(
         n=100_000,
         dt=1e-3,
-        ks_fixed_n=200_000,
+        ks_fixed_n=1_000_000,
         ks_exp_n=100_000,
-        hist_n=400_000,
+        hist_n=1_000_000,
         hist_half=0.02,
         cells="all",
         curve_points=600,
+        general_cdf=True,
     ),
 }
 
@@ -743,7 +739,17 @@ def _check_general_density(config, knobs, seed):
         n_or_tolerance=f"n={n}",
         details=f"mass={curve.total_mass:.4f}; grid=[0.01,20]x72",
     )
-    return [hist, mass]
+    if not knobs["general_cdf"]:
+        # at the quick sizes this sup-CDF exceeds 1e-2 on about one seed in five
+        return [hist, mass]
+    cdf = TestReport(
+        name="general_density_cdf",
+        statistic=ks_distance(np.sort(stats.theta), _curve_cdf_fn(curve)),
+        threshold=1e-2,
+        n_or_tolerance=f"n={hist_n}",
+        details=f"sup |curve CDF - empirical CDF|; curve n={n}, grid=[0.01,20]x72",
+    )
+    return [hist, mass, cdf]
 
 
 def _check_representation(config, knobs, seed):
@@ -761,8 +767,8 @@ def _check_representation(config, knobs, seed):
         n_or_tolerance="paths=5",
         details=(
             f"mean residual {coarse:.2e} at dt=1e-3 -> {fine:.2e} at dt=5e-4; "
-            "must at least halve; the two trapezoid integrals discretize the "
-            "same flow, so the observed rate is nearer second order"
+            "the ratio must be at most 0.75; the two trapezoid integrals "
+            "discretize the same flow, so the observed rate is nearer second order"
         ),
     )
     return [first, refine]

@@ -103,6 +103,14 @@ def test_density_exp_time_rate_outside_quadrature_band(tmp_path, capsys):
     assert 0.0 < mass < 1.0
 
 
+def test_density_exp_time_start_above_grid(tmp_path, capsys):
+    out = tmp_path / "exp.csv"
+    rc = main(["density", "--kind", "exp-time", "--x", "50", "--output", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_density_exact_half_mass(tmp_path, capsys):
     out = tmp_path / "fixed.csv"
     rc = main(["density", "--kind", "exact-half", "--x", "1", "--t", "1",

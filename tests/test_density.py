@@ -253,6 +253,13 @@ def test_exp_time_curve_kink_alignment():
     assert 1.5 in curve.abscissae
 
 
+@pytest.mark.parametrize("x_start", [50.0, 1e-9])
+def test_exp_time_curve_refuses_start_outside_grid(x_start):
+    # the kink z = x_start must lie inside (z_lo, z_hi)
+    with pytest.raises(DomainError, match="z_lo=1e-08 < x_start < z_hi=40"):
+        curve_exp_time(x_start, 1.0)
+
+
 # --- mixture consistency ------------------------------------------------------
 
 

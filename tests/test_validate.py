@@ -5,8 +5,8 @@ must round-trip quoted details).  The KS metric is pinned against the
 degenerate cases where its value is a closed form and against the 99%
 Kolmogorov band for a calibrated sample.  Each statistical check runs at
 a reduced budget chosen so its gate still sits several sigma away from
-the expected statistic; the full-budget versions live in the acceptance
-suite.
+the expected statistic; the acceptance suite runs each registry group
+through run_suite at the full budget.
 """
 
 import csv
@@ -274,6 +274,16 @@ def test_suite_only_filter():
     reg = (("alpha", _probe_check), ("beta", _boom_check))
     reports = run_suite(SuiteConfig(only=("alph",)), registry=reg)
     assert [r.name for r in reports] == ["mc_probe"]
+
+
+def test_suite_only_selects_each_registry_group_alone():
+    # `only` matches by substring; the acceptance tests select one group per key
+    reg = [
+        (key, lambda config, knobs, seed, key=key: [TestReport(key, 0.0, 0.0, "exact")])
+        for key, _ in SUITE_REGISTRY
+    ]
+    for key, _ in SUITE_REGISTRY:
+        assert [r.name for r in run_suite(SuiteConfig(only=(key,)), registry=reg)] == [key]
 
 
 def test_suite_rerun_and_thread_invariance():
