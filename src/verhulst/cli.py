@@ -46,7 +46,7 @@ _DENSITY_KINDS = ("lognormal", "exact-half", "exp-time", "general-mc")
 # written curve sits inside each kind's advertised tolerance.
 _DENSITY_POINTS = {
     "lognormal": 200,
-    "exact-half": 400,
+    "exact-half": 600,
     "exp-time": 800,
     "general-mc": 72,
 }

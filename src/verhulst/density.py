@@ -134,7 +134,7 @@ def density_exact_half(x_start, t, w, cfg=DEFAULT_QUAD):
     return math.exp(log_pref + math.log(total))
 
 
-def curve_exact_half(x_start, t, n_points=200, width=8.0, cfg=DEFAULT_QUAD):
+def curve_exact_half(x_start, t, n_points=600, width=8.0, cfg=DEFAULT_QUAD):
     """Fixed-time density curve on a log grid sized from the lognormal
     envelope exp(ln x0 - t/2 +- width sqrt(t))."""
     center = math.log(x_start) - 0.5 * t

@@ -67,10 +67,11 @@ def _order(nu):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _panels(breaks):
-    """Gauss-Legendre 16 nodes/weights over consecutive [a,b] panels."""
-    a = breaks[:-1]
-    h = 0.5 * (breaks[1:] - a)
+def _panels(breaks, ends=None):
+    """Gauss-Legendre 16 nodes/weights over consecutive [a,b] panels, or
+    over the panels [breaks[i], ends[i]] when ends is given."""
+    a, b = (breaks[:-1], breaks[1:]) if ends is None else (breaks, ends)
+    h = 0.5 * (b - a)
     mid = a + h
     z = (h[:, None] * _GL_NODES + mid[:, None]).ravel()
     w = (h[:, None] * _GL_WEIGHTS).ravel()
@@ -170,8 +171,8 @@ def bessel_product_F(nu, x, y, cfg=DEFAULT_QUAD):
     return bessel_i(nu, lo, cfg) * bessel_k(nu, hi, cfg)
 
 
-def _theta_breaks(r, t, cfg, r_cap=None):
-    """Panel breakpoints for the Theta integrand.
+def _theta_breaks(r, ts, cfg, r_cap=None):
+    """Panel breakpoints for the Theta integrand, one list per t of ts.
 
     Half-period panels of sin(pi z/t), with panel width additionally capped
     at min(1.5, 3.5/sqrt(r_cap)) so both the cosh envelope at large t and
@@ -187,23 +188,28 @@ def _theta_breaks(r, t, cfg, r_cap=None):
     for a single r the two coincide.
     """
     rc = r_cap if r_cap is not None else r
-    log_pref = math.pi**2 / (2.0 * t) + math.log(rc / math.sqrt(2.0 * math.pi**3 * t))
-    log_cut = math.log(cfg.abs_tol * cfg.z_cut_factor) - log_pref
+    log_tol = math.log(cfg.abs_tol * cfg.z_cut_factor)
     width = min(1.5, 3.5 / math.sqrt(rc))
     # envelope peak z* solves 1 - z/t - r sinh z = 0, so z* <= min(t, asinh(1/r))
-    z_peak = min(t, math.asinh(1.0 / r))
-    breaks = [0.0]
-    k = 1
-    while True:
-        z = breaks[-1]
-        if z > z_peak and -z * z / (2.0 * t) - r * (math.cosh(z) - 1.0) + z < log_cut:
-            break
-        if len(breaks) > cfg.max_panels:
-            raise ConvergenceError("theta quadrature exceeded max_panels")
-        while k * t <= z + 1e-15:
-            k += 1
-        breaks.append(min(k * t, z + width))
-    return np.array(breaks)
+    z_env = math.asinh(1.0 / r)
+    out = []
+    for t in ts:
+        log_pref = math.pi**2 / (2.0 * t) + math.log(rc / math.sqrt(2.0 * math.pi**3 * t))
+        log_cut = log_tol - log_pref
+        z_peak = min(t, z_env)
+        z = 0.0
+        breaks = [z]
+        k = 1
+        while z <= z_peak or -z * z / (2.0 * t) - r * (math.cosh(z) - 1.0) + z >= log_cut:
+            if len(breaks) > cfg.max_panels:
+                raise ConvergenceError(f"theta quadrature at t={t:g} exceeded max_panels")
+            while k * t <= z + 1e-15:
+                k += 1
+            # the next sign change of sin(pi z/t), or one panel width on
+            z = min(k * t, z + width)
+            breaks.append(z)
+        out.append(breaks)
+    return out
 
 
 def hartman_watson_theta(r, t, cfg=DEFAULT_QUAD, scaled=False):
@@ -234,18 +240,78 @@ def hartman_watson_theta(r, t, cfg=DEFAULT_QUAD, scaled=False):
     return value if scaled else value * math.exp(-r)
 
 
-def hartman_watson_theta_grid(rs, t, cfg=DEFAULT_QUAD, with_floor=False):
-    """e^{r} Theta(r,t) for an array of r values at one t: the kernel
-    behind hartman_watson_theta (quadrature and sign rule stated there).
+# Element budget of one t-chunk of the Theta kernel: a chunk's damping
+# matrix holds about this many doubles (128 KiB).  theta_time_laplace's
+# 2,880-t call then peaks within 0.5 MB of the RSS its one-t calls
+# reached; at 2**17 doubles it peaked 6 MB higher, and was no faster.  A t
+# whose own node set needs more is a chunk of its own.
+_THETA_CHUNK_ELEMS = 2**14
 
-    One node set is built from the smallest r (range) and the largest r
-    (panel width, cut depth).  Each row is reduced on its own, so a row
-    whose own node set is the batch's gets hartman_watson_theta's value
-    bit for bit, whatever else the batch holds.  For any other row the
-    batch only adds tail panels past the row's own cut, where its
-    integrand is below abs_tol * z_cut_factor on the e^{r} scale, or,
-    when the largest r narrows the panel width below the half-period t,
-    finer panels.
+
+def _theta_sums(rs, ts, breaks):
+    """GL sums of the Theta integrand without its prefactor, signed and
+    unsigned, as (ts.size, rs.size) matrices; breaks[i] are the panel
+    breaks of ts[i].
+
+    The t are taken in chunks whose damping matrix holds about
+    _THETA_CHUNK_ELEMS doubles; the nodes of a chunk's t lie back to back
+    in one flat array, so every transcendental is one numpy call per chunk.
+    """
+    counts = [16 * (len(b) - 1) for b in breaks]
+    dots = np.empty((ts.size, rs.size))
+    masses = np.empty_like(dots)
+    stop = 0
+    while stop < ts.size:
+        start, size = stop, counts[stop] * rs.size
+        stop += 1
+        while stop < ts.size and size + counts[stop] * rs.size <= _THETA_CHUNK_ELEMS:
+            size += counts[stop] * rs.size
+            stop += 1
+        if stop == start + 1:  # a lone t needs no per-node copy of t
+            z, w = _panels(np.array(breaks[start]))
+            tz = ts[start]
+        else:
+            chunk = breaks[start:stop]
+            z, w = _panels(
+                np.array([a for b in chunk for a in b[:-1]]),
+                np.array([a for b in chunk for a in b[1:]]),
+            )
+            tz = ts[start:stop].repeat(counts[start:stop])
+        base = np.exp(-z * z / (2.0 * tz)) * np.sinh(z) * np.sin(np.pi * z / tz) * w
+        unsigned_base = np.abs(base)
+        # in place: at 240 r x 300 z, allocating a fresh matrix for each
+        # step doubled the time of the step (0.83 against 0.41 ms)
+        damp = rs.reshape(-1, 1) * (np.cosh(z) - 1.0)
+        np.negative(damp, out=damp)
+        with np.errstate(under="ignore"):
+            np.exp(damp, out=damp)
+        # one dot product per (t, r) over that t's own nodes: a matrix
+        # product (BLAS gemv) accumulates in an order that depends on the
+        # number of rows
+        lo = 0
+        for i in range(start, stop):
+            hi = lo + counts[i]
+            dots[i] = np.vecdot(damp[:, lo:hi], base[lo:hi])
+            masses[i] = np.vecdot(damp[:, lo:hi], unsigned_base[lo:hi])
+            lo = hi
+    return dots, masses
+
+
+def hartman_watson_theta_grid(rs, t, cfg=DEFAULT_QUAD, with_floor=False):
+    """e^{r} Theta(r,t) for an array of r values at one t, or at each t of
+    a 1-d array: the kernel behind hartman_watson_theta (quadrature and
+    sign rule stated there).  A scalar t gives a vector like rs, an array
+    t a (t.size, rs.size) matrix whose row i is the call at t[i].
+
+    Each t gets one node set built from the smallest r (range) and the
+    largest r (panel width, cut depth).  Each (t, r) value is reduced on
+    its own, so a row's values do not depend on the other t in the call,
+    and a value whose own node set is the batch's gets
+    hartman_watson_theta's bit for bit, whatever else the batch holds.
+    For any other r the batch only adds tail panels past that r's own
+    cut, where its integrand is below abs_tol * z_cut_factor on the e^{r}
+    scale, or, when the largest r narrows the panel width below the
+    half-period t, finer panels.
 
     with_floor additionally returns the mask `trusted`: values above 30
     times the *realistic* cancellation floor 8 eps * prefactor * unsigned
@@ -256,28 +322,39 @@ def hartman_watson_theta_grid(rs, t, cfg=DEFAULT_QUAD, with_floor=False):
     trips it.
     """
     rs = np.asarray(rs, dtype=float)
-    if np.any(rs <= 0):
+    t_in = np.asarray(t, dtype=float)
+    if t_in.ndim > 1:
+        raise DomainError("theta takes t as a scalar or a 1-d array")
+    if (rs <= 0).any():
         raise DomainError("theta needs r > 0")
-    if t < cfg.t_min_theta:
-        raise DomainError(
-            f"theta not evaluated below t_min_theta={cfg.t_min_theta:g} (cancellation regime)"
-        )
-    z, w = _panels(_theta_breaks(float(rs.min()), t, cfg, r_cap=float(rs.max())))
-    base = np.exp(-z * z / (2.0 * t)) * np.sinh(z) * np.sin(np.pi * z / t) * w
-    with np.errstate(under="ignore"):
-        damp = np.exp(-np.outer(rs, np.cosh(z) - 1.0))
-    pref = rs / math.sqrt(2.0 * math.pi**3 * t) * math.exp(math.pi**2 / (2.0 * t))
-    # one dot product per row: a matrix product (BLAS gemv) accumulates in
-    # an order that depends on the number of rows
-    vals = pref * np.vecdot(damp, base)
-    unsigned = pref * np.vecdot(damp, np.abs(base))
+    ts = t_in.reshape(-1)
+    tl = ts.tolist()
+    for ti in tl:
+        if not ti >= cfg.t_min_theta:
+            raise DomainError(
+                f"theta at t={ti:g} not evaluated below t_min_theta={cfg.t_min_theta:g} "
+                "(cancellation regime)"
+            )
+    breaks = _theta_breaks(float(rs.min()), tl, cfg, r_cap=float(rs.max()))
+    dots, masses = _theta_sums(rs, ts, breaks)
+    # math.exp per t, not np.exp: the two can differ in the last bit
+    sqrt_t = np.array([math.sqrt(2.0 * math.pi**3 * ti) for ti in tl])
+    exp_t = np.array([math.exp(math.pi**2 / (2.0 * ti)) for ti in tl])
+    pref = rs / sqrt_t[:, None] * exp_t[:, None]
+    vals = pref * dots
+    unsigned = pref * masses
     guard = np.maximum(cfg.abs_tol, (8.0 * _EPS + cfg.rel_tol) * unsigned)
-    if np.any(vals < -guard):
+    negative = vals < -guard
+    if negative.any():
+        i = int(negative.any(axis=1).argmax())
         raise ConvergenceError(
-            f"theta at t={t:g} negative beyond quadrature floor: {float(vals.min()):g}"
+            f"theta at t={tl[i]:g} negative beyond quadrature floor: {float(vals[i].min()):g}"
         )
     vals = np.where(vals < 0.0, 0.0, vals)
-    return (vals, vals > 30.0 * (8.0 * _EPS * unsigned)) if with_floor else vals
+    rows = 0 if t_in.ndim == 0 else slice(None)
+    if with_floor:
+        return vals[rows], (vals > 30.0 * (8.0 * _EPS * unsigned))[rows]
+    return vals[rows]
 
 
 def phi_arcosh(x, y):
@@ -321,16 +398,14 @@ _T_LAPLACE_PANELS = 180
 
 def _theta_time_nodes(rs, cfg):
     """Log-spaced GL nodes/weights on [t_min_theta, 400] and the matrix of
-    scaled values e^{r} Theta(r, t_i) over an r grid (t nodes are shared)."""
+    scaled values e^{r} Theta(r, t_i) over an r grid, from one kernel call
+    over all t nodes."""
     breaks = cfg.t_min_theta * np.exp(
         np.linspace(0.0, math.log(_T_LAPLACE_HI / cfg.t_min_theta), _T_LAPLACE_PANELS + 1)
     )
     u, w = _panels(np.log(breaks))
     t = np.exp(u)
-    theta = np.empty((t.size, rs.size))
-    for i, ti in enumerate(t):
-        theta[i] = hartman_watson_theta_grid(rs, ti, cfg)
-    return t, w * t, theta
+    return t, w * t, hartman_watson_theta_grid(rs, t, cfg)
 
 
 def anchor_completion(rates, anchors, s, tau):

@@ -727,7 +727,7 @@ def _check_general_density(config, knobs, seed):
         threshold=3.0,
         n_or_tolerance=f"n={n}",
         details=(
-            f"gamma=1 mu=0 t=1 x=1; estimate={est:.4f}+-{se:.4f}; "
+            f"gamma=1 mu=0 t=1 x=1; estimate={est!r}+-{se!r}; "
             f"histogram={p_hist:.4f}+-{se_hist:.4f} (n={hist_n}, halfwidth={half:g}); "
             f"substitution quadrature={quad:.4f}"
         ),

@@ -120,6 +120,16 @@ def test_density_exact_half_mass(tmp_path, capsys):
     assert abs(mass - 1.0) < 1e-3
 
 
+def test_density_exact_half_default_points_at_t4(tmp_path, capsys):
+    out = tmp_path / "fixed.csv"
+    rc = main(["density", "--kind", "exact-half", "--x", "1", "--t", "4",
+               "--output", str(out)])
+    assert rc == 0
+    mass = float(capsys.readouterr().out.strip().split("=")[1])
+    assert abs(mass - 1.0) < 1e-3
+    assert len(out.read_text().splitlines()) == 600 + 2
+
+
 def test_density_lognormal_grid_size(tmp_path, capsys):
     out = tmp_path / "ln.csv"
     rc = main(["density", "--kind", "lognormal", "--mu", "0", "--t", "1",

@@ -170,6 +170,12 @@ def test_exact_half_mass():
     assert abs(curve.total_mass - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+def test_exact_half_default_curve_mass(t):
+    # the default grid's trapezoid mass sits inside the suite's 1e-3 gate
+    assert abs(curve_exact_half(1.0, t).total_mass - 1.0) < 1e-3
+
+
 def test_exact_half_positive_and_small_t_refusal():
     assert density_exact_half(1.0, 1.0, 1.0) > 0.0
     with pytest.raises(DomainError):

@@ -14,13 +14,17 @@ import mpmath
 import numpy as np
 import pytest
 
+from verhulst import specfun
 from verhulst.errors import ConvergenceError, DomainError
 from verhulst.specfun import (
     BESSEL_I_MAX_X,
     DEFAULT_QUAD,
     BesselOrder,
     QuadConfig,
+    _THETA_CHUNK_ELEMS,
+    _panels,
     _theta_breaks,
+    _theta_time_nodes,
     bessel_i,
     bessel_k,
     bessel_product_F,
@@ -225,13 +229,84 @@ def test_theta_grid_rows_independent_of_batch():
     t = 0.25
     for r in (0.5, 2.0544, 17.12):
         assert hartman_watson_theta(r, t, scaled=True) == hartman_watson_theta_grid([r], t)[0]
+        assert hartman_watson_theta(r, t, scaled=True) == hartman_watson_theta_grid([r], [t])[0, 0]
     # 2.0 and 2.5 alone build the batch's node set; 3.0 alone does not
     rs = np.array([2.0, 2.5, 3.0])
-    batch_breaks = _theta_breaks(rs.min(), t, DEFAULT_QUAD, r_cap=rs.max())
+    (batch_breaks,) = _theta_breaks(rs.min(), [t], DEFAULT_QUAD, r_cap=rs.max())
     grid = hartman_watson_theta_grid(rs, t)
     for r, g in zip(rs[:2], grid[:2]):
-        assert np.array_equal(_theta_breaks(r, t, DEFAULT_QUAD), batch_breaks)
+        assert _theta_breaks(r, [t], DEFAULT_QUAD) == [batch_breaks]
         assert g == hartman_watson_theta_grid([r], t)[0]
+    # along t: a row of a t-array call does not depend on the other t
+    ts = np.array([t, 1.0, 4.0])
+    for sub in (ts, ts[::-1], ts[1:]):
+        for ti, row in zip(sub, hartman_watson_theta_grid(rs, sub)):
+            assert np.array_equal(row, hartman_watson_theta_grid(rs, ti))
+
+
+def _theta_time_t():
+    """The 2,880 t nodes of theta_time_laplace."""
+    t, _, _ = _theta_time_nodes(np.array([1.0]), DEFAULT_QUAD)
+    return t
+
+
+@pytest.mark.parametrize(
+    "rs,ts",
+    [
+        # the theta_time_laplace nodes, t_min_theta and 400 included
+        ([1.0], "time-nodes"),
+        ([0.3, 1.0, 2.0], [0.2, 0.37, 1.0, 2.5, 7.0, 400.0]),
+        # 3.5/sqrt(40) < 1.5: the width falls below the half-period t
+        ([40.0], [0.2, 0.6, 1.0, 4.0, 400.0]),
+        ([0.5, 40.0], [0.2, 1.0, 9.0]),
+    ],
+)
+def test_theta_grid_t_array_rows_equal_one_t_calls(rs, ts):
+    ts = _theta_time_t() if ts == "time-nodes" else np.array(ts)
+    grid = hartman_watson_theta_grid(rs, ts)
+    assert grid.shape == (ts.size, len(rs))
+    for ti, row in zip(ts, grid):
+        assert np.array_equal(row, hartman_watson_theta_grid(rs, ti))
+
+
+def test_theta_grid_t_array_trusted_masks():
+    # the smallest r sink below the cancellation floor: both mask values occur
+    rs = np.geomspace(0.01, 5.0, 12)
+    ts = np.array([0.2, 0.25, 1.0, 4.0])
+    vals, trusted = hartman_watson_theta_grid(rs, ts, with_floor=True)
+    assert trusted.any() and not trusted.all()
+    for ti, row, mask in zip(ts, vals, trusted):
+        one, one_mask = hartman_watson_theta_grid(rs, ti, with_floor=True)
+        assert np.array_equal(row, one) and np.array_equal(mask, one_mask)
+
+
+def test_theta_grid_t_array_spans_chunks():
+    rs = np.geomspace(0.5, 50.0, 40)
+    ts = np.linspace(0.2, 20.0, 120)
+    breaks = _theta_breaks(rs.min(), ts, DEFAULT_QUAD, r_cap=rs.max())
+    nodes = sum(16 * (len(b) - 1) for b in breaks)
+    assert nodes * rs.size > 4 * _THETA_CHUNK_ELEMS
+    grid = hartman_watson_theta_grid(rs, ts)
+    for ti, row in zip(ts, grid):
+        assert np.array_equal(row, hartman_watson_theta_grid(rs, ti))
+
+
+def test_theta_grid_t_shapes_and_domain():
+    assert hartman_watson_theta_grid([1.0, 2.0], 1.0).shape == (2,)
+    assert hartman_watson_theta_grid([1.0, 2.0], [1.0]).shape == (1, 2)
+    assert hartman_watson_theta_grid([1.0, 2.0], np.empty(0)).shape == (0, 2)
+    with pytest.raises(DomainError):
+        hartman_watson_theta_grid([1.0], np.ones((2, 2)))
+    with pytest.raises(DomainError, match="t=0.19"):
+        hartman_watson_theta_grid([1.0], [1.0, 0.19, 2.0])
+    # a cut 1e12 times too shallow leaves t = 0.7 and 1 negative at r = 0.1
+    shallow = QuadConfig(z_cut_factor=1e12)
+    assert hartman_watson_theta_grid([0.1], 4.0, shallow)[0] > 0.0
+    with pytest.raises(ConvergenceError, match="t=0.7 negative"):
+        hartman_watson_theta_grid([0.1], [4.0, 0.7, 1.0], shallow)
+    # t = 400 needs 4 breaks at r = 1, t = 0.25 needs 16
+    with pytest.raises(ConvergenceError, match="t=0.25 exceeded"):
+        hartman_watson_theta_grid([1.0], [400.0, 0.25], QuadConfig(max_panels=8))
 
 
 def test_theta_nonnegative():
@@ -325,6 +400,26 @@ def test_theta_time_laplace_identity(r, nu):
     # slack for the [t_min, 400] panel quadrature, which it excludes)
     assert abs(val - ref) <= bound + 2e-9 * (1.0 + ref)
     assert bound < 1e-4 * ref
+
+
+def _theta_time_nodes_per_t(rs, cfg):
+    """The t-node table from one kernel call per t: the reference that the
+    one-call table must equal bit for bit."""
+    breaks = cfg.t_min_theta * np.exp(np.linspace(0.0, math.log(400.0 / cfg.t_min_theta), 181))
+    u, w = _panels(np.log(breaks))
+    t = np.exp(u)
+    theta = np.empty((t.size, rs.size))
+    for i, ti in enumerate(t):
+        theta[i] = hartman_watson_theta_grid(rs, ti, cfg)
+    return t, w * t, theta
+
+
+def test_theta_time_laplace_matches_per_t_table(monkeypatch):
+    # the 12 (nu, r) pairs of the closed-form benchmark
+    pairs = [(nu, r) for nu in (0.6, 1.0, 2.0) for r in (0.5, 1.0, 2.0, 3.0)]
+    batched = [theta_time_laplace(r, 0.5 * nu * nu) for nu, r in pairs]
+    monkeypatch.setattr(specfun, "_theta_time_nodes", _theta_time_nodes_per_t)
+    assert [theta_time_laplace(r, 0.5 * nu * nu) for nu, r in pairs] == batched
 
 
 def test_theta_time_laplace_domain():
