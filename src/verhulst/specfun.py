@@ -171,8 +171,8 @@ def bessel_product_F(nu, x, y, cfg=DEFAULT_QUAD):
     return bessel_i(nu, lo, cfg) * bessel_k(nu, hi, cfg)
 
 
-def _theta_breaks(r, ts, cfg, r_cap=None):
-    """Panel breakpoints for the Theta integrand, one list per t of ts.
+def _theta_breaks(r, t, cfg, r_cap=None):
+    """Panel breakpoints for the Theta integrand.
 
     Half-period panels of sin(pi z/t), with panel width additionally capped
     at min(1.5, 3.5/sqrt(r_cap)) so both the cosh envelope at large t and
@@ -188,28 +188,23 @@ def _theta_breaks(r, ts, cfg, r_cap=None):
     for a single r the two coincide.
     """
     rc = r_cap if r_cap is not None else r
-    log_tol = math.log(cfg.abs_tol * cfg.z_cut_factor)
+    log_pref = math.pi**2 / (2.0 * t) + math.log(rc / math.sqrt(2.0 * math.pi**3 * t))
+    log_cut = math.log(cfg.abs_tol * cfg.z_cut_factor) - log_pref
     width = min(1.5, 3.5 / math.sqrt(rc))
     # envelope peak z* solves 1 - z/t - r sinh z = 0, so z* <= min(t, asinh(1/r))
-    z_env = math.asinh(1.0 / r)
-    out = []
-    for t in ts:
-        log_pref = math.pi**2 / (2.0 * t) + math.log(rc / math.sqrt(2.0 * math.pi**3 * t))
-        log_cut = log_tol - log_pref
-        z_peak = min(t, z_env)
-        z = 0.0
-        breaks = [z]
-        k = 1
-        while z <= z_peak or -z * z / (2.0 * t) - r * (math.cosh(z) - 1.0) + z >= log_cut:
-            if len(breaks) > cfg.max_panels:
-                raise ConvergenceError(f"theta quadrature at t={t:g} exceeded max_panels")
-            while k * t <= z + 1e-15:
-                k += 1
-            # the next sign change of sin(pi z/t), or one panel width on
-            z = min(k * t, z + width)
-            breaks.append(z)
-        out.append(breaks)
-    return out
+    z_peak = min(t, math.asinh(1.0 / r))
+    breaks = [0.0]
+    k = 1
+    while True:
+        z = breaks[-1]
+        if z > z_peak and -z * z / (2.0 * t) - r * (math.cosh(z) - 1.0) + z < log_cut:
+            break
+        if len(breaks) > cfg.max_panels:
+            raise ConvergenceError(f"theta quadrature at t={t:g} exceeded max_panels")
+        while k * t <= z + 1e-15:
+            k += 1
+        breaks.append(min(k * t, z + width))
+    return np.array(breaks)
 
 
 def hartman_watson_theta(r, t, cfg=DEFAULT_QUAD, scaled=False):
@@ -257,7 +252,7 @@ def _theta_sums(rs, ts, breaks):
     _THETA_CHUNK_ELEMS doubles; the nodes of a chunk's t lie back to back
     in one flat array, so every transcendental is one numpy call per chunk.
     """
-    counts = [16 * (len(b) - 1) for b in breaks]
+    counts = [16 * (b.size - 1) for b in breaks]
     dots = np.empty((ts.size, rs.size))
     masses = np.empty_like(dots)
     stop = 0
@@ -267,16 +262,11 @@ def _theta_sums(rs, ts, breaks):
         while stop < ts.size and size + counts[stop] * rs.size <= _THETA_CHUNK_ELEMS:
             size += counts[stop] * rs.size
             stop += 1
-        if stop == start + 1:  # a lone t needs no per-node copy of t
-            z, w = _panels(np.array(breaks[start]))
-            tz = ts[start]
-        else:
-            chunk = breaks[start:stop]
-            z, w = _panels(
-                np.array([a for b in chunk for a in b[:-1]]),
-                np.array([a for b in chunk for a in b[1:]]),
-            )
-            tz = ts[start:stop].repeat(counts[start:stop])
+        chunk = breaks[start:stop]
+        z, w = _panels(
+            np.concatenate([b[:-1] for b in chunk]), np.concatenate([b[1:] for b in chunk])
+        )
+        tz = ts[start:stop].repeat(counts[start:stop])
         base = np.exp(-z * z / (2.0 * tz)) * np.sinh(z) * np.sin(np.pi * z / tz) * w
         unsigned_base = np.abs(base)
         # in place: at 240 r x 300 z, allocating a fresh matrix for each
@@ -325,7 +315,7 @@ def hartman_watson_theta_grid(rs, t, cfg=DEFAULT_QUAD, with_floor=False):
     t_in = np.asarray(t, dtype=float)
     if t_in.ndim > 1:
         raise DomainError("theta takes t as a scalar or a 1-d array")
-    if (rs <= 0).any():
+    if not (rs > 0).all():
         raise DomainError("theta needs r > 0")
     ts = t_in.reshape(-1)
     tl = ts.tolist()
@@ -335,7 +325,8 @@ def hartman_watson_theta_grid(rs, t, cfg=DEFAULT_QUAD, with_floor=False):
                 f"theta at t={ti:g} not evaluated below t_min_theta={cfg.t_min_theta:g} "
                 "(cancellation regime)"
             )
-    breaks = _theta_breaks(float(rs.min()), tl, cfg, r_cap=float(rs.max()))
+    r_min, r_max = float(rs.min()), float(rs.max())
+    breaks = [_theta_breaks(r_min, ti, cfg, r_cap=r_max) for ti in tl]
     dots, masses = _theta_sums(rs, ts, breaks)
     # math.exp per t, not np.exp: the two can differ in the last bit
     sqrt_t = np.array([math.sqrt(2.0 * math.pi**3 * ti) for ti in tl])

@@ -232,10 +232,10 @@ def test_theta_grid_rows_independent_of_batch():
         assert hartman_watson_theta(r, t, scaled=True) == hartman_watson_theta_grid([r], [t])[0, 0]
     # 2.0 and 2.5 alone build the batch's node set; 3.0 alone does not
     rs = np.array([2.0, 2.5, 3.0])
-    (batch_breaks,) = _theta_breaks(rs.min(), [t], DEFAULT_QUAD, r_cap=rs.max())
+    batch_breaks = _theta_breaks(rs.min(), t, DEFAULT_QUAD, r_cap=rs.max())
     grid = hartman_watson_theta_grid(rs, t)
     for r, g in zip(rs[:2], grid[:2]):
-        assert _theta_breaks(r, [t], DEFAULT_QUAD) == [batch_breaks]
+        assert np.array_equal(_theta_breaks(r, t, DEFAULT_QUAD), batch_breaks)
         assert g == hartman_watson_theta_grid([r], t)[0]
     # along t: a row of a t-array call does not depend on the other t
     ts = np.array([t, 1.0, 4.0])
@@ -251,20 +251,26 @@ def _theta_time_t():
 
 
 @pytest.mark.parametrize(
-    "rs,ts",
+    "rs,ts,chunks",
     [
         # the theta_time_laplace nodes, t_min_theta and 400 included
-        ([1.0], "time-nodes"),
-        ([0.3, 1.0, 2.0], [0.2, 0.37, 1.0, 2.5, 7.0, 400.0]),
+        ([1.0], "time-nodes", 1),
+        ([0.3, 1.0, 2.0], [0.2, 0.37, 1.0, 2.5, 7.0, 400.0], 0),
         # 3.5/sqrt(40) < 1.5: the width falls below the half-period t
-        ([40.0], [0.2, 0.6, 1.0, 4.0, 400.0]),
-        ([0.5, 40.0], [0.2, 1.0, 9.0]),
+        ([40.0], [0.2, 0.6, 1.0, 4.0, 400.0], 0),
+        ([0.5, 40.0], [0.2, 1.0, 9.0], 0),
+        # several chunks of many t each
+        (np.geomspace(0.5, 50.0, 40), np.linspace(0.2, 20.0, 120), 4),
     ],
 )
-def test_theta_grid_t_array_rows_equal_one_t_calls(rs, ts):
-    ts = _theta_time_t() if ts == "time-nodes" else np.array(ts)
+def test_theta_grid_t_array_rows_equal_one_t_calls(rs, ts, chunks):
+    rs = np.array(rs)
+    ts = _theta_time_t() if isinstance(ts, str) else np.array(ts)
+    breaks = [_theta_breaks(rs.min(), t, DEFAULT_QUAD, r_cap=rs.max()) for t in ts]
+    elems = sum(16 * (b.size - 1) for b in breaks) * rs.size
+    assert elems > chunks * _THETA_CHUNK_ELEMS
     grid = hartman_watson_theta_grid(rs, ts)
-    assert grid.shape == (ts.size, len(rs))
+    assert grid.shape == (ts.size, rs.size)
     for ti, row in zip(ts, grid):
         assert np.array_equal(row, hartman_watson_theta_grid(rs, ti))
 
@@ -280,17 +286,6 @@ def test_theta_grid_t_array_trusted_masks():
         assert np.array_equal(row, one) and np.array_equal(mask, one_mask)
 
 
-def test_theta_grid_t_array_spans_chunks():
-    rs = np.geomspace(0.5, 50.0, 40)
-    ts = np.linspace(0.2, 20.0, 120)
-    breaks = _theta_breaks(rs.min(), ts, DEFAULT_QUAD, r_cap=rs.max())
-    nodes = sum(16 * (len(b) - 1) for b in breaks)
-    assert nodes * rs.size > 4 * _THETA_CHUNK_ELEMS
-    grid = hartman_watson_theta_grid(rs, ts)
-    for ti, row in zip(ts, grid):
-        assert np.array_equal(row, hartman_watson_theta_grid(rs, ti))
-
-
 def test_theta_grid_t_shapes_and_domain():
     assert hartman_watson_theta_grid([1.0, 2.0], 1.0).shape == (2,)
     assert hartman_watson_theta_grid([1.0, 2.0], [1.0]).shape == (1, 2)
@@ -299,6 +294,12 @@ def test_theta_grid_t_shapes_and_domain():
         hartman_watson_theta_grid([1.0], np.ones((2, 2)))
     with pytest.raises(DomainError, match="t=0.19"):
         hartman_watson_theta_grid([1.0], [1.0, 0.19, 2.0])
+    # a NaN r, alone or among valid r, would otherwise end the node set early
+    for rs in ([math.nan], [1.0, math.nan, 2.0]):
+        with pytest.raises(DomainError, match="r > 0"):
+            hartman_watson_theta_grid(rs, [1.0, 2.0])
+    with pytest.raises(DomainError, match="r > 0"):
+        hartman_watson_theta(math.nan, 1.0)
     # a cut 1e12 times too shallow leaves t = 0.7 and 1 negative at r = 0.1
     shallow = QuadConfig(z_cut_factor=1e12)
     assert hartman_watson_theta_grid([0.1], 4.0, shallow)[0] > 0.0
