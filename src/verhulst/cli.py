@@ -136,9 +136,7 @@ def cmd_simulate(args):
         params = ModelParams.coupled_start(args.x0)
     else:
         params = ModelParams(mu=args.mu, beta=args.beta, x0=args.x0)
-    if args.dt <= 0:
-        raise DomainError("dt must be > 0")
-    grid = TimeGrid(args.t, max(1, int(round(args.t / args.dt))))
+    grid = TimeGrid.with_step(args.t, args.dt)
     if args.mode == "path":
         if args.n != 1:
             raise DomainError("path mode writes exactly one path; use --n 1")

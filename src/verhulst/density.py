@@ -427,7 +427,7 @@ def _tilt_kernels(gamma, mu, t, xs, n, seed, cfg, threads=1):
     if np.any(xs <= 0):
         raise DomainError("general density needs x > 0")
 
-    grid = TimeGrid(t_end=t, n_steps=max(1, int(round(t / 1e-3))))
+    grid = TimeGrid.with_step(t, 1e-3)
     stats = simulate_terminal_batch(
         ModelParams(mu=mu, beta=0.0, x0=1.0), grid, n, seed, threads=threads
     )

@@ -26,6 +26,12 @@ BLOCK_PATHS = 4096
 # reflection floor for the Euler guard, as a fraction of the start value
 EULER_FLOOR_FRAC = 1e-12
 
+# default time step of laplace_grid.  On paired paths the stepped
+# routes' trapezoid bias at dt = 0.01 against dt = 1e-3 stays under a
+# tenth of their standard error at n = 1e5 (test_laplace_step_bias_paired
+# in tests/test_simulate.py); at dt = 0.04 the gbm route's is significant
+_LAPLACE_DT = 1e-2
+
 # element budget of one (paths x steps) chunk buffer of the terminal
 # batch sampler: 2**17 doubles = 1 MiB, so its two buffers fit a 2 MiB L2
 _BATCH_CHUNK_ELEMS = 2**17
@@ -41,6 +47,16 @@ _EXP_CHUNK_ELEMS = 2**14
 # time: np.cumsum down axis 0 costs about 5 ns per element at a few rows,
 # a row-wide np.add about 1 us per call plus 0.5 ns per element
 _ROW_SUM_MIN_WIDTH = 256
+
+
+def _require_positive(name, x):
+    if not (math.isfinite(x) and x > 0):
+        raise DomainError(f"{name} must be finite and > 0")
+
+
+def _require_nonnegative(name, x):
+    if not (math.isfinite(x) and x >= 0):
+        raise DomainError(f"{name} must be finite and >= 0")
 
 
 def _block_rng(seed, block):
@@ -82,10 +98,10 @@ class ModelParams:
     coupled: bool = False
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise DomainError("beta must be >= 0")
-        if self.x0 <= 0:
-            raise DomainError("x0 must be > 0")
+        if not math.isfinite(self.mu):
+            raise DomainError("mu must be finite")
+        _require_nonnegative("beta", self.beta)
+        _require_positive("x0", self.x0)
         if self.coupled and (self.mu != -0.5 or self.beta != self.x0):
             raise DomainError("coupled convention requires mu = -1/2 and beta = x0")
 
@@ -100,10 +116,17 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise DomainError("t_end must be > 0")
+        _require_positive("t_end", self.t_end)
         if self.n_steps < 1:
             raise DomainError("n_steps must be >= 1")
+
+    @classmethod
+    def with_step(cls, t_end, dt):
+        """Grid over [0, t_end] with the step count nearest t_end / dt,
+        at least one."""
+        _require_positive("t_end", t_end)
+        _require_positive("dt", dt)
+        return cls(t_end, max(1, round(t_end / dt)))
 
     @property
     def dt(self):
@@ -350,10 +373,8 @@ def simulate_exp_terminal(params, rate, dt, n, seed, threads=1):
     which release the interpreter lock, so worker threads run
     concurrently.
     """
-    if rate <= 0:
-        raise DomainError("rate must be > 0")
-    if dt <= 0:
-        raise DomainError("dt must be > 0")
+    _require_positive("rate", rate)
+    _require_positive("dt", dt)
     if n < 1:
         raise DomainError("n must be >= 1")
     sqdt = math.sqrt(dt)
@@ -429,8 +450,7 @@ def girsanov_weight_batch(stats, gamma, params):
 
 
 def _girsanov_weight(theta_T, int_theta, int_theta_sq, gamma, params):
-    if gamma <= 0:
-        raise DomainError("gamma must be > 0")
+    _require_positive("gamma", gamma)
     quad = gamma * params.beta / params.x0 + 0.5 * gamma * gamma
     return np.exp(
         -gamma * (theta_T - params.x0)
@@ -442,8 +462,7 @@ def _girsanov_weight(theta_T, int_theta, int_theta_sq, gamma, params):
 def girsanov_weight_bound(gamma, params, t_end):
     """Deterministic upper bound exp(gamma x0 + (gamma(mu+1/2))^2 T / (4 c)),
     c = gamma beta/x0 + gamma^2/2 (maximize the integrand in theta)."""
-    if gamma <= 0:
-        raise DomainError("gamma must be > 0")
+    _require_positive("gamma", gamma)
     c = gamma * params.beta / params.x0 + 0.5 * gamma * gamma
     return math.exp(gamma * params.x0 + (gamma * (params.mu + 0.5)) ** 2 * t_end / (4.0 * c))
 
@@ -457,10 +476,9 @@ def sample_besq0(x_start, s, rng):
     Poisson(x/(2s)) mixture of Gamma variables: N = 0 gives the absorbed
     state 0, otherwise 2s * Gamma(N, 1).  Broadcasts over x_start.
     """
-    if s <= 0:
-        raise DomainError("s must be > 0")
+    _require_positive("s", s)
     x = np.asarray(x_start, dtype=float)
-    if np.any(x < 0):
+    if not np.all(x >= 0):
         raise DomainError("x_start must be >= 0")
     mix = rng.poisson(x / (2.0 * s))
     draw = 2.0 * s * rng.standard_gamma(mix)
@@ -469,8 +487,7 @@ def sample_besq0(x_start, s, rng):
 
 def sample_exp_time(rate, rng, size=None):
     """Inverse-CDF exponential horizon(s) with the given rate."""
-    if rate <= 0:
-        raise DomainError("rate must be > 0")
+    _require_positive("rate", rate)
     u = rng.random(size)
     return -np.log1p(-u) / rate
 
@@ -491,12 +508,10 @@ def laplace_mc_besq(lam, params, t, n, seed, threads=1):
         raise DomainError("squared-Bessel route needs beta > 0")
     if params.x0 != 1.0:
         raise DomainError("squared-Bessel route is stated for x0 = 1")
-    if lam < 0:
-        # lam = 0 is the absorbed boundary: the Bessel draw is identically
-        # 0 and the kernel identically 1, matching E e^{-0 theta} = 1
-        raise DomainError("lam must be >= 0")
-    if t <= 0:
-        raise DomainError("t must be > 0")
+    # lam = 0 is the absorbed boundary: the Bessel draw is identically
+    # 0 and the kernel identically 1, matching E e^{-0 theta} = 1
+    _require_nonnegative("lam", lam)
+    _require_positive("t", t)
     h = 0.25 * t
     sqh = math.sqrt(h)
     vals = np.empty(n)
@@ -510,15 +525,26 @@ def laplace_mc_besq(lam, params, t, n, seed, threads=1):
     return McEstimate.from_samples(vals)
 
 
-def laplace_mc_gbm(lam, params, t, n, seed, n_steps=1000, threads=1):
+def laplace_grid(t, n_steps=None):
+    """Step grid of laplace_mc_gbm and laplace_mc_direct over [0, t]:
+    n_steps steps, or by default max(1, round(t / 0.01)) steps of about
+    dt = 0.01, so t = 1 takes 100 steps and t = 10 takes 1000."""
+    if n_steps is None:
+        return TimeGrid.with_step(t, _LAPLACE_DT)
+    return TimeGrid(t, n_steps)
+
+
+def laplace_mc_gbm(lam, params, t, n, seed, n_steps=None, threads=1):
     """E e^{-lambda theta_t} through the plain-GBM representation
     e^beta E exp(-(beta+lam) e^{B+mu t} + beta (mu+1/2) a_t - (beta^2/2) A_t).
 
     In the coupled convention the start level x enters as
     lam -> lam * x, beta -> x; the generic form is stated for x0 = 1.
+    Paths step on laplace_grid(t, n_steps), dt = 0.01 by default; the
+    paired test test_laplace_step_bias_paired bounds that step's bias by
+    a tenth of this route's standard error at n = 1e5.
     """
-    if lam < 0:
-        raise DomainError("lam must be >= 0")
+    _require_nonnegative("lam", lam)
     if params.coupled:
         lam_eff = lam * params.x0
         beta_eff = params.x0
@@ -528,7 +554,7 @@ def laplace_mc_gbm(lam, params, t, n, seed, n_steps=1000, threads=1):
         lam_eff = lam
         beta_eff = params.beta
     gbm = ModelParams(mu=params.mu, beta=0.0, x0=1.0)
-    stats = simulate_terminal_batch(gbm, TimeGrid(t, n_steps), n, seed, threads=threads)
+    stats = simulate_terminal_batch(gbm, laplace_grid(t, n_steps), n, seed, threads=threads)
     e_T = np.exp(stats.bmd)
     expo = (
         beta_eff
@@ -539,11 +565,15 @@ def laplace_mc_gbm(lam, params, t, n, seed, n_steps=1000, threads=1):
     return McEstimate.from_samples(np.exp(expo))
 
 
-def laplace_mc_direct(lam, params, t, n, seed, n_steps=1000, threads=1):
-    """Brute-force E e^{-lambda theta_t}: average over functional paths."""
-    if lam < 0:
-        raise DomainError("lam must be >= 0")
-    stats = simulate_terminal_batch(params, TimeGrid(t, n_steps), n, seed, threads=threads)
+def laplace_mc_direct(lam, params, t, n, seed, n_steps=None, threads=1):
+    """Brute-force E e^{-lambda theta_t}: average over functional paths.
+
+    Paths step on laplace_grid(t, n_steps), dt = 0.01 by default; the
+    paired test test_laplace_step_bias_paired bounds that step's bias by
+    a tenth of this route's standard error at n = 1e5.
+    """
+    _require_nonnegative("lam", lam)
+    stats = simulate_terminal_batch(params, laplace_grid(t, n_steps), n, seed, threads=threads)
     return McEstimate.from_samples(np.exp(-lam * stats.theta))
 
 

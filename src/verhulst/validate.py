@@ -35,6 +35,7 @@ from .simulate import (
     ModelParams,
     TimeGrid,
     girsanov_weight_batch,
+    laplace_grid,
     laplace_mc_besq,
     laplace_mc_direct,
     laplace_mc_gbm,
@@ -550,7 +551,7 @@ def _check_fixed_time(config, knobs, seed):
         details=f"x=1 t=1; mass={curve.total_mass:.6f}",
     )
     n = knobs["ks_fixed_n"]
-    grid = TimeGrid(1.0, int(round(1.0 / knobs["dt"])))
+    grid = TimeGrid.with_step(1.0, knobs["dt"])
     stats = simulate_terminal_batch(ModelParams.coupled_start(1.0), grid, n, seed)
     ks = ks_distance(np.sort(stats.theta), _curve_cdf_fn(curve))
     return [
@@ -623,7 +624,7 @@ def _check_martingale(config, knobs, seed):
     at = None
     for j, (gamma, mu, beta, T) in enumerate(cells):
         params = ModelParams(mu=mu, beta=beta, x0=1.0)
-        grid = TimeGrid(T, int(round(T / knobs["dt"])))
+        grid = TimeGrid.with_step(T, knobs["dt"])
         stats = simulate_terminal_batch(params, grid, n, seed + j)
         est = McEstimate.from_samples(girsanov_weight_batch(stats, gamma, params))
         z = abs(est.mean - 1.0) / est.stderr
@@ -662,7 +663,7 @@ def _check_moment(config, knobs, seed):
     at = None
     for j, (mu, beta, T) in enumerate(cells):
         params = ModelParams(mu=mu, beta=beta, x0=1.0)
-        grid = TimeGrid(T, int(round(T / knobs["dt"])))
+        grid = TimeGrid.with_step(T, knobs["dt"])
         stats = simulate_terminal_batch(params, grid, n, seed + j)
         est = McEstimate.from_samples(np.exp(beta * stats.int_theta))
         z = abs(est.mean - moment_exp_int_theta(params, T)) / est.stderr
@@ -689,6 +690,7 @@ def _check_laplace(config, knobs, seed):
     besq = laplace_mc_besq(1.0, params, 1.0, n, seed + 1)
     gbm = laplace_mc_gbm(1.0, params, 1.0, n, seed + 2)
     direct = laplace_mc_direct(1.0, params, 1.0, n, seed + 3)
+    grid = laplace_grid(1.0)
     z = max(_pairwise_z(besq, gbm), _pairwise_z(besq, direct), _pairwise_z(gbm, direct))
     return [
         TestReport(
@@ -698,7 +700,8 @@ def _check_laplace(config, knobs, seed):
             n_or_tolerance=f"n={n}",
             details=(
                 f"lam=1 mu=0 beta=1 t=1; besq={besq.mean:.5f}, gbm={gbm.mean:.5f}, "
-                f"direct={direct.mean:.5f}"
+                f"direct={direct.mean:.5f}; gbm and direct at dt={grid.dt:g} "
+                f"({grid.n_steps} steps)"
             ),
         )
     ]
@@ -707,7 +710,7 @@ def _check_laplace(config, knobs, seed):
 def _check_general_density(config, knobs, seed):
     gamma, mu, t = 1.0, 0.0, 1.0
     hist_n, half = knobs["hist_n"], knobs["hist_half"]
-    grid = TimeGrid(t, int(round(t / knobs["dt"])))
+    grid = TimeGrid.with_step(t, knobs["dt"])
     stats = simulate_terminal_batch(ModelParams(mu=mu, beta=gamma, x0=1.0), grid, hist_n, seed)
     count = int(np.count_nonzero(np.abs(stats.theta - 1.0) <= half))
     p_hist = count / (2.0 * half * hist_n)

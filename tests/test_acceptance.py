@@ -108,6 +108,7 @@ def test_criterion_08_moment_identity():
 
 def test_criterion_09_laplace_triangle():
     report = _suite(9, "laplace", 98000)["laplace_triangle"]
+    assert "dt=0.01 (100 steps)" in report.details
     # negative control: the literal-t reading of the squared-Bessel
     # representation (kernel time t = 1, the route run at t = 4) against
     # the group's own besq estimate; neither route steps a path

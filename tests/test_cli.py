@@ -204,6 +204,21 @@ def test_laplace_default_besq_agrees_with_direct(capsys):
     assert diff <= 4 * math.hypot(rows["besq"][1], rows["direct"][1])
 
 
+@pytest.mark.parametrize("argv", [
+    ["laplace", "--t", "nan"],
+    ["laplace", "--lambda", "nan"],
+    ["simulate", "--dt", "nan"],
+])
+def test_nan_input_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    extra = ["--output", str(out)] if argv[0] == "simulate" else []
+    assert main(argv + extra + ["--n", "100", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "must be finite" in err
+    assert not out.exists()
+
+
 # --- simulate ------------------------------------------------------------------
 
 

@@ -26,6 +26,7 @@ from verhulst.simulate import (
     girsanov_weight,
     girsanov_weight_batch,
     girsanov_weight_bound,
+    laplace_grid,
     laplace_mc_besq,
     laplace_mc_direct,
     laplace_mc_gbm,
@@ -63,6 +64,41 @@ def test_time_grid():
         TimeGrid(0.0, 4)
     with pytest.raises(DomainError):
         TimeGrid(1.0, 0)
+    assert TimeGrid.with_step(1.0, 0.3) == TimeGrid(1.0, 3)
+    assert TimeGrid.with_step(0.004, 0.01) == TimeGrid(0.004, 1)
+
+
+_P = ModelParams(mu=0.0, beta=1.0, x0=1.0)
+_NON_FINITE = {
+    "beta=nan": lambda: ModelParams(mu=0.0, beta=math.nan),
+    "beta=inf": lambda: ModelParams(mu=0.0, beta=math.inf),
+    "mu=nan": lambda: ModelParams(mu=math.nan, beta=1.0),
+    "x0=nan": lambda: ModelParams(mu=0.0, beta=1.0, x0=math.nan),
+    "coupled x=nan": lambda: ModelParams.coupled_start(math.nan),
+    "grid t=nan": lambda: TimeGrid(math.nan, 10),
+    "grid t=inf": lambda: TimeGrid(math.inf, 10),
+    "grid dt=nan": lambda: TimeGrid.with_step(1.0, math.nan),
+    **{
+        f"{route.__name__} {arg}=nan": (
+            lambda route=route, arg=arg: route(**{"lam": 1.0, "t": 1.0, arg: math.nan},
+                                               params=_P, n=10, seed=1)
+        )
+        for route in (laplace_mc_direct, laplace_mc_gbm, laplace_mc_besq)
+        for arg in ("lam", "t")
+    },
+    "laplace_mc_direct t=inf": lambda: laplace_mc_direct(1.0, _P, math.inf, 10, seed=1),
+    "exp_terminal rate=nan": lambda: simulate_exp_terminal(_P, math.nan, 1e-3, 10, seed=1),
+    "exp_terminal dt=nan": lambda: simulate_exp_terminal(_P, 1.0, math.nan, 10, seed=1),
+    "girsanov gamma=nan": lambda: girsanov_weight_bound(math.nan, _P, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", _NON_FINITE.values(), ids=_NON_FINITE.keys())
+def test_non_finite_inputs_refused(call):
+    # NaN passes every `x <= 0` guard; each input must be refused by name,
+    # not turned into a NaN estimate, a numpy error or a later complaint
+    with pytest.raises(DomainError, match="must be finite"):
+        call()
 
 
 def test_mc_estimate():
@@ -516,13 +552,87 @@ def test_laplace_gbm_coupled_convention():
 
 def test_laplace_thread_count_invariance():
     p = ModelParams(mu=0.0, beta=1.0, x0=1.0)
-    kw = dict(t=1.0, n=9_000, n_steps=60)
-    one = laplace_mc_direct(1.0, p, seed=20, threads=1, **kw)
-    four = laplace_mc_direct(1.0, p, seed=20, threads=4, **kw)
-    assert (one.mean, one.stderr) == (four.mean, four.stderr)
+    for n_steps in (60, None):  # None: the default step
+        kw = dict(t=1.0, n=9_000, n_steps=n_steps)
+        one = laplace_mc_direct(1.0, p, seed=20, threads=1, **kw)
+        four = laplace_mc_direct(1.0, p, seed=20, threads=4, **kw)
+        assert (one.mean, one.stderr) == (four.mean, four.stderr)
     b1 = laplace_mc_besq(1.0, p, 1.0, 9_000, seed=21, threads=1)
     b4 = laplace_mc_besq(1.0, p, 1.0, 9_000, seed=21, threads=4)
     assert (b1.mean, b1.stderr) == (b4.mean, b4.stderr)
+
+
+@pytest.mark.parametrize("t, steps", [(0.004, 1), (1.0, 100), (10.0, 1000)])
+def test_laplace_default_step(t, steps):
+    # no n_steps means max(1, round(t / 0.01)) steps; an explicit count wins
+    assert laplace_grid(t) == TimeGrid(t, steps)
+    p = ModelParams(mu=0.0, beta=1.0, x0=1.0)
+    for route in (laplace_mc_direct, laplace_mc_gbm):
+        default = route(1.0, p, t, 200, seed=24)
+        explicit = route(1.0, p, t, 200, seed=24, n_steps=steps)
+        other = route(1.0, p, t, 200, seed=24, n_steps=steps + 1)
+        assert (default.mean, default.stderr) == (explicit.mean, explicit.stderr)
+        assert default.mean != other.mean
+
+
+def _trapezoid_terminals(g, dt, mu, beta):
+    """(theta_T, e_T, a_T, A_T) of start-1 paths whose rows of Brownian
+    increments are g, by numpy's trapezoid rule on the step-dt nodes."""
+    m, S = g.shape
+    bmd = np.zeros((m, S + 1))
+    np.cumsum(g, axis=1, out=bmd[:, 1:])
+    bmd += mu * dt * np.arange(S + 1)
+    e = np.exp(bmd)
+    a_T = np.trapezoid(e, dx=dt, axis=1)
+    A_T = np.trapezoid(e * e, dx=dt, axis=1)
+    return e[:, -1] / (1.0 + beta * a_T), e[:, -1], a_T, A_T
+
+
+@pytest.mark.parametrize("mu, beta, t", [
+    (0.0, 1.0, 1.0), (0.5, 1.0, 1.0), (-0.5, 0.5, 0.5), (0.0, 1.0, 4.0),
+])
+def test_laplace_step_bias_paired(mu, beta, t):
+    """The default step dt = 0.01 of laplace_mc_direct and laplace_mc_gbm
+    against dt = 1e-3 on the same Brownian paths: each route's bias
+    |mean(f_coarse - f_fine)| + 3 se stays under a tenth of the route's
+    standard error at n = 1e5 (the full validation budget).  The fine
+    increments are the library's own block streams, as
+    simulate_terminal_batch draws them; the coarse path sums them in
+    groups of 10."""
+    n, seed, lam, group, rows = 20_000, 31, 1.0, 10, 256
+    fine = TimeGrid(t, round(t / 1e-3))
+    dt_f, S = fine.dt, fine.n_steps
+    assert laplace_grid(t) == TimeGrid(t, S // group)
+
+    def direct(theta_T, e_T, a_T, A_T):
+        return np.exp(-lam * theta_T)
+
+    def gbm(theta_T, e_T, a_T, A_T):
+        return np.exp(beta - (beta + lam) * e_T + beta * (mu + 0.5) * a_T
+                      - 0.5 * beta * beta * A_T)
+
+    theta_fine = np.empty(n)
+    f = {route: np.empty((2, n)) for route in (direct, gbm)}  # rows: fine, coarse
+    for b in range((n + BLOCK_PATHS - 1) // BLOCK_PATHS):
+        rng = _block_rng(seed, b)
+        lo, hi = b * BLOCK_PATHS, min(n, (b + 1) * BLOCK_PATHS)
+        for c0 in range(lo, hi, rows):
+            c1 = min(hi, c0 + rows)
+            g = rng.standard_normal((c1 - c0, S)) * math.sqrt(dt_f)
+            fine_terms = _trapezoid_terminals(g, dt_f, mu, beta)
+            coarse_g = g.reshape(c1 - c0, S // group, group).sum(axis=2)
+            coarse_terms = _trapezoid_terminals(coarse_g, group * dt_f, mu, beta)
+            theta_fine[c0:c1] = fine_terms[0]
+            for route, vals in f.items():
+                vals[0, c0:c1] = route(*fine_terms)
+                vals[1, c0:c1] = route(*coarse_terms)
+
+    sim = simulate_terminal_batch(ModelParams(mu=mu, beta=beta), fine, n, seed, threads=2)
+    np.testing.assert_allclose(theta_fine, sim.theta, rtol=1e-12, atol=0.0)
+    for route, (f_fine, f_coarse) in f.items():
+        diff = McEstimate.from_samples(f_coarse - f_fine)
+        bound = 0.1 * f_fine.std(ddof=1) / math.sqrt(1e5)
+        assert abs(diff.mean) + 3.0 * diff.stderr <= bound, (route.__name__, diff, bound)
 
 
 # --- serialization ----------------------------------------------------------
