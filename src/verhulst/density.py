@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_positive
 from .simulate import McEstimate, ModelParams, TimeGrid, simulate_terminal_batch
 from .specfun import (
     DEFAULT_QUAD,
@@ -83,20 +83,16 @@ class MyorEval:
     lam: float
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise DomainError("t must be positive")
-        if self.v <= 0:
-            raise DomainError("v must be positive")
-        if self.lam <= 0:
-            raise DomainError("lam must be positive")
+        require_positive("t", self.t)
+        require_positive("v", self.v)
+        require_positive("lam", self.lam)
 
 
 def lognormal_density(mu, t, x):
     """Density of exp(B_t + mu t) at x."""
-    if t <= 0:
-        raise DomainError("lognormal_density needs t > 0")
+    require_positive("t", t)
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if not np.all(x > 0):
         raise DomainError("lognormal_density needs x > 0")
     out = np.exp(-((np.log(x) - mu * t) ** 2) / (2.0 * t)) / (
         x * math.sqrt(2.0 * math.pi * t)
@@ -115,10 +111,10 @@ def density_exact_half(x_start, t, w, cfg=DEFAULT_QUAD):
     """
     x = float(x_start)
     w = float(w)
-    if x <= 0 or w <= 0:
-        raise DomainError("density_exact_half needs x_start > 0 and w > 0")
-    if t < cfg.t_min_theta:
-        raise DomainError("density_exact_half needs t >= t_min_theta")
+    if not (math.isfinite(t) and t >= cfg.t_min_theta):
+        raise DomainError(f"t must be finite and >= t_min_theta = {cfg.t_min_theta:g}")
+    require_positive("x_start", x)
+    require_positive("w", w)
     cut = -math.log(cfg.abs_tol) + 6.0
     q = (x + w) ** 2
     u_lo = math.log(q / (2.0 * cut))
@@ -153,8 +149,8 @@ def density_exp_time(x_start, lam, z, cfg=DEFAULT_QUAD):
     """
     x = float(x_start)
     z = float(z)
-    if x <= 0 or z <= 0:
-        raise DomainError("density_exp_time needs x_start > 0 and z > 0")
+    require_positive("x_start", x)
+    require_positive("z", z)
     order = BesselOrder.from_rate(lam)
     f = bessel_product_F(order, x, z, cfg)
     if f <= 0.0:
@@ -190,8 +186,7 @@ def exp_time_total_mass(x_start, lam, cfg=DEFAULT_QUAD):
     as the mixture's anchor design).
     """
     x = float(x_start)
-    if x <= 0:
-        raise DomainError("exp_time_total_mass needs x_start > 0")
+    require_positive("x_start", x)
     if not 0.05 <= lam <= 20.0:
         raise DomainError("exp_time_total_mass supports rates in [0.05, 20]")
     nu = BesselOrder.from_rate(lam).nu
@@ -221,12 +216,10 @@ def myor_psi_profile(mu, t, vs, x, cfg=DEFAULT_QUAD):
     a small v (large r) needs a width below the half-period t/4.
     """
     vs = np.asarray(vs, dtype=float)
-    if np.any(vs <= 0):
-        raise DomainError("myor_psi needs v > 0")
-    if t < 4.0 * cfg.t_min_theta:
-        raise DomainError(
-            f"myor_psi needs t >= 4*t_min_theta = {4.0 * cfg.t_min_theta:g}"
-        )
+    if not np.all((vs > 0) & (vs < math.inf)):
+        raise DomainError("v must be finite and > 0")
+    if not (math.isfinite(t) and t >= 4.0 * cfg.t_min_theta):
+        raise DomainError(f"t must be finite and >= 4*t_min_theta = {4.0 * cfg.t_min_theta:g}")
     return _psi(mu, t, vs, x, cfg)[0]
 
 
@@ -313,8 +306,7 @@ def myor_conditional_laplace(ev, cfg=DEFAULT_QUAD):
 def h_kernel(gamma, mu, t, y, x, cfg=DEFAULT_QUAD):
     """Tilt kernel e^{gamma (mu + 1/2) y} times the conditional Laplace
     transform at (v = y, log endpoint = ln x, rate gamma)."""
-    if x <= 0:
-        raise DomainError("h_kernel needs x > 0")
+    require_positive("x", x)
     ev = MyorEval(mu=mu, t=t, v=y, x=math.log(x), lam=gamma)
     return math.exp(gamma * (mu + 0.5) * y) * myor_conditional_laplace(ev, cfg)
 
@@ -380,11 +372,22 @@ def _theta_log_interp(r_lo, r_hi, tau, cfg, n=2000):
     all orders as r -> 0), so log-scale arithmetic on those entries would
     amplify pure noise.  Callers must zero out whatever depends on an
     evaluation at r < r_reliable.
+
+    The interpolant takes L = log r.  Its nodes lg are uniform up to
+    rounding, so one division and one correction step each way against
+    lg itself find the j with lg[j] <= L < lg[j+1] that np.interp's
+    binary search finds.  The value is np.interp's own formula
+    slopes[j] (L - lg[j]) + logs[j], and L is clipped to the table, so
+    the lookup equals np.interp bit for bit, its end clamps included.
     """
     grid = np.geomspace(r_lo, r_hi, n)
     vals, trusted = hartman_watson_theta_grid(grid, tau, cfg, with_floor=True)
     logs = np.log(np.maximum(vals, 1e-300))
     lg = np.log(grid)
+    # padded so that node n-1 is a panel of slope 0 that no L passes
+    slopes = np.append((logs[1:] - logs[:-1]) / (lg[1:] - lg[:-1]), 0.0)
+    lg_next = np.append(lg[1:], math.inf)
+    h = (lg[-1] - lg[0]) / (n - 1)
     if trusted.all():
         r_reliable = 0.0
     elif trusted.any():
@@ -393,8 +396,14 @@ def _theta_log_interp(r_lo, r_hi, tau, cfg, n=2000):
     else:
         r_reliable = math.inf
 
-    def interp(r):
-        return np.interp(np.log(r), lg, logs)
+    def interp(L):
+        # clipped, no inf enters the arithmetic; fmin sends a NaN L to
+        # node n-1, where its value stays NaN
+        L = np.clip(L, lg[0], lg[-1])
+        j = np.fmin(np.floor((L - lg[0]) / h), n - 1).astype(np.intp)
+        j -= L < lg[j]
+        j += L >= lg_next[j]
+        return slopes[j] * (L - lg[j]) + logs[j]
 
     return interp, r_reliable
 
@@ -420,12 +429,11 @@ def _tilt_kernels(gamma, mu, t, xs, n, seed, cfg, threads=1):
     limit exact.  Weights at an untrusted argument are zeroed outright:
     the dropped target mass is beyond all orders.
     """
-    if gamma <= 0:
-        raise DomainError("general density needs gamma > 0")
-    if t < 4.0 * cfg.t_min_theta:
-        raise DomainError("general density needs t >= 4*t_min_theta")
-    if np.any(xs <= 0):
-        raise DomainError("general density needs x > 0")
+    require_positive("gamma", gamma)
+    if not (math.isfinite(t) and t >= 4.0 * cfg.t_min_theta):
+        raise DomainError("t must be finite and >= 4*t_min_theta")
+    if not np.all((xs > 0) & (xs < math.inf)):
+        raise DomainError("x must be finite and > 0")
 
     grid = TimeGrid.with_step(t, 1e-3)
     stats = simulate_terminal_batch(
@@ -446,26 +454,27 @@ def _tilt_kernels(gamma, mu, t, xs, n, seed, cfg, threads=1):
     r_hi = 1.1 * max(4.0 * sx.max() / v.min(), rb.max())
     interp, r_rel = _theta_log_interp(r_lo, r_hi, tau, cfg)
 
-    log_theta_rb = interp(rb)
+    log_theta_rb = interp(np.log(rb))
     psi_b_core = mu * b - 2.0 * (1.0 + eb) ** 2 / v + log_theta_rb
     log_norm_b = -((b - mu * t) ** 2) / (2.0 * t) - 0.5 * math.log(2.0 * math.pi * t)
     rb_ok = rb >= r_rel
+    lssr = np.log(ssr)
 
     for k, x_val in enumerate(xs):
         r0 = 4.0 * sx[k] / v
         phi = r0 * ssr
-        log_theta_r0 = interp(r0)
-        delta = interp(phi) - log_theta_r0
+        lr0 = np.log(r0)
+        log_theta_r0 = interp(lr0)
+        delta = interp(np.log(phi)) - log_theta_r0
         dead = np.zeros(r0.shape, dtype=bool)
         if r_rel > 0.0:
-            lr0 = np.log(r0)
-            lphi = lr0 + np.log(ssr)
+            lphi = lr0 + lssr
             paired = r0 < min(r_rel, 0.9)
             delta = np.where(paired, (lr0 * lr0 - lphi * lphi) / (2.0 * tau), delta)
             dead = ~paired & ((r0 < r_rel) | (phi < r_rel))
         # a conditional Laplace transform at gamma > 0 cannot exceed one
         log_cond = np.minimum(
-            np.log(ssr) + (r0 - phi) - gamma * (1.0 + x_val) * rem + delta, 0.0
+            lssr + (r0 - phi) - gamma * (1.0 + x_val) * rem + delta, 0.0
         )
         log_h = np.where(dead, -np.inf, gamma * (mu + 0.5) * v + log_cond)
         h = np.exp(log_h)
@@ -521,12 +530,12 @@ def density_general_quad(gamma, mu, t, x, cfg=DEFAULT_QUAD, n=4000):
     below the trust floor are dropped; out there the true psi has already
     decayed beyond all orders in 1/v.
     """
-    if gamma <= 0:
-        raise DomainError("general density needs gamma > 0")
-    if x <= 0:
-        raise DomainError("general density needs x > 0")
-    if t < 4.0 * cfg.t_min_theta:
-        raise DomainError("general density needs t >= 4*t_min_theta")
+    require_positive("gamma", gamma)
+    require_positive("x", x)
+    if not (math.isfinite(t) and t >= 4.0 * cfg.t_min_theta):
+        raise DomainError("t must be finite and >= 4*t_min_theta")
+    if not math.isfinite(mu):
+        raise DomainError("mu must be finite")
     vs = np.geomspace(1e-6, 400.0, n)
     ys, trusted = _psi(mu, t, vs, math.log(x) + np.log1p(gamma * vs), cfg)
     return float(np.trapezoid(np.where(trusted, ys, 0.0), vs)) / x

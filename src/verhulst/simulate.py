@@ -13,12 +13,13 @@ worker threads.
 """
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_nonnegative, require_positive
 from .specfun import laplace_kernel_F
 
 BLOCK_PATHS = 4096
@@ -47,16 +48,6 @@ _EXP_CHUNK_ELEMS = 2**14
 # time: np.cumsum down axis 0 costs about 5 ns per element at a few rows,
 # a row-wide np.add about 1 us per call plus 0.5 ns per element
 _ROW_SUM_MIN_WIDTH = 256
-
-
-def _require_positive(name, x):
-    if not (math.isfinite(x) and x > 0):
-        raise DomainError(f"{name} must be finite and > 0")
-
-
-def _require_nonnegative(name, x):
-    if not (math.isfinite(x) and x >= 0):
-        raise DomainError(f"{name} must be finite and >= 0")
 
 
 def _block_rng(seed, block):
@@ -100,8 +91,8 @@ class ModelParams:
     def __post_init__(self):
         if not math.isfinite(self.mu):
             raise DomainError("mu must be finite")
-        _require_nonnegative("beta", self.beta)
-        _require_positive("x0", self.x0)
+        require_nonnegative("beta", self.beta)
+        require_positive("x0", self.x0)
         if self.coupled and (self.mu != -0.5 or self.beta != self.x0):
             raise DomainError("coupled convention requires mu = -1/2 and beta = x0")
 
@@ -116,16 +107,16 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        _require_positive("t_end", self.t_end)
-        if self.n_steps < 1:
-            raise DomainError("n_steps must be >= 1")
+        require_positive("t_end", self.t_end)
+        if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 1:
+            raise DomainError("n_steps must be an integer >= 1")
 
     @classmethod
     def with_step(cls, t_end, dt):
         """Grid over [0, t_end] with the step count nearest t_end / dt,
         at least one."""
-        _require_positive("t_end", t_end)
-        _require_positive("dt", dt)
+        require_positive("t_end", t_end)
+        require_positive("dt", dt)
         return cls(t_end, max(1, round(t_end / dt)))
 
     @property
@@ -287,6 +278,11 @@ def simulate_terminal_batch(params, grid, n, seed, threads=1):
     once.  Only a one-path block runs a one-row chunk: beyond 8192 steps
     numpy's einsum sums a lone row in a different order than rows of a
     taller matrix.
+
+    At beta = 0, theta is x0 e^{B + mu t}, so the running a_t is never
+    formed: a_T takes the full path's operations on the last column of
+    the running sum only.  This is bit for bit the full path wherever
+    e^{B + mu t} is finite; where it overflows theta reads inf, not NaN.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -317,18 +313,20 @@ def simulate_terminal_batch(params, grid, n, seed, threads=1):
             ee_sum = np.einsum("ij,ij->i", w, w)
 
             np.cumsum(w, axis=1, out=cum)
-            cum -= 0.5 * w
-            cum += 0.5
-            cum *= dt  # now the running a_t (trapezoid, a_0 = 0 folded in)
-            a_T = cum[:, -1].copy()
-
-            cum *= beta
-            cum += 1.0
-            np.divide(w, cum, out=w)
-            w *= x0  # now theta at nodes 1..S
-            th_T = w[:, -1].copy()
+            a_T = (cum[:, -1] - 0.5 * e_T + 0.5) * dt
+            if beta != 0.0:
+                cum -= 0.5 * w
+                cum += 0.5
+                cum *= dt  # now the running a_t (trapezoid, a_0 = 0 folded in)
+                cum *= beta
+                cum += 1.0
+                np.divide(w, cum, out=w)
+            if x0 != 1.0:
+                w *= x0
+            th_T = w[:, -1].copy()  # w is now theta at nodes 1..S
             th_sum = w.sum(axis=1)
-            thth_sum = np.einsum("ij,ij->i", w, w)
+            # at beta = 0 and x0 = 1, theta is e^{B + mu t} itself
+            thth_sum = ee_sum if beta == 0.0 and x0 == 1.0 else np.einsum("ij,ij->i", w, w)
 
             sl = slice(lo + c0, lo + c1)
             out.theta[sl] = th_T
@@ -373,8 +371,8 @@ def simulate_exp_terminal(params, rate, dt, n, seed, threads=1):
     which release the interpreter lock, so worker threads run
     concurrently.
     """
-    _require_positive("rate", rate)
-    _require_positive("dt", dt)
+    require_positive("rate", rate)
+    require_positive("dt", dt)
     if n < 1:
         raise DomainError("n must be >= 1")
     sqdt = math.sqrt(dt)
@@ -450,7 +448,7 @@ def girsanov_weight_batch(stats, gamma, params):
 
 
 def _girsanov_weight(theta_T, int_theta, int_theta_sq, gamma, params):
-    _require_positive("gamma", gamma)
+    require_positive("gamma", gamma)
     quad = gamma * params.beta / params.x0 + 0.5 * gamma * gamma
     return np.exp(
         -gamma * (theta_T - params.x0)
@@ -462,7 +460,7 @@ def _girsanov_weight(theta_T, int_theta, int_theta_sq, gamma, params):
 def girsanov_weight_bound(gamma, params, t_end):
     """Deterministic upper bound exp(gamma x0 + (gamma(mu+1/2))^2 T / (4 c)),
     c = gamma beta/x0 + gamma^2/2 (maximize the integrand in theta)."""
-    _require_positive("gamma", gamma)
+    require_positive("gamma", gamma)
     c = gamma * params.beta / params.x0 + 0.5 * gamma * gamma
     return math.exp(gamma * params.x0 + (gamma * (params.mu + 0.5)) ** 2 * t_end / (4.0 * c))
 
@@ -476,7 +474,7 @@ def sample_besq0(x_start, s, rng):
     Poisson(x/(2s)) mixture of Gamma variables: N = 0 gives the absorbed
     state 0, otherwise 2s * Gamma(N, 1).  Broadcasts over x_start.
     """
-    _require_positive("s", s)
+    require_positive("s", s)
     x = np.asarray(x_start, dtype=float)
     if not np.all(x >= 0):
         raise DomainError("x_start must be >= 0")
@@ -487,7 +485,7 @@ def sample_besq0(x_start, s, rng):
 
 def sample_exp_time(rate, rng, size=None):
     """Inverse-CDF exponential horizon(s) with the given rate."""
-    _require_positive("rate", rate)
+    require_positive("rate", rate)
     u = rng.random(size)
     return -np.log1p(-u) / rate
 
@@ -510,8 +508,8 @@ def laplace_mc_besq(lam, params, t, n, seed, threads=1):
         raise DomainError("squared-Bessel route is stated for x0 = 1")
     # lam = 0 is the absorbed boundary: the Bessel draw is identically
     # 0 and the kernel identically 1, matching E e^{-0 theta} = 1
-    _require_nonnegative("lam", lam)
-    _require_positive("t", t)
+    require_nonnegative("lam", lam)
+    require_positive("t", t)
     h = 0.25 * t
     sqh = math.sqrt(h)
     vals = np.empty(n)
@@ -544,7 +542,7 @@ def laplace_mc_gbm(lam, params, t, n, seed, n_steps=None, threads=1):
     paired test test_laplace_step_bias_paired bounds that step's bias by
     a tenth of this route's standard error at n = 1e5.
     """
-    _require_nonnegative("lam", lam)
+    require_nonnegative("lam", lam)
     if params.coupled:
         lam_eff = lam * params.x0
         beta_eff = params.x0
@@ -572,7 +570,7 @@ def laplace_mc_direct(lam, params, t, n, seed, n_steps=None, threads=1):
     paired test test_laplace_step_bias_paired bounds that step's bias by
     a tenth of this route's standard error at n = 1e5.
     """
-    _require_nonnegative("lam", lam)
+    require_nonnegative("lam", lam)
     stats = simulate_terminal_batch(params, laplace_grid(t, n_steps), n, seed, threads=threads)
     return McEstimate.from_samples(np.exp(-lam * stats.theta))
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_positive
 
 # Overflow guard for the I_nu ascending series: I_nu(x) ~ e^x/sqrt(2 pi x),
 # safely representable up to x ~ 700; we stop well short of that.
@@ -55,8 +55,7 @@ class BesselOrder:
     @classmethod
     def from_rate(cls, lam):
         """Order sqrt(2*lam + 1/4) attached to an exponential rate lam > 0."""
-        if lam <= 0:
-            raise DomainError("rate must be positive")
+        require_positive("rate", lam)
         return cls(math.sqrt(2.0 * lam + 0.25))
 
 

@@ -208,10 +208,12 @@ def test_laplace_default_besq_agrees_with_direct(capsys):
     ["laplace", "--t", "nan"],
     ["laplace", "--lambda", "nan"],
     ["simulate", "--dt", "nan"],
+    ["density", "--kind", "exact-half", "--x", "1", "--t", "nan"],
+    ["density", "--kind", "general-mc", "--gamma", "nan"],
 ])
 def test_nan_input_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    extra = ["--output", str(out)] if argv[0] == "simulate" else []
+    extra = ["--output", str(out)] if argv[0] in ("simulate", "density") else []
     assert main(argv + extra + ["--n", "100", "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

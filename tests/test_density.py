@@ -20,6 +20,7 @@ import pytest
 from verhulst.density import (
     DensityCurve,
     MyorEval,
+    _theta_log_interp,
     _tilt_kernels,
     curve_exact_half,
     curve_exp_time,
@@ -47,7 +48,7 @@ from verhulst.simulate import (
     simulate_exp_terminal,
     simulate_terminal_batch,
 )
-from verhulst.specfun import DEFAULT_QUAD, _panels
+from verhulst.specfun import DEFAULT_QUAD, _panels, hartman_watson_theta_grid
 
 # Frozen from mpmath at dps=30: 2 lam e^{x-z} sqrt(x/z^3) I_nu(min) K_nu(max),
 # nu = sqrt(2 lam + 1/4).
@@ -489,6 +490,67 @@ def test_general_mc_domain():
         density_general_mc(1.0, 0.0, 0.5, 1.0, 100, seed=1)  # t < 4*t_min_theta
     with pytest.raises(DomainError):
         density_general_mc(1.0, 0.0, 1.0, -1.0, 100, seed=1)
+
+
+_NAN, _INF = math.nan, math.inf
+_NON_FINITE = {
+    "quad t=nan": lambda: density_general_quad(1.0, 0.0, _NAN, 1.0),
+    "quad x=nan": lambda: density_general_quad(1.0, 0.0, 1.0, _NAN),
+    "quad mu=nan": lambda: density_general_quad(1.0, _NAN, 1.0, 1.0),
+    "quad gamma=inf": lambda: density_general_quad(_INF, 0.0, 1.0, 1.0),
+    "exact_half w=nan": lambda: density_exact_half(1.0, 1.0, _NAN),
+    "exact_half t=nan": lambda: density_exact_half(1.0, _NAN, 1.0),
+    "exact_half w=inf": lambda: density_exact_half(1.0, 1.0, _INF),
+    "exact_half x=inf": lambda: density_exact_half(_INF, 1.0, 1.0),
+    "curve_exact_half t=nan": lambda: curve_exact_half(1.0, _NAN, n_points=10),
+    "general_mc x=nan": lambda: curve_general_mc(1.0, 0.0, 1.0, [0.5, _NAN], 100, seed=1),
+    "general_mc x=inf": lambda: curve_general_mc(1.0, 0.0, 1.0, [0.5, _INF], 100, seed=1),
+    "general_mc t=inf": lambda: density_general_mc(1.0, 0.0, _INF, 1.0, 100, seed=1),
+    "general_mc gamma=nan": lambda: density_general_mc(_NAN, 0.0, 1.0, 1.0, 100, seed=1),
+    "exp_time z=nan": lambda: density_exp_time(1.0, 1.0, _NAN),
+    "exp_time lam=nan": lambda: density_exp_time(1.0, _NAN, 1.0),
+    "lognormal t=nan": lambda: lognormal_density(0.0, _NAN, 1.0),
+    "myor v=nan": lambda: MyorEval(mu=0.0, t=1.0, v=_NAN, x=0.0, lam=1.0),
+    "psi t=nan": lambda: myor_psi(0.0, _NAN, 1.0, 0.0),
+    "psi v=nan": lambda: myor_psi_profile(0.0, 1.0, [1.0, _NAN], 0.0),
+    "h_kernel x=nan": lambda: h_kernel(1.0, 0.0, 1.0, 1.0, _NAN),
+}
+
+
+@pytest.mark.parametrize("call", _NON_FINITE.values(), ids=_NON_FINITE.keys())
+def test_non_finite_inputs_refused(call):
+    # NaN passes every `x <= 0` guard; each input must be refused by name,
+    # not turned into 0, NaN, a Python ValueError or a later complaint
+    with pytest.raises(DomainError, match="must be finite"):
+        call()
+
+
+@pytest.mark.parametrize("table", ["theta", "jagged"])
+def test_theta_log_interp_equals_np_interp(table, monkeypatch):
+    # the smooth Theta table hides a lookup in the neighbouring panel, or a
+    # missing end clamp, below the last bit; a jagged table shows both
+    r_lo, r_hi, tau, n = 0.02, 300.0, 0.25, 2000
+    grid = np.geomspace(r_lo, r_hi, n)
+    if table == "theta":
+        vals, _ = hartman_watson_theta_grid(grid, tau, DEFAULT_QUAD, with_floor=True)
+    else:
+        vals = np.exp(3.0 * np.random.default_rng(0).standard_normal(n))
+        monkeypatch.setattr("verhulst.density.hartman_watson_theta_grid",
+                            lambda *_, **__: (vals, np.ones(n, dtype=bool)))
+    interp, _ = _theta_log_interp(r_lo, r_hi, tau, DEFAULT_QUAD, n)
+    lg = np.log(grid)
+    logs = np.log(np.maximum(vals, 1e-300))
+    rng = np.random.default_rng(4)
+    L = np.concatenate([
+        rng.uniform(np.log(r_lo), np.log(r_hi), 100_000),
+        # every node, its neighbours on both sides, and both ends
+        lg, np.nextafter(lg, -np.inf), np.nextafter(lg, np.inf),
+        # outside the table
+        [np.log(r_lo) - 1.0, np.log(r_hi) + 1.0, -745.0, 710.0, -np.inf, np.inf],
+    ])
+    got, ref = interp(L), np.interp(L, lg, logs)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert np.isnan(interp(np.array([np.nan]))).all()
 
 
 # --- moment identity -----------------------------------------------------------

@@ -64,6 +64,13 @@ def test_time_grid():
         TimeGrid(0.0, 4)
     with pytest.raises(DomainError):
         TimeGrid(1.0, 0)
+    # the step count is an integer: Python's or numpy's
+    assert TimeGrid(1.0, np.int64(4)).dt == 0.25
+    for bad in (math.nan, 2.5, 4.0, "4"):
+        with pytest.raises(DomainError, match="n_steps must be an integer"):
+            TimeGrid(1.0, bad)
+    with pytest.raises(DomainError, match="n_steps must be an integer"):
+        laplace_mc_direct(1.0, _P, 1.0, 10, seed=1, n_steps=2.5)
     assert TimeGrid.with_step(1.0, 0.3) == TimeGrid(1.0, 3)
     assert TimeGrid.with_step(0.004, 0.01) == TimeGrid(0.004, 1)
 
@@ -180,7 +187,8 @@ def test_batch_thread_count_invariance():
 
 def _terminal_batch_whole_block(params, grid, n, seed):
     """Reference: the batch sampler with each block's (paths x steps)
-    matrices built whole."""
+    matrices built whole, and the full path at every beta: each pass of
+    the running a_t, then the divide."""
     S, dt = grid.n_steps, grid.dt
     sqdt = math.sqrt(dt)
     mu, beta, x0 = params.mu, params.beta, params.x0
@@ -225,9 +233,14 @@ def _terminal_batch_whole_block(params, grid, n, seed):
     ModelParams(mu=0.3, beta=0.0),
     ModelParams.coupled_start(2.0),
     ModelParams(mu=1.0, beta=0.5, x0=0.7),
+    # beta = 0 skips the running a_t; at x0 = 1 it also skips theta's products
+    ModelParams(mu=0.3, beta=0.0, x0=2.5),
+    ModelParams(mu=0.0, beta=0.8),
 ])
 @pytest.mark.parametrize("n_steps, n", [
     *((s, n) for s in (1, 7, 1000) for n in (1, 5, 2 * BLOCK_PATHS + 3)),
+    # two chunks, the second with the block's lone last path
+    (300, 2 * (_BATCH_CHUNK_ELEMS // 300) + 1),
     # one path per element budget: a lone path's row sums would differ
     # from the whole block's, so the sampler must never run one alone
     (_BATCH_CHUNK_ELEMS + 1, 3),
