@@ -4,7 +4,7 @@ Verhulst process theta_t = x0 e^{B_t + mu t} / (1 + beta \\int_0^t e^{B_s + mu s
 
 from .density import (
     DensityCurve,
-    MyorEval,
+    conditional_laplace,
     curve_exact_half,
     curve_exp_time,
     curve_general_mc,
@@ -15,11 +15,8 @@ from .density import (
     density_general_mc,
     density_general_quad,
     exp_time_total_mass,
-    h_kernel,
     lognormal_density,
     moment_exp_int_theta,
-    myor_conditional_laplace,
-    myor_psi,
     myor_psi_profile,
     write_density_csv,
 )
@@ -31,15 +28,12 @@ from .simulate import (
     TerminalStats,
     TimeGrid,
     dump_path_csv,
-    girsanov_weight,
     girsanov_weight_batch,
-    girsanov_weight_bound,
     laplace_mc_besq,
     laplace_mc_direct,
     laplace_mc_gbm,
     simulate_exp_terminal,
     simulate_functional,
-    simulate_sde_euler,
     simulate_terminal_batch,
 )
 from .specfun import (

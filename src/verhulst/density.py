@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, require_positive
+from .errors import DomainError, require_positive
 from .simulate import McEstimate, ModelParams, TimeGrid, simulate_terminal_batch
 from .specfun import (
     DEFAULT_QUAD,
@@ -24,8 +24,6 @@ from .specfun import (
     log_panel_integral,
     log_panels,
 )
-
-PSI_FLOOR = 1e-12
 
 
 @dataclass
@@ -68,24 +66,6 @@ def write_density_csv(curve, fh):
     fh.write("x,density\n")
     for a, v in zip(curve.abscissae, curve.values):
         fh.write(f"{a:.17g},{v:.17g}\n")
-
-
-@dataclass(frozen=True)
-class MyorEval:
-    """Evaluation point for the conditional Laplace transform: the law of
-    the time-t integrated exponential at v, conditioned on log-endpoint x,
-    transformed at rate lam."""
-
-    mu: float
-    t: float
-    v: float
-    x: float
-    lam: float
-
-    def __post_init__(self):
-        require_positive("t", self.t)
-        require_positive("v", self.v)
-        require_positive("lam", self.lam)
 
 
 def lognormal_density(mu, t, x):
@@ -196,12 +176,6 @@ def exp_time_total_mass(x_start, lam, cfg=DEFAULT_QUAD):
     return log_panel_integral(lambda zi: density_exp_time(x, lam, zi, cfg), lo, hi, x)
 
 
-def myor_psi(mu, t, v, x, cfg=DEFAULT_QUAD):
-    """Joint density at (v, x) of the time-t integrated drift-mu GBM and its
-    terminal log: myor_psi_profile at the one point v."""
-    return float(myor_psi_profile(mu, t, [v], x, cfg)[0])
-
-
 def myor_psi_profile(mu, t, vs, x, cfg=DEFAULT_QUAD):
     """Joint density at (v, x) of the time-t integrated drift-mu GBM and its
     terminal log, along an array of v at fixed x.
@@ -210,7 +184,7 @@ def myor_psi_profile(mu, t, vs, x, cfg=DEFAULT_QUAD):
     absorbs Theta's e^{-r} at r = 4 e^{x/2}/v, leaving the e^{r}-scaled
     Theta(r, t/4), which grows only algebraically in r.  The whole array
     shares one Theta node set.  Where that is a point's own node set, the
-    value equals the point's alone (myor_psi) exactly; otherwise the
+    value equals the one-point profile at that v exactly; otherwise the
     shared set only adds tail panels past the point's own cut, below
     abs_tol * z_cut_factor on the e^{r} scale, or refines the panels when
     a small v (large r) needs a width below the half-period t/4.
@@ -268,47 +242,64 @@ def _coth_remainder(s):
     return out
 
 
-def myor_conditional_laplace(ev, cfg=DEFAULT_QUAD):
-    """E[exp(-lam * integral) | integrated GBM = v, log endpoint = x], a
-    value in (0, 1].
+def conditional_laplace(lam, t, v, log_theta, r_rel):
+    """The conditional Laplace transform E[exp(-(lam^2/2) A_t) | a_t = v,
+    e^{B_t + mu t} = x] in log form along an array of v, with A_t the
+    time integral of e^{2(B_s + mu s)}.
 
-    Grouped so the only exponential is exp(r0 - phi - lam (1+e^x) (coth s
-    - 1/s)) with s = lam v / 2, phi = r0 s/sinh s, which is <= 0 for all
-    arguments (1 + e^x >= 2 e^{x/2} and s coth(s/2) >= 2); the two Theta
-    factors enter as an e^{r}-scaled ratio on shared quadrature nodes.
-    Refuses points where the conditioning density is below PSI_FLOOR, and
-    points whose Theta arguments fall below the quadrature trust edge
-    (out there the ratio of two error-floor readings carries no
-    information).
+    Returns at(x) -> (log transform, log Theta~(r0, t/4)), r0 = 4 sqrt(x)/v:
+    the second array is the Theta factor of psi(v, ln x).  x is the
+    endpoint itself, not its log as in myor_psi_profile, and given it the
+    law does not depend on mu.  log_theta maps log r to
+    log Theta~(r, t/4), Theta~ = e^{r} Theta as hartman_watson_theta_grid
+    returns it; r_rel is its trust edge, 0 for an exact Theta.  The
+    factors of s = lam v/2 depend on the draws only and are formed here
+    once; at(x) does the work of one endpoint.
+
+    Grouped so the only exponential is exp(r0 - phi - lam (1+x) (coth s
+    - 1/s)) with phi = r0 s/sinh s, which is <= 0 for all arguments
+    (1 + x >= 2 sqrt(x) and s coth(s/2) >= 2); the two Theta factors
+    enter as the difference of their e^{r}-scaled logs.
+
+    Theta values below r_rel never enter log-scale arithmetic directly.
+    When r0 (and so phi) is below min(r_rel, 0.9), the log-ratio is
+    taken from the leading small-argument form ln Theta~ ~ -(ln 1/r)^2
+    / (2 t/4), whose difference vanishes as the two arguments coalesce
+    -- this keeps the lam -> 0 limit exact.  Any other transform with
+    an argument below r_rel is zero beyond all orders (-inf), and so is
+    log Theta~(r0) wherever r0 < r_rel.
     """
-    psi = myor_psi(ev.mu, ev.t, ev.v, ev.x, cfg)
-    if psi < PSI_FLOOR:
-        raise DomainError(
-            f"conditioning density {psi:g} below {PSI_FLOOR:g}: "
-            "point outside effective support"
-        )
-    s = 0.5 * ev.lam * ev.v
-    ssr = float(_sinh_ratio(s))
-    rem = float(_coth_remainder(s))
-    r0 = 4.0 * math.exp(0.5 * ev.x) / ev.v
-    phi = r0 * ssr
-    expo = (r0 - phi) - ev.lam * (1.0 + math.exp(ev.x)) * rem
-    vals, trusted = hartman_watson_theta_grid(
-        np.array([phi, r0]), 0.25 * ev.t, cfg, with_floor=True
-    )
-    if not trusted.all():
-        raise ConvergenceError(
-            "Theta ratio below quadrature trust edge at this (v, x, lam)"
-        )
-    return min(ssr * math.exp(expo) * vals[0] / vals[1], 1.0)
+    require_positive("lam", lam)
+    require_positive("t", t)
+    v = np.asarray(v, dtype=float)
+    if not np.all((v > 0) & (v < math.inf)):
+        raise DomainError("v must be finite and > 0")
+    tau = 0.25 * t
+    s = 0.5 * lam * v
+    ssr = _sinh_ratio(s)
+    rem = _coth_remainder(s)
+    lssr = np.log(ssr)
 
+    def at(x):
+        require_positive("x", x)
+        r0 = 4.0 * math.sqrt(x) / v
+        phi = r0 * ssr
+        lr0 = np.log(r0)
+        log_theta_r0 = log_theta(lr0)
+        delta = log_theta(np.log(phi)) - log_theta_r0
+        if r_rel > 0.0:
+            lphi = lr0 + lssr
+            paired = r0 < min(r_rel, 0.9)
+            delta = np.where(paired, (lr0 * lr0 - lphi * lphi) / (2.0 * tau), delta)
+        # a conditional Laplace transform at lam > 0 cannot exceed one
+        log_cond = np.minimum(lssr + (r0 - phi) - lam * (1.0 + x) * rem + delta, 0.0)
+        if r_rel > 0.0:
+            low = r0 < r_rel
+            log_cond = np.where(~paired & (low | (phi < r_rel)), -np.inf, log_cond)
+            log_theta_r0 = np.where(low, -np.inf, log_theta_r0)
+        return log_cond, log_theta_r0
 
-def h_kernel(gamma, mu, t, y, x, cfg=DEFAULT_QUAD):
-    """Tilt kernel e^{gamma (mu + 1/2) y} times the conditional Laplace
-    transform at (v = y, log endpoint = ln x, rate gamma)."""
-    require_positive("x", x)
-    ev = MyorEval(mu=mu, t=t, v=y, x=math.log(x), lam=gamma)
-    return math.exp(gamma * (mu + 0.5) * y) * myor_conditional_laplace(ev, cfg)
+    return at
 
 
 def moment_exp_int_theta(params, t):
@@ -414,20 +405,14 @@ def _tilt_kernels(gamma, mu, t, xs, n, seed, cfg, threads=1):
 
     Draws (v_i, b_i) = (integrated GBM, terminal log) from one drift-mu
     run and yields, for each x in xs, (pref, h, logw): the tilt kernel
-    h_i = H(v_i, x) with its x-only prefactor pref split off, and the
-    self-normalized importance log-weights psi(v_i, ln x) N(b_i) /
-    psi(v_i, b_i) (up to a constant) that move the draws to the
-    conditional law given b = ln x.  All Theta factors go through one
-    dense log-r interpolant shared by every x.
-
-    Theta evaluations below the interpolant's trust edge never enter
-    log-scale arithmetic directly.  A kernel whose numerator argument
-    alone is below the edge is zero beyond all orders; when both
-    arguments are below it, their log-ratio is taken from the leading
-    small-argument form ln Theta~ ~ -(ln 1/r)^2/(2 tau), whose difference
-    vanishes as the two arguments coalesce -- this keeps the gamma -> 0
-    limit exact.  Weights at an untrusted argument are zeroed outright:
-    the dropped target mass is beyond all orders.
+    h_i = e^{gamma (mu + 1/2) v_i} times conditional_laplace at (v_i, x),
+    with its x-only prefactor pref split off, and the self-normalized
+    importance log-weights psi(v_i, ln x) N(b_i) / psi(v_i, b_i) (up to
+    a constant) that move the draws to the conditional law given
+    b = ln x.  All Theta factors go through one dense log-r interpolant
+    shared by every x.  Weights at an argument below the interpolant's
+    trust edge are zeroed outright: the dropped target mass is beyond
+    all orders.
     """
     require_positive("gamma", gamma)
     if not (math.isfinite(t) and t >= 4.0 * cfg.t_min_theta):
@@ -441,48 +426,32 @@ def _tilt_kernels(gamma, mu, t, xs, n, seed, cfg, threads=1):
     )
     v = stats.a
     b = stats.bmd
-    tau = 0.25 * t
-
-    s = 0.5 * gamma * v
-    ssr = _sinh_ratio(s)
-    rem = _coth_remainder(s)
     eb = np.exp(0.5 * b)
     rb = 4.0 * eb / v
 
+    # the interpolant must reach the smallest phi = r0 s/sinh s, so its
+    # range takes s/sinh s before the kernel that forms it again exists
     sx = np.sqrt(xs)
+    ssr = _sinh_ratio(0.5 * gamma * v)
     r_lo = 0.9 * min(4.0 * sx.min() * (ssr / v).min(), rb.min())
     r_hi = 1.1 * max(4.0 * sx.max() / v.min(), rb.max())
-    interp, r_rel = _theta_log_interp(r_lo, r_hi, tau, cfg)
+    interp, r_rel = _theta_log_interp(r_lo, r_hi, 0.25 * t, cfg)
+    cond = conditional_laplace(gamma, t, v, interp, r_rel)
 
     log_theta_rb = interp(np.log(rb))
     psi_b_core = mu * b - 2.0 * (1.0 + eb) ** 2 / v + log_theta_rb
     log_norm_b = -((b - mu * t) ** 2) / (2.0 * t) - 0.5 * math.log(2.0 * math.pi * t)
     rb_ok = rb >= r_rel
-    lssr = np.log(ssr)
+    tilt = gamma * (mu + 0.5) * v
 
     for k, x_val in enumerate(xs):
-        r0 = 4.0 * sx[k] / v
-        phi = r0 * ssr
-        lr0 = np.log(r0)
-        log_theta_r0 = interp(lr0)
-        delta = interp(np.log(phi)) - log_theta_r0
-        dead = np.zeros(r0.shape, dtype=bool)
-        if r_rel > 0.0:
-            lphi = lr0 + lssr
-            paired = r0 < min(r_rel, 0.9)
-            delta = np.where(paired, (lr0 * lr0 - lphi * lphi) / (2.0 * tau), delta)
-            dead = ~paired & ((r0 < r_rel) | (phi < r_rel))
-        # a conditional Laplace transform at gamma > 0 cannot exceed one
-        log_cond = np.minimum(
-            lssr + (r0 - phi) - gamma * (1.0 + x_val) * rem + delta, 0.0
-        )
-        log_h = np.where(dead, -np.inf, gamma * (mu + 0.5) * v + log_cond)
-        h = np.exp(log_h)
+        log_cond, log_theta_r0 = cond(x_val)
+        h = np.exp(tilt + log_cond)
         pref = lognormal_density(mu, t, x_val) * math.exp(-gamma * (x_val - 1.0))
 
         lnx = math.log(x_val)
         logw = np.where(
-            (r0 >= r_rel) & rb_ok,
+            rb_ok,
             mu * lnx
             - 2.0 * (1.0 + sx[k]) ** 2 / v
             + log_theta_r0

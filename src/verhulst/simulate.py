@@ -1,10 +1,9 @@
 """Monte Carlo oracles for the Verhulst process.
 
 Exact pathwise simulation of theta_t = x0 e^{B_t+mu t} / (1 + beta a_t)
-with its integral bookkeeping, an Euler-Maruyama witness for the SDE
-form, exact squared-Bessel(dim 0) sampling, the pathwise change-of-
-measure weight, and three independent Monte Carlo routes to the Laplace
-transform E e^{-lambda theta_t}.
+with its integral bookkeeping, exact squared-Bessel(dim 0) sampling, the
+pathwise change-of-measure weight over a batch, and three independent
+Monte Carlo routes to the Laplace transform E e^{-lambda theta_t}.
 
 Reproducibility contract: replicates are organized in fixed blocks of
 BLOCK_PATHS paths; block b draws from Philox seeded with the pair
@@ -15,7 +14,7 @@ worker threads.
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +22,6 @@ from .errors import DomainError, require_nonnegative, require_positive
 from .specfun import laplace_kernel_F
 
 BLOCK_PATHS = 4096
-
-# reflection floor for the Euler guard, as a fraction of the start value
-EULER_FLOOR_FRAC = 1e-12
 
 # default time step of laplace_grid.  On paired paths the stepped
 # routes' trapezoid bias at dt = 0.01 against dt = 1e-3 stays under a
@@ -132,8 +128,7 @@ class PathSample:
     """One path on a TimeGrid with its terminal integral bookkeeping.
 
     theta and bmd (= B_t + mu t) are node arrays; the four integrals are
-    terminal trapezoid values.  n_clamped counts Euler positivity-guard
-    events (always 0 for the exact functional simulator).
+    terminal trapezoid values.
     """
 
     grid: TimeGrid
@@ -143,7 +138,6 @@ class PathSample:
     int_theta_sq: float
     a_T: float
     A_T: float
-    n_clamped: int = 0
 
     def running_integrals(self):
         """Cumulative trapezoid series (int theta, int theta^2, a_t, A_t)."""
@@ -195,14 +189,15 @@ def _trapezoid(v, dt):
     return float(dt * (v.sum() - 0.5 * (v[0] + v[-1])))
 
 
-def _increments(grid, seed):
-    """Brownian increments over grid from the stream of (seed, block 0),
-    so path 0 of a batch run with the same seed sees the same ones."""
-    return _block_rng(seed, 0).standard_normal((1, grid.n_steps))[0] * math.sqrt(grid.dt)
+def simulate_functional(params, grid, seed):
+    """Exact-in-distribution path of the functional at the grid nodes.
 
-
-def _path_from_increments(params, grid, g):
+    Gaussian increments are exact; only the running integrals carry
+    trapezoid bias.  Uses the stream of (seed, block 0), so path 0 of a
+    batch run with the same seed sees the same increments.
+    """
     dt = grid.dt
+    g = _block_rng(seed, 0).standard_normal((1, grid.n_steps))[0] * math.sqrt(dt)
     bmd = np.empty(grid.n_steps + 1)
     bmd[0] = 0.0
     np.cumsum(g, out=bmd[1:])
@@ -218,50 +213,6 @@ def _path_from_increments(params, grid, g):
         int_theta_sq=_trapezoid(theta**2, dt),
         a_T=float(a[-1]),
         A_T=_trapezoid(e * e, dt),
-    )
-
-
-def simulate_functional(params, grid, seed):
-    """Exact-in-distribution path of the functional at the grid nodes.
-
-    Gaussian increments are exact; only the running integrals carry
-    trapezoid bias.  Uses the stream of (seed, block 0), so path 0 of a
-    batch run with the same seed sees the same increments.
-    """
-    return _path_from_increments(params, grid, _increments(grid, seed))
-
-
-def simulate_sde_euler(params, grid, seed):
-    """Euler-Maruyama path of d theta = theta dB + ((mu+1/2) theta - (beta/x0) theta^2) dt.
-
-    Shares Brownian increments with simulate_functional at the same
-    seed.  Steps driven to theta <= 0 are reflected to a small positive
-    floor and counted in n_clamped; the exact simulator is the primary
-    oracle, this one is a consistency witness.
-    """
-    dt = grid.dt
-    g = _increments(grid, seed)
-    mu, x0 = params.mu, params.x0
-    quad = params.beta / x0
-    floor = EULER_FLOOR_FRAC * x0
-
-    theta = np.empty(grid.n_steps + 1)
-    theta[0] = x0
-    clamped = 0
-    for i in range(grid.n_steps):
-        th = theta[i]
-        nxt = th + th * g[i] + ((mu + 0.5) * th - quad * th * th) * dt
-        if nxt <= 0.0:
-            nxt = floor
-            clamped += 1
-        theta[i + 1] = nxt
-
-    return replace(
-        _path_from_increments(params, grid, g),
-        theta=theta,
-        int_theta=_trapezoid(theta, dt),
-        int_theta_sq=_trapezoid(theta**2, dt),
-        n_clamped=clamped,
     )
 
 
@@ -430,39 +381,22 @@ def simulate_exp_terminal(params, rate, dt, n, seed, threads=1):
 # --- change of measure ------------------------------------------------------
 
 
-def girsanov_weight(path, gamma, params):
+def girsanov_weight_batch(stats, gamma, params):
     """Pathwise weight M_T = exp(-gamma (theta_T - x0) + gamma (mu+1/2) int theta
-    - (gamma beta/x0 + gamma^2/2) int theta^2).
+    - (gamma beta/x0 + gamma^2/2) int theta^2) of every path of a
+    TerminalStats batch.
 
     Stochastic-integral-free form: substituting the SDE for theta dB
     turns the exponential martingale of -gamma theta into this
     expression in the path's own integrals.  Expectation 1.
     """
-    theta_T = path.theta[-1]
-    return float(_girsanov_weight(theta_T, path.int_theta, path.int_theta_sq, gamma, params))
-
-
-def girsanov_weight_batch(stats, gamma, params):
-    """Vectorized girsanov_weight over a TerminalStats batch."""
-    return _girsanov_weight(stats.theta, stats.int_theta, stats.int_theta_sq, gamma, params)
-
-
-def _girsanov_weight(theta_T, int_theta, int_theta_sq, gamma, params):
     require_positive("gamma", gamma)
     quad = gamma * params.beta / params.x0 + 0.5 * gamma * gamma
     return np.exp(
-        -gamma * (theta_T - params.x0)
-        + gamma * (params.mu + 0.5) * int_theta
-        - quad * int_theta_sq
+        -gamma * (stats.theta - params.x0)
+        + gamma * (params.mu + 0.5) * stats.int_theta
+        - quad * stats.int_theta_sq
     )
-
-
-def girsanov_weight_bound(gamma, params, t_end):
-    """Deterministic upper bound exp(gamma x0 + (gamma(mu+1/2))^2 T / (4 c)),
-    c = gamma beta/x0 + gamma^2/2 (maximize the integrand in theta)."""
-    require_positive("gamma", gamma)
-    c = gamma * params.beta / params.x0 + 0.5 * gamma * gamma
-    return math.exp(gamma * params.x0 + (gamma * (params.mu + 0.5)) ** 2 * t_end / (4.0 * c))
 
 
 # --- elementary samplers ----------------------------------------------------

@@ -29,7 +29,7 @@ from .density import (
     exp_time_total_mass,
     moment_exp_int_theta,
 )
-from .errors import DomainError
+from .errors import DomainError, require_nonnegative, require_positive
 from .simulate import (
     McEstimate,
     ModelParams,
@@ -149,6 +149,8 @@ def ks_distance(samples, cdf):
     s = np.asarray(samples, dtype=float)
     if s.size == 0:
         raise DomainError("ks_distance needs a nonempty sample")
+    if not np.all(np.isfinite(s)):
+        raise DomainError("samples must be finite")
     if np.any(np.diff(s) < 0.0):
         raise DomainError("ks_distance needs sorted samples")
     f = np.asarray(cdf(s), dtype=float)
@@ -181,7 +183,7 @@ def _bessel_i_scaled_asym(nu, a):
     return s / np.sqrt(2.0 * np.pi * a)
 
 
-def _bessel_product_quad(nu, x, w, cfg=DEFAULT_QUAD):
+def _bessel_product_quad(nu, x, w):
     """(1/2) integral_0^inf e^{-z/2-(x^2+w^2)/(2z)} I_nu(xw/z) dz/z.
 
     Log-z panels; where the Bessel argument exceeds 120 the integrand is
@@ -191,7 +193,7 @@ def _bessel_product_quad(nu, x, w, cfg=DEFAULT_QUAD):
     """
     p = x * w
     d = abs(x - w)
-    L = -math.log(cfg.abs_tol) + 14.0
+    L = -math.log(DEFAULT_QUAD.abs_tol) + 14.0
     z_hi = 2.0 * L
     z_lo = max(d * d / (2.0 * L), 2.0 * math.pi * p * 2.5e-21)
     z, wts = log_panels(math.log(z_lo), math.log(z_hi), 2.5, 8)
@@ -202,23 +204,20 @@ def _bessel_product_quad(nu, x, w, cfg=DEFAULT_QUAD):
         lf = -0.5 * z[big] - d * d / (2.0 * z[big]) + np.log(_bessel_i_scaled_asym(nu, a[big]))
         vals[big] = np.exp(lf)
     for i in np.nonzero(~big)[0]:
-        vals[i] = math.exp(-0.5 * z[i] - (x * x + w * w) / (2.0 * z[i])) * bessel_i(
-            nu, a[i], cfg
-        )
+        vals[i] = math.exp(-0.5 * z[i] - (x * x + w * w) / (2.0 * z[i])) * bessel_i(nu, a[i])
     return 0.5 * float(np.dot(wts, vals))
 
 
-def bessel_identity_check(
-    cfg=DEFAULT_QUAD, args=(0.5, 1.0, 2.0, 3.0), orders=(0.6, 1.0, 2.0)
-):
+def bessel_identity_check():
     """I_nu(min)K_nu(max) vs its half-line integral form, max rel error."""
+    args, orders = (0.5, 1.0, 2.0, 3.0), (0.6, 1.0, 2.0)
     worst = -1.0
     at = None
     for nu in orders:
         for x in args:
             for w in args:
-                ref = bessel_product_F(nu, x, w, cfg)
-                quad = _bessel_product_quad(nu, x, w, cfg)
+                ref = bessel_product_F(nu, x, w)
+                quad = _bessel_product_quad(nu, x, w)
                 rel = abs(quad - ref) / ref
                 if rel > worst:
                     worst, at = rel, (nu, x, w)
@@ -231,22 +230,21 @@ def bessel_identity_check(
     )
 
 
-def hartman_watson_identity_check(
-    cfg=DEFAULT_QUAD, rs=(0.5, 1.0, 2.0, 3.0), orders=(0.6, 1.0, 2.0)
-):
+def hartman_watson_identity_check():
     """integral e^{-nu^2 t/2} Theta(r,t) dt vs I_nu(r), max rel error.
 
     The time integral reports its own completion half-width for the
     unreachable (0, t_min) head; details record the worst such bound so
     the pass is explicitly tighter than what the quadrature guarantees.
     """
+    rs, orders = (0.5, 1.0, 2.0, 3.0), (0.6, 1.0, 2.0)
     worst = -1.0
     at = None
     bound_rel = 0.0
     for nu in orders:
         for r in rs:
-            val, bound = theta_time_laplace(r, 0.5 * nu * nu, cfg)
-            ref = bessel_i(nu, r, cfg)
+            val, bound = theta_time_laplace(r, 0.5 * nu * nu)
+            ref = bessel_i(nu, r)
             rel = abs(val - ref) / ref
             bound_rel = max(bound_rel, bound / ref)
             if rel > worst:
@@ -299,14 +297,13 @@ def measure_change_test(
     """
     if params.x0 != 1.0 or params.coupled:
         raise DomainError("measure_change_test is stated for the start-1 convention")
-    if gamma < 0:
-        raise DomainError("gamma must be >= 0")
+    require_nonnegative("gamma", gamma)
     if n < 2:
         raise DomainError("need n >= 2")
     fns = tuple(test_fns) if test_fns is not None else _DEFAULT_TEST_FNS
     if not fns:
         raise DomainError("need at least one test function")
-    grid = TimeGrid(t, max(2, int(round(t / dt))))
+    grid = TimeGrid.with_step(t, dt)
     base = simulate_terminal_batch(params, grid, n, seed, threads=threads)
     shifted_params = ModelParams(mu=params.mu, beta=params.beta + gamma, x0=1.0)
     shifted = simulate_terminal_batch(shifted_params, grid, n, seed, threads=threads)
@@ -360,14 +357,16 @@ class RepresentationParams:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise DomainError("alpha must lie in [0, 1)")
-        if self.gamma <= 0:
-            raise DomainError("gamma must be > 0")
-        if self.beta < 0:
-            raise DomainError("beta must be >= 0")
+        require_positive("gamma", self.gamma)
+        require_nonnegative("beta", self.beta)
+        if not math.isfinite(self.mu):
+            raise DomainError("mu must be finite")
         scale = max(1.0, self.beta, self.gamma)
         if abs(self.beta * (1.0 - self.alpha) - self.gamma * self.alpha) > 1e-12 * scale:
             raise DomainError("need beta (1 - alpha) = gamma alpha")
-        if self.t <= 0 or self.T <= self.t:
+        require_positive("t", self.t)
+        require_positive("T", self.T)
+        if self.T <= self.t:
             raise DomainError("need 0 < t < T")
 
     @classmethod
@@ -377,7 +376,7 @@ class RepresentationParams:
         return cls(alpha=alpha, gamma=gamma, beta=gamma * alpha / (1.0 - alpha), t=t, T=T, mu=mu)
 
 
-def representation_check(rp, grid, seed, name="representation_residual"):
+def representation_check(rp, grid, seed):
     """Max node residual of B+mu t = alpha (V+mu t) + (1-alpha) ln theta,
     V_t = B_t + gamma int_0^t theta ds, along one exact path.
 
@@ -395,7 +394,7 @@ def representation_check(rp, grid, seed, name="representation_residual"):
     resid = np.abs(path.bmd - rhs)
     k = int(np.argmax(resid))
     return TestReport(
-        name=name,
+        name="representation_residual",
         statistic=float(resid[k]),
         threshold=10.0 * grid.dt,
         n_or_tolerance=f"dt={grid.dt:g}",
@@ -416,7 +415,7 @@ def _mean_representation_residual(rp, grid, seeds):
 # --- exponential-time symmetry -----------------------------------------------
 
 
-def z2_symmetry_check(lam, z_grid, cfg=DEFAULT_QUAD, threshold=1e-3, name=None):
+def z2_symmetry_check(lam, z_grid):
     """Exchange symmetry of the exponential-time law against a squared
     start average: z^2 int 2 e^{-2x} p_x(z) dx = 2 e^{-2z} int w^2 p_z(w) dw.
 
@@ -425,23 +424,22 @@ def z2_symmetry_check(lam, z_grid, cfg=DEFAULT_QUAD, threshold=1e-3, name=None):
     two quadratures (different truncations, kink on opposite sides).
     Statistic is the max relative gap over z_grid.
     """
-    if lam <= 0:
-        raise DomainError("lam must be > 0")
+    require_positive("lam", lam)
     zg = np.asarray(z_grid, dtype=float)
     if zg.size == 0 or np.any(zg <= 0):
         raise DomainError("z_grid must be positive and nonempty")
-    x_hi = 0.5 * (-math.log(cfg.abs_tol)) + 6.0
+    x_hi = 0.5 * (-math.log(DEFAULT_QUAD.abs_tol)) + 6.0
     worst = -1.0
     at = None
     for z in zg:
         lhs = z * z * log_panel_integral(
-            lambda x: 2.0 * math.exp(-2.0 * x) * density_exp_time(x, lam, z, cfg),
+            lambda x: 2.0 * math.exp(-2.0 * x) * density_exp_time(x, lam, z),
             1e-8,
             x_hi,
             kink=z,
         )
         rhs = 2.0 * math.exp(-2.0 * z) * log_panel_integral(
-            lambda w: w * w * density_exp_time(z, lam, w, cfg),
+            lambda w: w * w * density_exp_time(z, lam, w),
             1e-8,
             x_hi + z + 4.0,
             kink=z,
@@ -450,9 +448,9 @@ def z2_symmetry_check(lam, z_grid, cfg=DEFAULT_QUAD, threshold=1e-3, name=None):
         if gap > worst:
             worst, at = gap, z
     return TestReport(
-        name=name or f"z2_symmetry[lam={lam:g}]",
+        name=f"z2_symmetry[lam={lam:g}]",
         statistic=worst,
-        threshold=threshold,
+        threshold=1e-3,
         n_or_tolerance="quad",
         details=f"lam={lam:g}; worst z={at:g}; z_grid={list(zg)}",
     )

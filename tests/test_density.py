@@ -19,9 +19,9 @@ import pytest
 
 from verhulst.density import (
     DensityCurve,
-    MyorEval,
     _theta_log_interp,
     _tilt_kernels,
+    conditional_laplace,
     curve_exact_half,
     curve_exp_time,
     curve_general_mc,
@@ -32,11 +32,8 @@ from verhulst.density import (
     density_general_mc,
     density_general_quad,
     exp_time_total_mass,
-    h_kernel,
     lognormal_density,
     moment_exp_int_theta,
-    myor_conditional_laplace,
-    myor_psi,
     myor_psi_profile,
     write_density_csv,
 )
@@ -58,10 +55,20 @@ P_EXP_1_HALF_HALF = 0.63395044561728636
 # Frozen from mpmath quadrature of the scaled kernel (dps=30):
 # psi(mu=0, t=1, v=1, x=0) = e^{-8}/2 * e^{4} Theta(4, 1/4).
 PSI_0_1_1_0 = 0.54938143689263459
-# Conditional Laplace transform at (mu=0, t=1, v=1, x=0, lam=1).
+# Conditional Laplace transform at (mu=0, t=1, v=1, log endpoint 0, lam=1).
 COND_0_1_1_0_1 = 0.58677258519288161
-# h_kernel(1, 0, 1, 1, 1) = e^{1/2} * the value above.
+# Tilt kernel at (gamma=1, mu=0, t=1, v=1, endpoint 1) = e^{1/2} * the value above.
 H_1_0_1_1_1 = 0.96742444227120696
+
+
+def exact_cond(lam, t, v, x):
+    """The conditional Laplace transform at endpoint x (not its log) by
+    conditional_laplace on exact Theta with no trust edge: the formula the
+    engine runs, without its interpolant."""
+    at = conditional_laplace(
+        lam, t, v, lambda L: np.log(hartman_watson_theta_grid(np.exp(L), t / 4)), 0.0
+    )
+    return np.exp(at(x)[0])
 
 
 def ks_stat(samples, cdf_vals):
@@ -290,14 +297,15 @@ def test_mixture_rate_domain():
 
 
 def test_psi_frozen_value():
-    assert myor_psi(0.0, 1.0, 1.0, 0.0) == pytest.approx(PSI_0_1_1_0, rel=1e-6)
+    psi = myor_psi_profile(0.0, 1.0, [1.0], 0.0)[0]
+    assert psi == pytest.approx(PSI_0_1_1_0, rel=1e-6)
 
 
 def test_psi_profile_matches_scalar():
     vs = np.array([0.3, 1.0, 2.5])
     prof = myor_psi_profile(0.2, 1.0, vs, 0.5)
     for v, p in zip(vs, prof):
-        assert p == pytest.approx(myor_psi(0.2, 1.0, v, 0.5), rel=1e-12)
+        assert p == pytest.approx(myor_psi_profile(0.2, 1.0, [v], 0.5)[0], rel=1e-12)
 
 
 def test_psi_double_normalization():
@@ -335,11 +343,9 @@ def test_psi_v_marginal_ks():
 
 def test_psi_domain():
     with pytest.raises(DomainError):
-        myor_psi(0.0, 0.5, 1.0, 0.0)  # t below 4*t_min_theta
+        myor_psi_profile(0.0, 0.5, [1.0], 0.0)  # t below 4*t_min_theta
     with pytest.raises(DomainError):
-        myor_psi(0.0, 1.0, -1.0, 0.0)
-    with pytest.raises(DomainError):
-        myor_psi_profile(0.0, 0.5, np.array([1.0]), 0.0)
+        myor_psi_profile(0.0, 1.0, [-1.0], 0.0)
 
 
 # --- conditional Laplace transform -------------------------------------------
@@ -347,37 +353,27 @@ def test_psi_domain():
 
 def test_myor_eval_validation():
     with pytest.raises(DomainError):
-        MyorEval(mu=0.0, t=0.0, v=1.0, x=0.0, lam=1.0)
+        conditional_laplace(1.0, 0.0, [1.0], np.log, 0.0)
     with pytest.raises(DomainError):
-        MyorEval(mu=0.0, t=1.0, v=-1.0, x=0.0, lam=1.0)
+        conditional_laplace(1.0, 1.0, [-1.0], np.log, 0.0)
     with pytest.raises(DomainError):
-        MyorEval(mu=0.0, t=1.0, v=1.0, x=0.0, lam=0.0)
+        conditional_laplace(0.0, 1.0, [1.0], np.log, 0.0)
 
 
 def test_conditional_frozen_value():
-    ev = MyorEval(mu=0.0, t=1.0, v=1.0, x=0.0, lam=1.0)
-    assert myor_conditional_laplace(ev) == pytest.approx(COND_0_1_1_0_1, rel=1e-6)
+    assert exact_cond(1.0, 1.0, [1.0], 1.0)[0] == pytest.approx(COND_0_1_1_0_1, rel=1e-6)
 
 
 def test_conditional_small_rate_limit():
-    ev = MyorEval(mu=0.0, t=1.0, v=1.0, x=0.0, lam=1e-4)
-    assert abs(myor_conditional_laplace(ev) - 1.0) < 1e-2
+    assert abs(exact_cond(1e-4, 1.0, [1.0], 1.0)[0] - 1.0) < 1e-2
 
 
 def test_conditional_monotone_and_bounded():
-    vals = []
-    for lam in (0.25, 0.5, 1.0, 2.0, 4.0):
-        ev = MyorEval(mu=0.0, t=1.0, v=1.0, x=0.0, lam=lam)
-        vals.append(myor_conditional_laplace(ev))
+    vals = [exact_cond(lam, 1.0, [1.0], 1.0)[0] for lam in (0.25, 0.5, 1.0, 2.0, 4.0)]
     assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
     for v, x in [(0.5, 0.0), (1.0, 0.5), (2.0, -0.5), (0.8, 1.0)]:
-        c = myor_conditional_laplace(MyorEval(mu=0.3, t=1.2, v=v, x=x, lam=1.0))
+        c = exact_cond(1.0, 1.2, [v], math.exp(x))[0]
         assert 0.0 < c <= 1.0 + 1e-12
-
-
-def test_conditional_out_of_support_refusal():
-    with pytest.raises(DomainError):
-        myor_conditional_laplace(MyorEval(mu=0.0, t=1.0, v=0.5, x=25.0, lam=1.0))
 
 
 def test_conditional_vs_binned_mc():
@@ -396,26 +392,20 @@ def test_conditional_vs_binned_mc():
 
 
 def test_h_kernel_composition():
-    assert h_kernel(1.0, 0.0, 1.0, 1.0, 1.0) == pytest.approx(H_1_0_1_1_1, rel=1e-6)
-
-
-def test_h_kernel_reduces_at_coupled_drift():
-    # exponent gamma (mu + 1/2) vanishes at mu = -1/2
-    ev = MyorEval(mu=-0.5, t=1.0, v=1.0, x=0.0, lam=1.0)
-    assert h_kernel(1.0, -0.5, 1.0, 1.0, 1.0) == pytest.approx(
-        myor_conditional_laplace(ev), rel=1e-14
-    )
+    # tilt kernel e^{gamma (mu + 1/2) v} times the transform, gamma = v = 1, mu = 0
+    h = math.exp(0.5) * exact_cond(1.0, 1.0, [1.0], 1.0)[0]
+    assert h == pytest.approx(H_1_0_1_1_1, rel=1e-6)
 
 
 def test_h_kernel_increasing_in_y_at_small_gamma():
-    ys = [0.5, 1.0, 1.5, 2.0]
-    hs = [h_kernel(0.05, 0.0, 1.0, y, 1.0) for y in ys]
-    assert all(h2 > h1 for h1, h2 in zip(hs, hs[1:]))
+    ys = np.array([0.5, 1.0, 1.5, 2.0])
+    hs = np.exp(0.05 * 0.5 * ys) * exact_cond(0.05, 1.0, ys, 1.0)
+    assert np.all(np.diff(hs) > 0.0)
 
 
 def test_h_kernel_domain():
     with pytest.raises(DomainError):
-        h_kernel(1.0, 0.0, 1.0, 1.0, -2.0)
+        conditional_laplace(1.0, 1.0, [1.0], np.log, 0.0)(-2.0)
 
 
 # --- general-drift density -----------------------------------------------------
@@ -510,10 +500,11 @@ _NON_FINITE = {
     "exp_time z=nan": lambda: density_exp_time(1.0, 1.0, _NAN),
     "exp_time lam=nan": lambda: density_exp_time(1.0, _NAN, 1.0),
     "lognormal t=nan": lambda: lognormal_density(0.0, _NAN, 1.0),
-    "myor v=nan": lambda: MyorEval(mu=0.0, t=1.0, v=_NAN, x=0.0, lam=1.0),
-    "psi t=nan": lambda: myor_psi(0.0, _NAN, 1.0, 0.0),
+    "myor v=nan": lambda: conditional_laplace(1.0, 1.0, [1.0, _NAN], np.log, 0.0),
+    "myor lam=nan": lambda: conditional_laplace(_NAN, 1.0, [1.0], np.log, 0.0),
+    "psi t=nan": lambda: myor_psi_profile(0.0, _NAN, [1.0], 0.0),
     "psi v=nan": lambda: myor_psi_profile(0.0, 1.0, [1.0, _NAN], 0.0),
-    "h_kernel x=nan": lambda: h_kernel(1.0, 0.0, 1.0, 1.0, _NAN),
+    "h_kernel x=nan": lambda: conditional_laplace(1.0, 1.0, [1.0], np.log, 0.0)(_NAN),
 }
 
 

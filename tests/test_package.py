@@ -1,9 +1,12 @@
 """Module boundaries of the package: a `_`-prefixed function is used only
-inside the module that defines it."""
+inside the module that defines it, and a module imports only names it
+uses."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import verhulst
 
@@ -22,3 +25,21 @@ def test_no_private_function_crosses_a_module():
         and fn.__name__.startswith("_")
     ]
     assert crossings == []
+
+
+def test_no_unused_import():
+    # the package's __init__ imports only to re-export
+    unused = []
+    for path in sorted(Path(verhulst.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+    assert unused == []

@@ -23,9 +23,7 @@ from verhulst.simulate import (
     TerminalStats,
     TimeGrid,
     dump_path_csv,
-    girsanov_weight,
     girsanov_weight_batch,
-    girsanov_weight_bound,
     laplace_grid,
     laplace_mc_besq,
     laplace_mc_direct,
@@ -34,7 +32,6 @@ from verhulst.simulate import (
     sample_exp_time,
     simulate_exp_terminal,
     simulate_functional,
-    simulate_sde_euler,
     simulate_terminal_batch,
 )
 from verhulst.simulate import _BATCH_CHUNK_ELEMS, _block_rng
@@ -96,7 +93,9 @@ _NON_FINITE = {
     "laplace_mc_direct t=inf": lambda: laplace_mc_direct(1.0, _P, math.inf, 10, seed=1),
     "exp_terminal rate=nan": lambda: simulate_exp_terminal(_P, math.nan, 1e-3, 10, seed=1),
     "exp_terminal dt=nan": lambda: simulate_exp_terminal(_P, 1.0, math.nan, 10, seed=1),
-    "girsanov gamma=nan": lambda: girsanov_weight_bound(math.nan, _P, 1.0),
+    "girsanov gamma=nan": lambda: girsanov_weight_batch(
+        simulate_terminal_batch(_P, TimeGrid(1.0, 10), 2, seed=1), math.nan, _P
+    ),
 }
 
 
@@ -132,7 +131,6 @@ def test_functional_start_and_positivity():
     s = simulate_functional(p, TimeGrid(2.0, 500), seed=1)
     assert s.theta[0] == 1.0
     assert np.all(s.theta > 0.0)
-    assert s.n_clamped == 0
 
 
 def test_functional_short_horizon_continuity():
@@ -171,6 +169,11 @@ def test_batch_path_zero_matches_single_path():
     batch = simulate_terminal_batch(p, g, 5, seed=9)
     assert batch.theta[0] == single.theta[-1]
     assert batch.bmd[0] == single.bmd[-1]
+    # the integrals differ only in summation order
+    for got, ref in ((batch.a, single.a_T), (batch.A, single.A_T),
+                     (batch.int_theta, single.int_theta),
+                     (batch.int_theta_sq, single.int_theta_sq)):
+        assert got[0] == pytest.approx(ref, rel=1e-12)
 
 
 _STATS_FIELDS = ("theta", "bmd", "a", "A", "int_theta", "int_theta_sq")
@@ -289,14 +292,34 @@ def test_running_integrals_consistency():
 # --- Euler witness ----------------------------------------------------------
 
 
+def _euler_path(params, grid, seed):
+    """Euler-Maruyama path of d theta = theta dB + ((mu+1/2) theta -
+    (beta/x0) theta^2) dt on simulate_functional's increments at the same
+    seed, with steps driven to theta <= 0 reflected to 1e-12 x0; returns
+    the node values and the number of reflections."""
+    dt = grid.dt
+    g = _block_rng(seed, 0).standard_normal((1, grid.n_steps))[0] * math.sqrt(dt)
+    mu, x0 = params.mu, params.x0
+    quad = params.beta / x0
+    theta = np.empty(grid.n_steps + 1)
+    theta[0] = x0
+    clamped = 0
+    for i in range(grid.n_steps):
+        th = theta[i]
+        nxt = th + th * g[i] + ((mu + 0.5) * th - quad * th * th) * dt
+        if nxt <= 0.0:
+            nxt = 1e-12 * x0
+            clamped += 1
+        theta[i + 1] = nxt
+    return theta, clamped
+
+
 def test_euler_one_step_drift():
     # at theta=1, mu=0, beta=0 the drift is (mu+1/2) theta = 1/2
     dt = 0.05
     p = ModelParams(mu=0.0, beta=0.0, x0=1.0)
     g = TimeGrid(dt, 1)
-    incs = np.array(
-        [simulate_sde_euler(p, g, seed=s).theta[-1] - 1.0 for s in range(2000)]
-    )
+    incs = np.array([_euler_path(p, g, seed=s)[0][-1] - 1.0 for s in range(2000)])
     est = McEstimate.from_samples(incs)
     assert abs(est.mean - 0.5 * dt) < 3.0 * est.stderr
 
@@ -309,7 +332,7 @@ def test_euler_strong_convergence_under_refinement():
         gaps[n_steps] = np.array(
             [
                 abs(
-                    simulate_sde_euler(p, g, seed=s).theta[-1]
+                    _euler_path(p, g, seed=s)[0][-1]
                     - simulate_functional(p, g, seed=s).theta[-1]
                 )
                 for s in range(300)
@@ -322,9 +345,9 @@ def test_euler_strong_convergence_under_refinement():
 def test_euler_positivity_guard():
     # brutal parameters force negative proposals; the guard reflects them
     p = ModelParams(mu=-0.5, beta=40.0, x0=1.0)
-    s = simulate_sde_euler(p, TimeGrid(2.0, 20), seed=4)
-    assert np.all(s.theta > 0.0)
-    assert s.n_clamped > 0
+    theta, clamped = _euler_path(p, TimeGrid(2.0, 20), seed=4)
+    assert np.all(theta > 0.0)
+    assert clamped > 0
 
 
 # --- change of measure ------------------------------------------------------
@@ -332,10 +355,10 @@ def test_euler_positivity_guard():
 
 def test_girsanov_weight_small_gamma():
     p = ModelParams(mu=0.0, beta=1.0, x0=1.0)
-    s = simulate_functional(p, TimeGrid(1.0, 200), seed=6)
-    assert girsanov_weight(s, 1e-12, p) == pytest.approx(1.0, abs=1e-9)
+    stats = simulate_terminal_batch(p, TimeGrid(1.0, 200), 8, seed=6)
+    assert np.allclose(girsanov_weight_batch(stats, 1e-12, p), 1.0, rtol=0.0, atol=1e-9)
     with pytest.raises(DomainError):
-        girsanov_weight(s, 0.0, p)
+        girsanov_weight_batch(stats, 0.0, p)
 
 
 def test_girsanov_martingale_mean():
@@ -347,24 +370,18 @@ def test_girsanov_martingale_mean():
 
 
 def test_girsanov_weight_bounded():
+    # exp(gamma x0 + (gamma (mu+1/2))^2 T / (4 c)), c = gamma beta/x0 + gamma^2/2:
+    # the exponent maximized over theta in the two integrals
     for p in (
         ModelParams(mu=0.5, beta=1.0, x0=1.0),
         ModelParams(mu=-0.5, beta=0.0, x0=1.0),
     ):
         stats = simulate_terminal_batch(p, TimeGrid(1.0, 300), 4_000, seed=8)
         for gamma in (0.5, 1.0):
+            c = gamma * p.beta / p.x0 + 0.5 * gamma * gamma
+            bound = math.exp(gamma * p.x0 + (gamma * (p.mu + 0.5)) ** 2 / (4.0 * c))
             w = girsanov_weight_batch(stats, gamma, p)
-            assert w.max() <= girsanov_weight_bound(gamma, p, 1.0)
-
-
-def test_girsanov_batch_matches_scalar():
-    p = ModelParams(mu=0.2, beta=0.5, x0=1.0)
-    g = TimeGrid(1.0, 200)
-    s = simulate_functional(p, g, seed=19)
-    batch = simulate_terminal_batch(p, g, 3, seed=19)
-    w = girsanov_weight_batch(batch, 0.7, p)
-    # path 0 shares increments; integrals differ only in summation order
-    assert w[0] == pytest.approx(girsanov_weight(s, 0.7, p), rel=1e-10)
+            assert w.max() <= bound
 
 
 # --- elementary samplers ----------------------------------------------------

@@ -221,6 +221,47 @@ def test_z2_domain():
         z2_symmetry_check(1.0, ())
 
 
+_P0 = ModelParams(mu=0.0, beta=0.0, x0=1.0)
+_NAN, _INF = math.nan, math.inf
+_NON_FINITE = {
+    # id: (the name the refusal must give, the call)
+    "measure_change t=nan": ("t_end", lambda: measure_change_test(_P0, 1.0, _NAN, 100, 0)),
+    "measure_change t=inf": ("t_end", lambda: measure_change_test(_P0, 1.0, _INF, 100, 0)),
+    "measure_change dt=nan": (
+        "dt", lambda: measure_change_test(_P0, 1.0, 1.0, 100, 0, dt=_NAN)
+    ),
+    "measure_change gamma=nan": (
+        "gamma", lambda: measure_change_test(_P0, _NAN, 1.0, 100, 0)
+    ),
+    "representation gamma=nan": (
+        "gamma", lambda: RepresentationParams.from_alpha(0.5, _NAN, t=1.0, T=2.0)
+    ),
+    "representation t=nan": (
+        "t", lambda: RepresentationParams.from_alpha(0.5, 1.0, t=_NAN, T=2.0)
+    ),
+    "representation T=inf": (
+        "T", lambda: RepresentationParams.from_alpha(0.5, 1.0, t=1.0, T=_INF)
+    ),
+    "representation mu=nan": (
+        "mu", lambda: RepresentationParams.from_alpha(0.5, 1.0, 1.0, 2.0, mu=_NAN)
+    ),
+    "representation beta=nan": (
+        "beta", lambda: RepresentationParams(0.5, 1.0, _NAN, 1.0, 2.0)
+    ),
+    "ks_distance sample=nan": ("samples", lambda: ks_distance([0.1, _NAN], lambda s: s)),
+    "z2 lam=nan": ("lam", lambda: z2_symmetry_check(_NAN, (1.0,))),
+}
+
+
+@pytest.mark.parametrize("name, call", _NON_FINITE.values(), ids=_NON_FINITE.keys())
+def test_non_finite_inputs_refused(name, call):
+    # NaN passes every `x <= 0` guard; each input must be refused by its
+    # own name, not turned into a NaN statistic, a Python ValueError or a
+    # complaint about another argument
+    with pytest.raises(DomainError, match=rf"^{name} must be finite"):
+        call()
+
+
 # --- suite runner -------------------------------------------------------------------
 
 
