@@ -399,6 +399,10 @@ def _theta_log_interp(r_lo, r_hi, tau, cfg, n=2000):
     return interp, r_reliable
 
 
+# step of the general-drift Monte Carlo's path batch
+GENERAL_MC_DT = 1e-3
+
+
 def _tilt_kernels(gamma, mu, t, xs, n, seed, cfg, threads=1):
     """Per-draw tilt kernels and endpoint-conditioning log-weights, one x
     at a time, from one sample set.
@@ -420,7 +424,7 @@ def _tilt_kernels(gamma, mu, t, xs, n, seed, cfg, threads=1):
     if not np.all((xs > 0) & (xs < math.inf)):
         raise DomainError("x must be finite and > 0")
 
-    grid = TimeGrid.with_step(t, 1e-3)
+    grid = TimeGrid.with_step(t, GENERAL_MC_DT)
     stats = simulate_terminal_batch(
         ModelParams(mu=mu, beta=0.0, x0=1.0), grid, n, seed, threads=threads
     )

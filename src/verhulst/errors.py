@@ -2,6 +2,7 @@
 raise them: NaN passes every `x <= 0` test, so a guard names it."""
 
 import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -20,3 +21,8 @@ def require_positive(name, x):
 def require_nonnegative(name, x):
     if not (math.isfinite(x) and x >= 0):
         raise DomainError(f"{name} must be finite and >= 0")
+
+
+def require_count(name, x, minimum):
+    if not (isinstance(x, numbers.Integral) and x >= minimum):
+        raise DomainError(f"{name} must be an integer >= {minimum}")

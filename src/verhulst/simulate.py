@@ -12,13 +12,12 @@ worker threads.
 """
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_nonnegative, require_positive
+from .errors import DomainError, require_count, require_nonnegative, require_positive
 from .specfun import laplace_kernel_F
 
 BLOCK_PATHS = 4096
@@ -55,6 +54,7 @@ def _block_rng(seed, block):
 def _run_blocks(n, seed, fill, threads):
     """Call fill(lo, m, rng) for every block covering n paths: the block's
     m paths start at index lo and draw from its generator rng."""
+    require_count("threads", threads, 1)
 
     def run(b):
         lo = b * BLOCK_PATHS
@@ -104,8 +104,7 @@ class TimeGrid:
 
     def __post_init__(self):
         require_positive("t_end", self.t_end)
-        if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 1:
-            raise DomainError("n_steps must be an integer >= 1")
+        require_count("n_steps", self.n_steps, 1)
 
     @classmethod
     def with_step(cls, t_end, dt):
@@ -235,8 +234,7 @@ def simulate_terminal_batch(params, grid, n, seed, threads=1):
     the running sum only.  This is bit for bit the full path wherever
     e^{B + mu t} is finite; where it overflows theta reads inf, not NaN.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    require_count("n", n, 1)
     S = grid.n_steps
     dt = grid.dt
     sqdt = math.sqrt(dt)
@@ -324,8 +322,7 @@ def simulate_exp_terminal(params, rate, dt, n, seed, threads=1):
     """
     require_positive("rate", rate)
     require_positive("dt", dt)
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    require_count("n", n, 1)
     sqdt = math.sqrt(dt)
     mu, beta, x0 = params.mu, params.beta, params.x0
     out = np.empty(n)
@@ -444,6 +441,7 @@ def laplace_mc_besq(lam, params, t, n, seed, threads=1):
     # 0 and the kernel identically 1, matching E e^{-0 theta} = 1
     require_nonnegative("lam", lam)
     require_positive("t", t)
+    require_count("n", n, 1)
     h = 0.25 * t
     sqh = math.sqrt(h)
     vals = np.empty(n)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import (
+    GENERAL_MC_DT,
     DensityCurve,
     curve_exact_half,
     curve_exp_time,
@@ -29,7 +30,7 @@ from .density import (
     exp_time_total_mass,
     moment_exp_int_theta,
 )
-from .errors import DomainError, require_nonnegative, require_positive
+from .errors import DomainError, require_count, require_nonnegative, require_positive
 from .simulate import (
     McEstimate,
     ModelParams,
@@ -159,6 +160,12 @@ def ks_distance(samples, cdf):
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
 
 
+def _work(dt, path_steps):
+    """The end of a Monte Carlo report's details: its step and the number
+    of path-steps it drew."""
+    return f"dt={dt:g}; path-steps={path_steps}"
+
+
 def _ks_threshold(n, floor):
     # 99.9% Kolmogorov band 1.95/sqrt(n), floored at the target tolerance
     return max(floor, 1.95 / math.sqrt(n))
@@ -281,8 +288,12 @@ def measure_change_test(
 ):
     """Paired z-test of E[M_t f(theta^(mu,beta))] = E[f(theta^(mu,beta+gamma))].
 
-    Both ensembles are driven by the same Brownian increments (same seed,
-    same block layout), so each path contributes one difference
+    One ensemble serves both sides: the process at crowding beta+gamma
+    driven by the same Brownian path is
+    theta'_t = e^{B_t + mu t} / (1 + (beta+gamma) a_t), read off the
+    base batch's terminal e^{B+mu t} and a_T in the sampler's own
+    operation order, so it equals a second batch at beta+gamma and the
+    same seed bit for bit.  Each path contributes one difference
     d_i = M_i f(theta_i) - f(theta'_i) and the z-score uses the paired
     variance of d, not the pooled variance of the two sides.  The test
     family stays bounded (indicators and e^{-theta}); the weight's
@@ -298,15 +309,13 @@ def measure_change_test(
     if params.x0 != 1.0 or params.coupled:
         raise DomainError("measure_change_test is stated for the start-1 convention")
     require_nonnegative("gamma", gamma)
-    if n < 2:
-        raise DomainError("need n >= 2")
+    require_count("n", n, 2)
     fns = tuple(test_fns) if test_fns is not None else _DEFAULT_TEST_FNS
     if not fns:
         raise DomainError("need at least one test function")
     grid = TimeGrid.with_step(t, dt)
     base = simulate_terminal_batch(params, grid, n, seed, threads=threads)
-    shifted_params = ModelParams(mu=params.mu, beta=params.beta + gamma, x0=1.0)
-    shifted = simulate_terminal_batch(shifted_params, grid, n, seed, threads=threads)
+    shifted_theta = np.exp(base.bmd) / (base.a * (params.beta + gamma) + 1.0)
     weight = (
         np.ones(n) if gamma == 0.0 else girsanov_weight_batch(base, gamma, params)
     )
@@ -314,7 +323,7 @@ def measure_change_test(
     zs = []
     parts = []
     for label, fn in fns:
-        d = weight * fn(base.theta) - fn(shifted.theta)
+        d = weight * fn(base.theta) - fn(shifted_theta)
         mean = float(d.mean())
         se = float(d.std(ddof=1) / math.sqrt(n))
         z = 0.0 if (se == 0.0 and mean == 0.0) else (math.inf if se == 0.0 else mean / se)
@@ -327,7 +336,8 @@ def measure_change_test(
         n_or_tolerance=f"n={n}",
         details=(
             "; ".join(parts)
-            + f"; mu={params.mu:g} beta={params.beta:g} gamma={gamma:g} t={t:g} dt={grid.dt:g}"
+            + f"; mu={params.mu:g} beta={params.beta:g} gamma={gamma:g} t={t:g}; "
+            + _work(grid.dt, n * grid.n_steps)
         ),
     )
 
@@ -469,14 +479,15 @@ class SuiteConfig:
     def __post_init__(self):
         if self.budget not in _BUDGETS:
             raise DomainError(f"budget must be one of {sorted(_BUDGETS)}")
-        if self.threads < 1:
-            raise DomainError("threads must be >= 1")
+        require_count("threads", self.threads, 1)
         object.__setattr__(self, "only", tuple(self.only))
 
 
 # Knobs per budget.  Thresholds never loosen with budget except where they
 # are sample-size-bound by construction (the KS bands); those floors match
-# the full-scale tolerances.
+# the full-scale tolerances.  `dt` is the step of the two checks that read
+# an indicator of theta_T at a fixed level (measure_change and the
+# general-density histogram); the other path checks step at _CERTIFIED_DT.
 _BUDGETS = {
     "quick": dict(
         n=20_000,
@@ -501,6 +512,14 @@ _BUDGETS = {
         general_cdf=True,
     ),
 }
+
+# step of fixed_time, exp_time, martingale and moment at every budget.  On
+# the same Brownian paths against dt = 1e-3, the shift of each one's
+# statistic (theta_T's CDF at its deciles, the Girsanov weight, e^{beta int
+# theta}) plus three of its standard errors stays under a tenth of the
+# check's full-budget resolution: the *_step_bias_paired tests in
+# tests/test_simulate.py
+_CERTIFIED_DT = 5e-3
 
 _MART_GRID = [
     (g, m, b, T)
@@ -549,8 +568,10 @@ def _check_fixed_time(config, knobs, seed):
         details=f"x=1 t=1; mass={curve.total_mass:.6f}",
     )
     n = knobs["ks_fixed_n"]
-    grid = TimeGrid.with_step(1.0, knobs["dt"])
-    stats = simulate_terminal_batch(ModelParams.coupled_start(1.0), grid, n, seed)
+    grid = TimeGrid.with_step(1.0, _CERTIFIED_DT)
+    stats = simulate_terminal_batch(
+        ModelParams.coupled_start(1.0), grid, n, seed, threads=config.threads
+    )
     ks = ks_distance(np.sort(stats.theta), _curve_cdf_fn(curve))
     return [
         mass,
@@ -559,7 +580,10 @@ def _check_fixed_time(config, knobs, seed):
             statistic=ks,
             threshold=_ks_threshold(n, 5e-3),
             n_or_tolerance=f"n={n}",
-            details=f"x=1 t=1 dt={grid.dt:g}; threshold=max(5e-3, 99.9% Kolmogorov band)",
+            details=(
+                "x=1 t=1; threshold=max(5e-3, 99.9% Kolmogorov band); "
+                + _work(grid.dt, n * grid.n_steps)
+            ),
         ),
     ]
 
@@ -576,7 +600,7 @@ def _check_exp_time(config, knobs, seed):
     n = knobs["ks_exp_n"]
     samples = np.sort(
         simulate_exp_terminal(
-            ModelParams.coupled_start(1.0), rate=1.0, dt=knobs["dt"], n=n, seed=seed
+            ModelParams.coupled_start(1.0), 1.0, _CERTIFIED_DT, n, seed, threads=config.threads
         )
     )
     curve = curve_exp_time(1.0, 1.0, n_points=800)
@@ -588,7 +612,11 @@ def _check_exp_time(config, knobs, seed):
             statistic=ks,
             threshold=_ks_threshold(n, 1e-2),
             n_or_tolerance=f"n={n}",
-            details=f"x=1 lam=1 dt={knobs['dt']:g}; threshold=max(1e-2, 99.9% Kolmogorov band)",
+            details=(
+                "x=1 lam=1; threshold=max(1e-2, 99.9% Kolmogorov band); "
+                # each path steps to its own Exp(1) horizon, 1 / dt steps on average
+                + _work(_CERTIFIED_DT, f"{n / _CERTIFIED_DT:.0f} (expected)")
+            ),
         ),
     ]
 
@@ -620,10 +648,12 @@ def _check_martingale(config, knobs, seed):
     n = knobs["n"]
     worst = -1.0
     at = None
+    path_steps = 0
     for j, (gamma, mu, beta, T) in enumerate(cells):
         params = ModelParams(mu=mu, beta=beta, x0=1.0)
-        grid = TimeGrid.with_step(T, knobs["dt"])
-        stats = simulate_terminal_batch(params, grid, n, seed + j)
+        grid = TimeGrid.with_step(T, _CERTIFIED_DT)
+        stats = simulate_terminal_batch(params, grid, n, seed + j, threads=config.threads)
+        path_steps += n * grid.n_steps
         est = McEstimate.from_samples(girsanov_weight_batch(stats, gamma, params))
         z = abs(est.mean - 1.0) / est.stderr
         if z > worst:
@@ -634,12 +664,19 @@ def _check_martingale(config, knobs, seed):
             statistic=worst,
             threshold=3.0,
             n_or_tolerance=f"n={n}",
-            details=f"worst |z| at (gamma,mu,beta,T)={at}; {len(cells)} cells; dt={knobs['dt']:g}",
+            details=(
+                f"worst |z| at (gamma,mu,beta,T)={at}; {len(cells)} cells; "
+                + _work(_CERTIFIED_DT, path_steps)
+            ),
         )
     ]
 
 
 def _check_measure_change(config, knobs, seed):
+    # the budget step: on paired paths, the shift of the indicator terms
+    # from dt = 1e-3 to 5e-3 plus three standard errors reaches 1.3 to 3.1
+    # tenths of their standard error at n = 1e5 (P[theta<=0.5] at beta = 1
+    # the worst), against at most 0.5 tenths for the certified checks
     return [
         measure_change_test(
             ModelParams(mu=0.0, beta=beta, x0=1.0),
@@ -648,6 +685,7 @@ def _check_measure_change(config, knobs, seed):
             n=knobs["n"],
             seed=seed + 7 * int(beta),
             dt=knobs["dt"],
+            threads=config.threads,
             name=f"measure_change[beta={beta:g}]",
         )
         for beta in (0.0, 1.0)
@@ -659,10 +697,12 @@ def _check_moment(config, knobs, seed):
     n = knobs["n"]
     worst = -1.0
     at = None
+    path_steps = 0
     for j, (mu, beta, T) in enumerate(cells):
         params = ModelParams(mu=mu, beta=beta, x0=1.0)
-        grid = TimeGrid.with_step(T, knobs["dt"])
-        stats = simulate_terminal_batch(params, grid, n, seed + j)
+        grid = TimeGrid.with_step(T, _CERTIFIED_DT)
+        stats = simulate_terminal_batch(params, grid, n, seed + j, threads=config.threads)
+        path_steps += n * grid.n_steps
         est = McEstimate.from_samples(np.exp(beta * stats.int_theta))
         z = abs(est.mean - moment_exp_int_theta(params, T)) / est.stderr
         if z > worst:
@@ -673,7 +713,10 @@ def _check_moment(config, knobs, seed):
             statistic=worst,
             threshold=3.0,
             n_or_tolerance=f"n={n}",
-            details=f"worst |z| at (mu,beta,t)={at}; {len(cells)} cells; dt={knobs['dt']:g}",
+            details=(
+                f"worst |z| at (mu,beta,t)={at}; {len(cells)} cells; "
+                + _work(_CERTIFIED_DT, path_steps)
+            ),
         )
     ]
 
@@ -685,9 +728,9 @@ def _pairwise_z(a, b):
 def _check_laplace(config, knobs, seed):
     params = ModelParams(mu=0.0, beta=1.0, x0=1.0)
     n = knobs["n"]
-    besq = laplace_mc_besq(1.0, params, 1.0, n, seed + 1)
-    gbm = laplace_mc_gbm(1.0, params, 1.0, n, seed + 2)
-    direct = laplace_mc_direct(1.0, params, 1.0, n, seed + 3)
+    besq = laplace_mc_besq(1.0, params, 1.0, n, seed + 1, threads=config.threads)
+    gbm = laplace_mc_gbm(1.0, params, 1.0, n, seed + 2, threads=config.threads)
+    direct = laplace_mc_direct(1.0, params, 1.0, n, seed + 3, threads=config.threads)
     grid = laplace_grid(1.0)
     z = max(_pairwise_z(besq, gbm), _pairwise_z(besq, direct), _pairwise_z(gbm, direct))
     return [
@@ -699,7 +742,7 @@ def _check_laplace(config, knobs, seed):
             details=(
                 f"lam=1 mu=0 beta=1 t=1; besq={besq.mean:.5f}, gbm={gbm.mean:.5f}, "
                 f"direct={direct.mean:.5f}; gbm and direct at dt={grid.dt:g} "
-                f"({grid.n_steps} steps)"
+                f"({grid.n_steps} steps); path-steps={2 * n * grid.n_steps}"
             ),
         )
     ]
@@ -708,8 +751,13 @@ def _check_laplace(config, knobs, seed):
 def _check_general_density(config, knobs, seed):
     gamma, mu, t = 1.0, 0.0, 1.0
     hist_n, half = knobs["hist_n"], knobs["hist_half"]
+    # the budget step: on paired paths at dt = 0.01 against 1e-3 the
+    # histogram window's probability moves by 7e-5 +- 9.8e-5, against a
+    # full-budget standard error of 1.2e-4, so no coarser step is certified
     grid = TimeGrid.with_step(t, knobs["dt"])
-    stats = simulate_terminal_batch(ModelParams(mu=mu, beta=gamma, x0=1.0), grid, hist_n, seed)
+    stats = simulate_terminal_batch(
+        ModelParams(mu=mu, beta=gamma, x0=1.0), grid, hist_n, seed, threads=config.threads
+    )
     count = int(np.count_nonzero(np.abs(stats.theta - 1.0) <= half))
     p_hist = count / (2.0 * half * hist_n)
     se_hist = math.sqrt(max(count, 1)) / (2.0 * half * hist_n)
@@ -718,10 +766,18 @@ def _check_general_density(config, knobs, seed):
     # one path batch serves the histogram point x = 1 and the mass grid
     x_grid = np.geomspace(0.01, 20.0, 72)
     k = int(np.searchsorted(x_grid, 1.0))
-    both, errs = curve_general_mc(gamma, mu, t, np.insert(x_grid, k, 1.0), n, seed + 1)
+    both, errs = curve_general_mc(
+        gamma, mu, t, np.insert(x_grid, k, 1.0), n, seed + 1, threads=config.threads
+    )
     est, se = float(both.values[k]), float(errs[k])
     curve = DensityCurve(x_grid, np.delete(both.values, k))
     quad = density_general_quad(gamma, mu, t, 1.0)
+    curve_grid = TimeGrid.with_step(t, GENERAL_MC_DT)
+    curve_work = n * curve_grid.n_steps
+    both_work = (
+        f"histogram dt={grid.dt:g}, curve dt={curve_grid.dt:g}; "
+        f"path-steps={hist_n * grid.n_steps + curve_work}"
+    )
     hist = TestReport(
         name="general_density_histogram",
         statistic=abs(est - p_hist) / math.hypot(se, se_hist),
@@ -730,7 +786,7 @@ def _check_general_density(config, knobs, seed):
         details=(
             f"gamma=1 mu=0 t=1 x=1; estimate={est!r}+-{se!r}; "
             f"histogram={p_hist:.4f}+-{se_hist:.4f} (n={hist_n}, halfwidth={half:g}); "
-            f"substitution quadrature={quad:.4f}"
+            f"substitution quadrature={quad:.4f}; {both_work}"
         ),
     )
     mass = TestReport(
@@ -738,7 +794,10 @@ def _check_general_density(config, knobs, seed):
         statistic=abs(curve.total_mass - 1.0),
         threshold=2e-2,
         n_or_tolerance=f"n={n}",
-        details=f"mass={curve.total_mass:.4f}; grid=[0.01,20]x72",
+        details=(
+            f"mass={curve.total_mass:.4f}; grid=[0.01,20]x72; "
+            + _work(curve_grid.dt, curve_work)
+        ),
     )
     if not knobs["general_cdf"]:
         # at the quick sizes this sup-CDF exceeds 1e-2 on about one seed in five
@@ -748,7 +807,9 @@ def _check_general_density(config, knobs, seed):
         statistic=ks_distance(np.sort(stats.theta), _curve_cdf_fn(curve)),
         threshold=1e-2,
         n_or_tolerance=f"n={hist_n}",
-        details=f"sup |curve CDF - empirical CDF|; curve n={n}, grid=[0.01,20]x72",
+        details=(
+            f"sup |curve CDF - empirical CDF|; curve n={n}, grid=[0.01,20]x72; {both_work}"
+        ),
     )
     return [hist, mass, cdf]
 

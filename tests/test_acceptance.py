@@ -1,8 +1,9 @@
 """Acceptance gates, one test per criterion, at full stated scale.
 
 Criteria 01-12 are `verhulst validate --budget full`: each test runs its
-one registry group through run_suite at the full budget and asserts that
-every report passes.  The group seed config.seed + 101 * index is set to
+one registry group through run_suite at the full budget, on up to two
+sampler threads (criterion 13 shows the results do not depend on them),
+and asserts that every report passes.  The group seed config.seed + 101 * index is set to
 the criterion's fixed seed (93101 for the fixed-time KS, 98000 for the
 Laplace triangle, ...), so every statistic is bit-reproducible.  What the
 suite does not gate stays here: the runtime caps of criteria 01-04,
@@ -13,6 +14,7 @@ verdict line per report (visible with -rA or on failure).
 """
 
 import math
+import os
 import re
 import time
 
@@ -61,7 +63,8 @@ def _suite(num, key, group_seed=None, cap=None):
     runtime cap in seconds."""
     seed = {} if group_seed is None else {"seed": group_seed - 101 * _KEYS.index(key)}
     start = time.perf_counter()
-    reports = run_suite(SuiteConfig(budget="full", only=(key,), **seed))
+    threads = min(2, os.cpu_count() or 1)
+    reports = run_suite(SuiteConfig(budget="full", only=(key,), threads=threads, **seed))
     elapsed = time.perf_counter() - start
     assert reports
     for r in reports:

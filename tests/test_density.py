@@ -508,11 +508,25 @@ _NON_FINITE = {
 }
 
 
-@pytest.mark.parametrize("call", _NON_FINITE.values(), ids=_NON_FINITE.keys())
-def test_non_finite_inputs_refused(call):
+_NON_INTEGRAL = {
+    "curve_general_mc n=nan": ("n", lambda: curve_general_mc(1.0, 0.0, 1.0, [1.0], _NAN, 1)),
+    "curve_general_mc n=2.5": ("n", lambda: curve_general_mc(1.0, 0.0, 1.0, [1.0], 2.5, 1)),
+    "general_mc threads=nan": (
+        "threads", lambda: density_general_mc(1.0, 0.0, 1.0, 1.0, 10, 1, threads=_NAN)
+    ),
+}
+_REFUSALS = {
+    **{key: ("must be finite", call) for key, call in _NON_FINITE.items()},
+    **{key: (f"^{arg} must be an integer", call) for key, (arg, call) in _NON_INTEGRAL.items()},
+}
+
+
+@pytest.mark.parametrize("pattern, call", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_non_finite_inputs_refused(pattern, call):
     # NaN passes every `x <= 0` guard; each input must be refused by name,
-    # not turned into 0, NaN, a Python ValueError or a later complaint
-    with pytest.raises(DomainError, match="must be finite"):
+    # not turned into 0, NaN, a Python ValueError or TypeError, or a later
+    # complaint
+    with pytest.raises(DomainError, match=pattern):
         call()
 
 

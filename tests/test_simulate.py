@@ -34,7 +34,8 @@ from verhulst.simulate import (
     simulate_functional,
     simulate_terminal_batch,
 )
-from verhulst.simulate import _BATCH_CHUNK_ELEMS, _block_rng
+from verhulst.simulate import _BATCH_CHUNK_ELEMS, _block_rng, _run_blocks
+from verhulst.validate import _CERTIFIED_DT, _MART_GRID, _MOMENT_GRID
 
 
 # --- parameter types --------------------------------------------------------
@@ -99,11 +100,30 @@ _NON_FINITE = {
 }
 
 
-@pytest.mark.parametrize("call", _NON_FINITE.values(), ids=_NON_FINITE.keys())
-def test_non_finite_inputs_refused(call):
+_COUNTED = {
+    # each call takes n = 5 paths on 1 thread unless told otherwise
+    "terminal_batch": lambda **kw: simulate_terminal_batch(
+        _P, TimeGrid(1.0, 10), seed=1, **{"n": 5, **kw}),
+    "exp_terminal": lambda **kw: simulate_exp_terminal(_P, 1.0, 1e-2, seed=1, **{"n": 5, **kw}),
+    "laplace_mc_besq": lambda **kw: laplace_mc_besq(1.0, _P, 1.0, seed=1, **{"n": 5, **kw}),
+}
+_NON_INTEGRAL = {
+    f"{name} {arg}={bad}": (arg, lambda call=call, arg=arg, bad=bad: call(**{arg: bad}))
+    for name, call in _COUNTED.items()
+    for arg, bad in (("n", math.nan), ("n", 2.5), ("n", 0), ("threads", math.nan),
+                     ("threads", 1.5))
+}
+_REFUSALS = {
+    **{key: ("must be finite", call) for key, call in _NON_FINITE.items()},
+    **{key: (f"^{arg} must be an integer", call) for key, (arg, call) in _NON_INTEGRAL.items()},
+}
+
+
+@pytest.mark.parametrize("pattern, call", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_non_finite_inputs_refused(pattern, call):
     # NaN passes every `x <= 0` guard; each input must be refused by name,
     # not turned into a NaN estimate, a numpy error or a later complaint
-    with pytest.raises(DomainError, match="must be finite"):
+    with pytest.raises(DomainError, match=pattern):
         call()
 
 
@@ -605,17 +625,96 @@ def test_laplace_default_step(t, steps):
         assert default.mean != other.mean
 
 
-def _trapezoid_terminals(g, dt, mu, beta):
-    """(theta_T, e_T, a_T, A_T) of start-1 paths whose rows of Brownian
-    increments are g, by numpy's trapezoid rule on the step-dt nodes."""
+# --- step bias on paired paths -----------------------------------------------
+#
+# A coarse step is certified against dt = 1e-3 on the same Brownian paths:
+# the coarse path sums the fine increments in groups, so the difference of
+# a statistic between the two sees the step's bias and little of the
+# sampling noise.  Each gate is |mean(f_coarse - f_fine)| + 3 se against a
+# tenth of the consumer's resolution at the full validation budget.
+
+_FINE_DT = 1e-3
+
+
+def _trapezoid_nodes(g, dt, params):
+    """(bmd, e, a, theta) at nodes 0..S of paths whose rows of Brownian
+    increments are g: bmd = B + mu t, e = e^bmd, a its running trapezoid
+    integral on the step-dt nodes."""
     m, S = g.shape
     bmd = np.zeros((m, S + 1))
     np.cumsum(g, axis=1, out=bmd[:, 1:])
-    bmd += mu * dt * np.arange(S + 1)
+    bmd += params.mu * dt * np.arange(S + 1)
     e = np.exp(bmd)
-    a_T = np.trapezoid(e, dx=dt, axis=1)
-    A_T = np.trapezoid(e * e, dx=dt, axis=1)
-    return e[:, -1] / (1.0 + beta * a_T), e[:, -1], a_T, A_T
+    a = np.zeros_like(e)
+    np.cumsum(0.5 * dt * (e[:, 1:] + e[:, :-1]), axis=1, out=a[:, 1:])
+    return bmd, e, a, params.x0 * e / (1.0 + params.beta * a)
+
+
+def _trapezoid_terminals(g, dt, params):
+    """TerminalStats of the paths whose rows of increments are g, by numpy's
+    trapezoid rule on the step-dt nodes."""
+    bmd, e, a, theta = _trapezoid_nodes(g, dt, params)
+
+    def integral(v):
+        return np.trapezoid(v, dx=dt, axis=1)
+
+    return TerminalStats(theta=theta[:, -1], bmd=bmd[:, -1], a=a[:, -1], A=integral(e * e),
+                         int_theta=integral(theta), int_theta_sq=integral(theta * theta))
+
+
+def _paired_batches(params, t, n, seed, group):
+    """(fine, coarse) TerminalStats of the same n paths over [0, t].  The
+    fine paths step at dt = 1e-3 on the library's block streams, as
+    simulate_terminal_batch draws them; the coarse paths sum their
+    increments in groups of `group`."""
+    grid = TimeGrid.with_step(t, _FINE_DT)
+    S, dt = grid.n_steps, grid.dt
+    assert S % group == 0
+    fine, coarse = (TerminalStats(*(np.empty(n) for _ in _STATS_FIELDS)) for _ in range(2))
+
+    def fill(lo, m, rng):
+        for c0 in range(0, m, 256):
+            c = min(256, m - c0)
+            g = rng.standard_normal((c, S)) * math.sqrt(dt)
+            coarse_g = g.reshape(c, S // group, group).sum(axis=2)
+            sl = slice(lo + c0, lo + c0 + c)
+            for out, got in ((fine, _trapezoid_terminals(g, dt, params)),
+                             (coarse, _trapezoid_terminals(coarse_g, group * dt, params))):
+                for f in _STATS_FIELDS:
+                    getattr(out, f)[sl] = getattr(got, f)
+
+    _run_blocks(n, seed, fill, threads=2)
+    return fine, coarse
+
+
+def _assert_step_bias_small(f_fine, f_coarse, label):
+    # the shift plus three of its standard errors within a tenth of the
+    # statistic's standard error at n = 1e5, the full validation budget
+    diff = McEstimate.from_samples(f_coarse - f_fine)
+    bound = 0.1 * f_fine.std(ddof=1) / math.sqrt(1e5)
+    assert abs(diff.mean) + 3.0 * diff.stderr <= bound, (label, diff, bound)
+
+
+def _worst_decile_shift(theta_fine, theta_coarse):
+    """max over the deciles q of the fine sample of |P_coarse[theta <= q]
+    - P_fine[theta <= q]| + 3 se, on the paired paths."""
+    worst = 0.0
+    for q in np.quantile(theta_fine, np.arange(1, 10) / 10.0):
+        diff = McEstimate.from_samples((theta_coarse <= q).astype(float) - (theta_fine <= q))
+        worst = max(worst, abs(diff.mean) + 3.0 * diff.stderr)
+    return worst
+
+
+@pytest.mark.parametrize("params", [ModelParams(mu=0.3, beta=0.7), ModelParams.coupled_start(2.0)])
+def test_paired_batches_fine_side_is_the_sampler(params):
+    n, grid = 2 * BLOCK_PATHS + 5, TimeGrid(0.5, 500)
+    fine, coarse = _paired_batches(params, grid.t_end, n, seed=29, group=5)
+    sim = simulate_terminal_batch(params, grid, n, seed=29)
+    for f in _STATS_FIELDS:
+        np.testing.assert_allclose(getattr(fine, f), getattr(sim, f), rtol=1e-12, atol=0.0)
+    # the coarse side ends where the fine side does, by another discretization
+    np.testing.assert_allclose(coarse.bmd, fine.bmd, rtol=0.0, atol=1e-12)
+    assert np.all(coarse.int_theta != fine.int_theta)
 
 
 @pytest.mark.parametrize("mu, beta, t", [
@@ -623,46 +722,98 @@ def _trapezoid_terminals(g, dt, mu, beta):
 ])
 def test_laplace_step_bias_paired(mu, beta, t):
     """The default step dt = 0.01 of laplace_mc_direct and laplace_mc_gbm
-    against dt = 1e-3 on the same Brownian paths: each route's bias
-    |mean(f_coarse - f_fine)| + 3 se stays under a tenth of the route's
-    standard error at n = 1e5 (the full validation budget).  The fine
-    increments are the library's own block streams, as
-    simulate_terminal_batch draws them; the coarse path sums them in
-    groups of 10."""
-    n, seed, lam, group, rows = 20_000, 31, 1.0, 10, 256
-    fine = TimeGrid(t, round(t / 1e-3))
-    dt_f, S = fine.dt, fine.n_steps
-    assert laplace_grid(t) == TimeGrid(t, S // group)
+    against dt = 1e-3: each route's bias stays under a tenth of its
+    standard error at n = 1e5."""
+    lam, group = 1.0, 10
+    assert laplace_grid(t) == TimeGrid(t, round(t / _FINE_DT) // group)
+    params = ModelParams(mu=mu, beta=beta)
+    fine, coarse = _paired_batches(params, t, 20_000, 31, group)
 
-    def direct(theta_T, e_T, a_T, A_T):
-        return np.exp(-lam * theta_T)
+    def direct(s):
+        return np.exp(-lam * s.theta)
 
-    def gbm(theta_T, e_T, a_T, A_T):
-        return np.exp(beta - (beta + lam) * e_T + beta * (mu + 0.5) * a_T
-                      - 0.5 * beta * beta * A_T)
+    def gbm(s):
+        return np.exp(beta - (beta + lam) * np.exp(s.bmd) + beta * (mu + 0.5) * s.a
+                      - 0.5 * beta * beta * s.A)
 
-    theta_fine = np.empty(n)
-    f = {route: np.empty((2, n)) for route in (direct, gbm)}  # rows: fine, coarse
-    for b in range((n + BLOCK_PATHS - 1) // BLOCK_PATHS):
-        rng = _block_rng(seed, b)
-        lo, hi = b * BLOCK_PATHS, min(n, (b + 1) * BLOCK_PATHS)
-        for c0 in range(lo, hi, rows):
-            c1 = min(hi, c0 + rows)
-            g = rng.standard_normal((c1 - c0, S)) * math.sqrt(dt_f)
-            fine_terms = _trapezoid_terminals(g, dt_f, mu, beta)
-            coarse_g = g.reshape(c1 - c0, S // group, group).sum(axis=2)
-            coarse_terms = _trapezoid_terminals(coarse_g, group * dt_f, mu, beta)
-            theta_fine[c0:c1] = fine_terms[0]
-            for route, vals in f.items():
-                vals[0, c0:c1] = route(*fine_terms)
-                vals[1, c0:c1] = route(*coarse_terms)
+    for route in (direct, gbm):
+        _assert_step_bias_small(route(fine), route(coarse), route.__name__)
 
-    sim = simulate_terminal_batch(ModelParams(mu=mu, beta=beta), fine, n, seed, threads=2)
-    np.testing.assert_allclose(theta_fine, sim.theta, rtol=1e-12, atol=0.0)
-    for route, (f_fine, f_coarse) in f.items():
-        diff = McEstimate.from_samples(f_coarse - f_fine)
-        bound = 0.1 * f_fine.std(ddof=1) / math.sqrt(1e5)
-        assert abs(diff.mean) + 3.0 * diff.stderr <= bound, (route.__name__, diff, bound)
+
+_MART_PATHS = sorted({(mu, beta, T) for _, mu, beta, T in _MART_GRID})
+
+
+@pytest.mark.parametrize("mu, beta, T", _MART_PATHS)
+def test_girsanov_step_bias_paired(mu, beta, T):
+    """validate's martingale check steps at _CERTIFIED_DT: on every cell of
+    its full grid the Girsanov weight's bias there stays under a tenth of
+    its standard error at n = 1e5.  The cells' two gammas share paths."""
+    group = 5
+    assert TimeGrid.with_step(T, _CERTIFIED_DT) == TimeGrid(T, round(T / _FINE_DT) // group)
+    params = ModelParams(mu=mu, beta=beta)
+    fine, coarse = _paired_batches(params, T, 20_000, 37, group)
+    gammas = [g for g, *cell in _MART_GRID if tuple(cell) == (mu, beta, T)]
+    assert gammas == [0.5, 1.0]
+    for gamma in gammas:
+        _assert_step_bias_small(girsanov_weight_batch(fine, gamma, params),
+                                girsanov_weight_batch(coarse, gamma, params), gamma)
+
+
+@pytest.mark.parametrize("mu, beta, T", _MOMENT_GRID)
+def test_moment_step_bias_paired(mu, beta, T):
+    """validate's moment check steps at _CERTIFIED_DT: on every cell of its
+    full grid the bias of e^{beta int theta} there stays under a tenth of
+    its standard error at n = 1e5."""
+    group = 5
+    assert TimeGrid.with_step(T, _CERTIFIED_DT) == TimeGrid(T, round(T / _FINE_DT) // group)
+    fine, coarse = _paired_batches(ModelParams(mu=mu, beta=beta), T, 20_000, 41, group)
+    _assert_step_bias_small(np.exp(beta * fine.int_theta), np.exp(beta * coarse.int_theta),
+                            "exp(beta int theta)")
+
+
+def test_fixed_time_step_bias_paired():
+    """validate's fixed-time KS check steps at _CERTIFIED_DT: at its start
+    (coupled x = 1, t = 1) the CDF of theta_T moves at its deciles by less
+    than a tenth of the check's KS floor 5e-3."""
+    group = 5
+    assert TimeGrid.with_step(1.0, _CERTIFIED_DT) == TimeGrid(1.0, 1000 // group)
+    fine, coarse = _paired_batches(ModelParams.coupled_start(1.0), 1.0, 100_000, 43, group)
+    assert _worst_decile_shift(fine.theta, coarse.theta) <= 5e-4
+
+
+def test_exp_time_step_bias_paired():
+    """validate's exp-time KS check runs simulate_exp_terminal at
+    _CERTIFIED_DT: at coupled x = 1 and rate 1 the CDF of theta at the
+    Exp(1) time moves at its deciles by less than a tenth of the check's
+    KS floor 1e-2.  Each path takes its horizon rounded to either step;
+    the fine increments run past both, and the coarse path sums them in
+    groups."""
+    params, rate, n, group, budget = ModelParams.coupled_start(1.0), 1.0, 400_000, 5, 2**15
+    dt_c = group * _FINE_DT
+    assert dt_c == _CERTIFIED_DT
+    theta = np.empty((2, n))  # rows: fine, coarse
+
+    def fill(lo, m, rng):
+        horizons = sample_exp_time(rate, rng, m)
+        k_f = np.maximum(1, np.rint(horizons / _FINE_DT).astype(np.int64))
+        k_c = np.maximum(1, np.rint(horizons / dt_c).astype(np.int64))
+        need = np.maximum(k_f, group * k_c)  # fine steps that reach both horizons
+        order = np.argsort(need)
+        c0 = 0
+        while c0 < m:
+            # up to 256 paths in increasing need, at most `budget` elements a buffer
+            idx = order[c0 : c0 + 256]
+            idx = idx[: max(1, budget // need[idx[-1]])]
+            S = group * -(-need[idx[-1]] // group)
+            g = rng.standard_normal((idx.size, S)) * math.sqrt(_FINE_DT)
+            rows = np.arange(idx.size)
+            theta[0, lo + idx] = _trapezoid_nodes(g, _FINE_DT, params)[3][rows, k_f[idx]]
+            coarse_g = g.reshape(idx.size, S // group, group).sum(axis=2)
+            theta[1, lo + idx] = _trapezoid_nodes(coarse_g, dt_c, params)[3][rows, k_c[idx]]
+            c0 += idx.size
+
+    _run_blocks(n, 47, fill, threads=2)
+    assert _worst_decile_shift(theta[0], theta[1]) <= 1e-3
 
 
 # --- serialization ----------------------------------------------------------

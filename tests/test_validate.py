@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from verhulst.errors import DomainError
-from verhulst.simulate import ModelParams, TimeGrid, laplace_mc_direct
+from verhulst.simulate import ModelParams, TimeGrid, laplace_mc_direct, simulate_terminal_batch
 from verhulst.validate import (
     SUITE_REGISTRY,
     RepresentationParams,
@@ -137,6 +137,36 @@ def test_measure_change_constant_f_is_martingale_test():
     assert r.passed
 
 
+@pytest.mark.parametrize("mu, beta, gamma, t, dt", [
+    (0.0, 0.0, 1.0, 1.0, 2e-3),
+    (0.0, 1.0, 1.0, 1.0, 2e-3),
+    (0.0, 1.0, 1.0, 1.0, 1e-3),
+    (0.3, 0.5, 0.7, 0.5, 1e-2),
+    (-0.5, 2.0, 0.5, 1.0, 5e-3),
+    (0.0, 0.0, 0.0, 1.0, 2e-3),
+    (0.2, 1.0, 0.0, 1.0, 2e-3),
+])
+def test_measure_change_shifted_side_is_a_second_batch(mu, beta, gamma, t, dt):
+    # the test function sees the base ensemble, then the shifted one; the
+    # shifted one, read off the base batch, must be bit for bit a second
+    # batch at crowding beta + gamma on the same seed
+    seen = []
+
+    def record(theta):
+        seen.append(theta.copy())
+        return np.zeros_like(theta)
+
+    n, seed = 2 * 4096 + 3, 61
+    params = ModelParams(mu=mu, beta=beta)
+    r = measure_change_test(params, gamma, t, n, seed, test_fns=[("rec", record)], dt=dt)
+    assert r.statistic == 0.0
+    grid = TimeGrid.with_step(t, dt)
+    base = simulate_terminal_batch(params, grid, n, seed)
+    second = simulate_terminal_batch(ModelParams(mu=mu, beta=beta + gamma), grid, n, seed)
+    assert np.array_equal(seen[0], base.theta)
+    assert np.array_equal(seen[1], second.theta)
+
+
 def test_measure_change_domain():
     with pytest.raises(DomainError):
         measure_change_test(ModelParams(mu=0.0, beta=0.0, x0=2.0), 1.0, 1.0, 100, 0)
@@ -253,12 +283,29 @@ _NON_FINITE = {
 }
 
 
-@pytest.mark.parametrize("name, call", _NON_FINITE.values(), ids=_NON_FINITE.keys())
-def test_non_finite_inputs_refused(name, call):
+_NON_INTEGRAL = {
+    # id: (the name the refusal must give, the call)
+    "measure_change n=nan": ("n", lambda: measure_change_test(_P0, 1.0, 1.0, _NAN, 0)),
+    "measure_change n=2.5": ("n", lambda: measure_change_test(_P0, 1.0, 1.0, 2.5, 0)),
+    "measure_change n=1": ("n", lambda: measure_change_test(_P0, 1.0, 1.0, 1, 0)),
+    "measure_change threads=nan": (
+        "threads", lambda: measure_change_test(_P0, 1.0, 1.0, 100, 0, threads=_NAN)
+    ),
+    "suite threads=nan": ("threads", lambda: SuiteConfig(threads=_NAN)),
+    "suite threads=1.5": ("threads", lambda: SuiteConfig(threads=1.5)),
+}
+_REFUSALS = {
+    **{key: (rf"^{name} must be finite", call) for key, (name, call) in _NON_FINITE.items()},
+    **{key: (rf"^{name} must be an integer", call) for key, (name, call) in _NON_INTEGRAL.items()},
+}
+
+
+@pytest.mark.parametrize("pattern, call", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_non_finite_inputs_refused(pattern, call):
     # NaN passes every `x <= 0` guard; each input must be refused by its
-    # own name, not turned into a NaN statistic, a Python ValueError or a
-    # complaint about another argument
-    with pytest.raises(DomainError, match=rf"^{name} must be finite"):
+    # own name, not turned into a NaN statistic, a Python ValueError or
+    # TypeError, or a complaint about another argument
+    with pytest.raises(DomainError, match=pattern):
         call()
 
 
@@ -325,6 +372,15 @@ def test_suite_only_selects_each_registry_group_alone():
     ]
     for key, _ in SUITE_REGISTRY:
         assert [r.name for r in run_suite(SuiteConfig(only=(key,)), registry=reg)] == [key]
+
+
+def test_suite_group_threads_give_identical_reports():
+    # run_suite hands config.threads to the samplers inside a group
+    one, two = (
+        run_suite(SuiteConfig(seed=5, only=("measure_change",), threads=th)) for th in (1, 2)
+    )
+    assert len(one) == 2
+    assert one == two
 
 
 def test_suite_rerun_and_thread_invariance():
