@@ -39,8 +39,6 @@ from .simulate import (
 from .specfun import (
     BESSEL_I_MAX_X,
     BesselOrder,
-    DEFAULT_QUAD,
-    QuadConfig,
     bessel_i,
     bessel_k,
     bessel_product_F,

@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, require_positive
+from .errors import (
+    DomainError, require_count, require_finite, require_nonnegative, require_positive
+)
 from .simulate import McEstimate, ModelParams, TimeGrid, simulate_terminal_batch
 from .specfun import (
-    DEFAULT_QUAD,
+    ABS_TOL,
+    T_MIN_THETA,
     BesselOrder,
     anchor_completion,
     bessel_product_F,
@@ -68,8 +71,14 @@ def write_density_csv(curve, fh):
         fh.write(f"{a:.17g},{v:.17g}\n")
 
 
+def _require_t(t, t_min):
+    if not (math.isfinite(t) and t >= t_min):
+        raise DomainError(f"t must be finite and >= {t_min:g}")
+
+
 def lognormal_density(mu, t, x):
     """Density of exp(B_t + mu t) at x."""
+    require_finite("mu", mu)
     require_positive("t", t)
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0):
@@ -80,29 +89,28 @@ def lognormal_density(mu, t, x):
     return float(out) if out.ndim == 0 else out
 
 
-def density_exact_half(x_start, t, w, cfg=DEFAULT_QUAD):
+def density_exact_half(x_start, t, w):
     """Fixed-time density at w for the drift -1/2, beta = x0 = x_start process.
 
     The kernel is exp(-z/2 - (x+w)^2/(2z)) times the e^{r}-scaled Theta at
     r = xw/z, integrated over log z; grouping the Gaussian factor with
     Theta's own e^{-r} is what keeps both factors in range.  The log axis
-    is truncated where the kernel drops below abs_tol relative to its peak
-    and covered by composite Gauss-Legendre panels.
+    is truncated where the kernel drops below ABS_TOL relative to its peak
+    and covered by composite Gauss-Legendre panels.  Needs t >= T_MIN_THETA.
     """
     x = float(x_start)
     w = float(w)
-    if not (math.isfinite(t) and t >= cfg.t_min_theta):
-        raise DomainError(f"t must be finite and >= t_min_theta = {cfg.t_min_theta:g}")
+    _require_t(t, T_MIN_THETA)
     require_positive("x_start", x)
     require_positive("w", w)
-    cut = -math.log(cfg.abs_tol) + 6.0
+    cut = -math.log(ABS_TOL) + 6.0
     q = (x + w) ** 2
     u_lo = math.log(q / (2.0 * cut))
     u_hi = math.log(2.0 * cut)
     if u_lo >= u_hi:  # kernel never rises above the cut: density underflows
         return 0.0
     z, gw = log_panels(u_lo, u_hi, 2.0, 2)
-    kern = np.exp(-0.5 * z - 0.5 * q / z) * hartman_watson_theta_grid(x * w / z, t, cfg)
+    kern = np.exp(-0.5 * z - 0.5 * q / z) * hartman_watson_theta_grid(x * w / z, t)
     total = float(np.dot(gw, kern))
     if total <= 0.0:
         return 0.0
@@ -110,18 +118,19 @@ def density_exact_half(x_start, t, w, cfg=DEFAULT_QUAD):
     return math.exp(log_pref + math.log(total))
 
 
-def curve_exact_half(x_start, t, n_points=600, width=8.0, cfg=DEFAULT_QUAD):
+def curve_exact_half(x_start, t, n_points=600):
     """Fixed-time density curve on a log grid sized from the lognormal
-    envelope exp(ln x0 - t/2 +- width sqrt(t))."""
+    envelope exp(ln x0 - t/2 +- 8 sqrt(t))."""
+    require_positive("x_start", x_start)
+    _require_t(t, T_MIN_THETA)
+    require_count("n_points", n_points, 2)
     center = math.log(x_start) - 0.5 * t
-    grid = np.exp(
-        np.linspace(center - width * math.sqrt(t), center + width * math.sqrt(t), n_points)
-    )
-    vals = np.array([density_exact_half(x_start, t, w, cfg) for w in grid])
+    grid = np.exp(np.linspace(center - 8.0 * math.sqrt(t), center + 8.0 * math.sqrt(t), n_points))
+    vals = np.array([density_exact_half(x_start, t, w) for w in grid])
     return DensityCurve(grid, vals, kind="exact_half", params=f"x={x_start:g} t={t:g}")
 
 
-def density_exp_time(x_start, lam, z, cfg=DEFAULT_QUAD):
+def density_exp_time(x_start, lam, z):
     """Density at z of the process started at x_start, stopped at an
     independent exponential time of rate lam.
 
@@ -132,14 +141,18 @@ def density_exp_time(x_start, lam, z, cfg=DEFAULT_QUAD):
     require_positive("x_start", x)
     require_positive("z", z)
     order = BesselOrder.from_rate(lam)
-    f = bessel_product_F(order, x, z, cfg)
+    f = bessel_product_F(order, x, z)
     if f <= 0.0:
         return 0.0
     log_pref = math.log(2.0 * lam) + x - z + 0.5 * (math.log(x) - 3.0 * math.log(z))
     return math.exp(log_pref + math.log(f))
 
 
-def curve_exp_time(x_start, lam, n_points=600, z_lo=1e-8, z_hi=40.0, cfg=DEFAULT_QUAD):
+def curve_exp_time(x_start, lam, n_points=600):
+    """Exponential-time density curve on [1e-8, 40], log-spaced on each
+    side of x_start."""
+    require_count("n_points", n_points, 2)
+    z_lo, z_hi = 1e-8, 40.0
     # z = x_start is a grid point: the density has a slope kink there
     # (I/K swap arguments), and trapezoid panels must not straddle it
     if not z_lo < x_start < z_hi:
@@ -150,13 +163,13 @@ def curve_exp_time(x_start, lam, n_points=600, z_lo=1e-8, z_hi=40.0, cfg=DEFAULT
         (np.geomspace(z_lo, x_start, n_lo),
          np.geomspace(x_start, z_hi, n_points - n_lo + 1)[1:])
     )
-    vals = np.array([density_exp_time(x_start, lam, z, cfg) for z in grid])
+    vals = np.array([density_exp_time(x_start, lam, z) for z in grid])
     return DensityCurve(
         grid, vals, kind="exp_time", params=f"x={x_start:g} lam={lam:g}"
     )
 
 
-def exp_time_total_mass(x_start, lam, cfg=DEFAULT_QUAD):
+def exp_time_total_mass(x_start, lam):
     """Normalization integral of density_exp_time by log-panel quadrature,
     split at the z = x_start kink; equals 1 to quadrature accuracy.
 
@@ -173,10 +186,10 @@ def exp_time_total_mass(x_start, lam, cfg=DEFAULT_QUAD):
     lo = x * 10.0 ** (-max(9.0, 12.0 / (nu - 0.5)))
     # past the kink z = x for every x; beyond it the density falls like e^{-2(z - x)}
     hi = x + 30.0
-    return log_panel_integral(lambda zi: density_exp_time(x, lam, zi, cfg), lo, hi, x)
+    return log_panel_integral(lambda zi: density_exp_time(x, lam, zi), lo, hi, x)
 
 
-def myor_psi_profile(mu, t, vs, x, cfg=DEFAULT_QUAD):
+def myor_psi_profile(mu, t, vs, x):
     """Joint density at (v, x) of the time-t integrated drift-mu GBM and its
     terminal log, along an array of v at fixed x.
 
@@ -185,19 +198,21 @@ def myor_psi_profile(mu, t, vs, x, cfg=DEFAULT_QUAD):
     Theta(r, t/4), which grows only algebraically in r.  The whole array
     shares one Theta node set.  Where that is a point's own node set, the
     value equals the one-point profile at that v exactly; otherwise the
-    shared set only adds tail panels past the point's own cut, below
-    abs_tol * z_cut_factor on the e^{r} scale, or refines the panels when
-    a small v (large r) needs a width below the half-period t/4.
+    shared set only adds tail panels past the point's own cut, below the
+    Theta quadrature's cut on the e^{r} scale, or refines the panels when
+    a small v (large r) needs a width below the half-period t/4.  Needs
+    t >= 4 T_MIN_THETA.
     """
     vs = np.asarray(vs, dtype=float)
     if not np.all((vs > 0) & (vs < math.inf)):
         raise DomainError("v must be finite and > 0")
-    if not (math.isfinite(t) and t >= 4.0 * cfg.t_min_theta):
-        raise DomainError(f"t must be finite and >= 4*t_min_theta = {4.0 * cfg.t_min_theta:g}")
-    return _psi(mu, t, vs, x, cfg)[0]
+    require_finite("mu", mu)
+    require_finite("x", x)
+    _require_t(t, 4.0 * T_MIN_THETA)
+    return _psi(mu, t, vs, x)[0]
 
 
-def _psi(mu, t, vs, b, cfg):
+def _psi(mu, t, vs, b):
     """psi(v, b) along vs, grouped as myor_psi_profile states, with b a
     scalar or an array like vs, and the mask of entries whose Theta factor
     is trusted; entries whose exponent is below -700 are 0 and trusted."""
@@ -207,7 +222,7 @@ def _psi(mu, t, vs, b, cfg):
     trusted = np.ones(vs.shape, dtype=bool)
     live = expo > -700.0
     if np.any(live):
-        tt, ok = hartman_watson_theta_grid((4.0 * q / vs)[live], 0.25 * t, cfg, with_floor=True)
+        tt, ok = hartman_watson_theta_grid((4.0 * q / vs)[live], 0.25 * t, with_floor=True)
         out[live] = 0.5 * np.exp(expo[live]) / vs[live] * tt
         trusted[live] = ok
     return out, trusted
@@ -305,8 +320,7 @@ def conditional_laplace(lam, t, v, log_theta, r_rel):
 def moment_exp_int_theta(params, t):
     """E[exp((beta/x0) integral_0^t theta)] = 1 + beta (e^{(mu+1/2)t} - 1)/(mu+1/2),
     continued by 1 + beta t at mu = -1/2."""
-    if t < 0:
-        raise DomainError("moment_exp_int_theta needs t >= 0")
+    require_nonnegative("t", t)
     k = params.mu + 0.5
     if k == 0.0:
         return 1.0 + params.beta * t
@@ -317,18 +331,18 @@ def moment_exp_int_theta(params, t):
 _MIX_ANCHOR_RATES = (0.055, 4.375, 12.375)
 
 
-def density_exp_time_mixture(x_start, lam, w, cfg=DEFAULT_QUAD):
+def density_exp_time_mixture(x_start, lam, w):
     """Exponential-time density at w as the rate-lam mixture of fixed-time
     densities, evaluated without touching the closed form at rate lam.
 
-    The t >= t_min_theta part is direct log-t panel quadrature of
-    lam e^{-lam t} p_t(w).  The [0, t_min_theta) mass (dominant when w is
+    The t >= T_MIN_THETA part is direct log-t panel quadrature of
+    lam e^{-lam t} p_t(w).  The [0, T_MIN_THETA) mass (dominant when w is
     near x_start, where the fixed-time density grows a small-t peak) is
     not reachable that way, but its integrals against e^{-rate t} at the
     three anchor rates are: each equals the closed-form transform at that
     rate minus the same quadrature.  The completion added is the midpoint
     of the sharp two-sided bracket over positive measures on
-    [0, t_min_theta] consistent with those anchors; returns (value, bound)
+    [0, T_MIN_THETA] consistent with those anchors; returns (value, bound)
     with bound = bracket halfwidth + anchor noise + quadrature tail.
     """
     x = float(x_start)
@@ -340,22 +354,22 @@ def density_exp_time_mixture(x_start, lam, w, cfg=DEFAULT_QUAD):
         raise DomainError(f"mixture supports 0 < lam <= {rates[-1]:g}")
     # the integrand carries e^{-(rate + 1/8) t} overall; 45 e-foldings
     t_hi = 45.0 / (rates[0] + 0.125)
-    ts, gw = log_panels(math.log(cfg.t_min_theta), math.log(t_hi), 2.0, 2)
+    ts, gw = log_panels(math.log(T_MIN_THETA), math.log(t_hi), 2.0, 2)
     gwt = gw * ts
-    dens = np.array([density_exact_half(x, t, w, cfg) for t in ts])
+    dens = np.array([density_exact_half(x, t, w) for t in ts])
 
     def q(rate):
         return float(np.dot(gwt, np.exp(-rate * ts) * dens))
 
     base = q(lam)
-    anchors = np.array([density_exp_time(x, rate, w, cfg) / rate - q(rate) for rate in rates])
+    anchors = np.array([density_exp_time(x, rate, w) / rate - q(rate) for rate in rates])
     noise = 1e-6 * (np.maximum(anchors[0], 0.0) + q(rates[0]))
     tail = math.exp(-45.0) * float(dens.max()) * t_hi
-    mid, half = anchor_completion(rates, anchors, lam, cfg.t_min_theta)
+    mid, half = anchor_completion(rates, anchors, lam, T_MIN_THETA)
     return lam * (base + mid), lam * (half + noise + tail)
 
 
-def _theta_log_interp(r_lo, r_hi, tau, cfg, n=2000):
+def _theta_log_interp(r_lo, r_hi, tau, n=2000):
     """Dense linear interpolant of log Theta~(r, tau) on a log-r grid.
 
     Also returns the trust edge r_reliable: below it the quadrature output
@@ -372,7 +386,7 @@ def _theta_log_interp(r_lo, r_hi, tau, cfg, n=2000):
     the lookup equals np.interp bit for bit, its end clamps included.
     """
     grid = np.geomspace(r_lo, r_hi, n)
-    vals, trusted = hartman_watson_theta_grid(grid, tau, cfg, with_floor=True)
+    vals, trusted = hartman_watson_theta_grid(grid, tau, with_floor=True)
     logs = np.log(np.maximum(vals, 1e-300))
     lg = np.log(grid)
     # padded so that node n-1 is a panel of slope 0 that no L passes
@@ -403,7 +417,7 @@ def _theta_log_interp(r_lo, r_hi, tau, cfg, n=2000):
 GENERAL_MC_DT = 1e-3
 
 
-def _tilt_kernels(gamma, mu, t, xs, n, seed, cfg, threads=1):
+def _tilt_kernels(gamma, mu, t, xs, n, seed, threads=1):
     """Per-draw tilt kernels and endpoint-conditioning log-weights, one x
     at a time, from one sample set.
 
@@ -419,8 +433,7 @@ def _tilt_kernels(gamma, mu, t, xs, n, seed, cfg, threads=1):
     all orders.
     """
     require_positive("gamma", gamma)
-    if not (math.isfinite(t) and t >= 4.0 * cfg.t_min_theta):
-        raise DomainError("t must be finite and >= 4*t_min_theta")
+    _require_t(t, 4.0 * T_MIN_THETA)
     if not np.all((xs > 0) & (xs < math.inf)):
         raise DomainError("x must be finite and > 0")
 
@@ -439,7 +452,7 @@ def _tilt_kernels(gamma, mu, t, xs, n, seed, cfg, threads=1):
     ssr = _sinh_ratio(0.5 * gamma * v)
     r_lo = 0.9 * min(4.0 * sx.min() * (ssr / v).min(), rb.min())
     r_hi = 1.1 * max(4.0 * sx.max() / v.min(), rb.max())
-    interp, r_rel = _theta_log_interp(r_lo, r_hi, 0.25 * t, cfg)
+    interp, r_rel = _theta_log_interp(r_lo, r_hi, 0.25 * t)
     cond = conditional_laplace(gamma, t, v, interp, r_rel)
 
     log_theta_rb = interp(np.log(rb))
@@ -466,7 +479,7 @@ def _tilt_kernels(gamma, mu, t, xs, n, seed, cfg, threads=1):
         yield pref, h, logw
 
 
-def _general_mc_engine(gamma, mu, t, xs, n, seed, cfg, threads=1):
+def _general_mc_engine(gamma, mu, t, xs, n, seed, threads=1):
     """Density values and standard errors over an x grid, from one sample
     set: per x, the tilt kernel averaged under the conditional law of the
     draws given the endpoint b = ln x (self-normalized importance
@@ -478,7 +491,7 @@ def _general_mc_engine(gamma, mu, t, xs, n, seed, cfg, threads=1):
     vals = np.empty(xs.size)
     errs = np.empty(xs.size)
     for k, (pref, h, logw) in enumerate(
-        _tilt_kernels(gamma, mu, t, xs, n, seed, cfg, threads)
+        _tilt_kernels(gamma, mu, t, xs, n, seed, threads)
     ):
         top = logw.max()
         if not np.isfinite(top):
@@ -493,7 +506,7 @@ def _general_mc_engine(gamma, mu, t, xs, n, seed, cfg, threads=1):
     return vals, errs
 
 
-def density_general_quad(gamma, mu, t, x, cfg=DEFAULT_QUAD, n=4000):
+def density_general_quad(gamma, mu, t, x, n=4000):
     """General-drift density at x by direct substitution quadrature.
 
     theta_t = e^b/(1 + gamma a) maps {theta = x} to b = ln x + ln(1+gamma v)
@@ -505,23 +518,22 @@ def density_general_quad(gamma, mu, t, x, cfg=DEFAULT_QUAD, n=4000):
     """
     require_positive("gamma", gamma)
     require_positive("x", x)
-    if not (math.isfinite(t) and t >= 4.0 * cfg.t_min_theta):
-        raise DomainError("t must be finite and >= 4*t_min_theta")
-    if not math.isfinite(mu):
-        raise DomainError("mu must be finite")
+    _require_t(t, 4.0 * T_MIN_THETA)
+    require_finite("mu", mu)
+    require_count("n", n, 2)
     vs = np.geomspace(1e-6, 400.0, n)
-    ys, trusted = _psi(mu, t, vs, math.log(x) + np.log1p(gamma * vs), cfg)
+    ys, trusted = _psi(mu, t, vs, math.log(x) + np.log1p(gamma * vs))
     return float(np.trapezoid(np.where(trusted, ys, 0.0), vs)) / x
 
 
-def density_general_mc(gamma, mu, t, x, n, seed, cfg=DEFAULT_QUAD, threads=1):
+def density_general_mc(gamma, mu, t, x, n, seed, threads=1):
     """Monte Carlo value of the general-drift density at one point x, the
     endpoint-conditional average of the tilt kernel."""
-    vals, errs = _general_mc_engine(gamma, mu, t, np.array([float(x)]), n, seed, cfg, threads)
+    vals, errs = _general_mc_engine(gamma, mu, t, np.array([float(x)]), n, seed, threads)
     return McEstimate(mean=float(vals[0]), stderr=float(errs[0]), n=n)
 
 
-def curve_general_mc(gamma, mu, t, x_grid, n, seed, cfg=DEFAULT_QUAD, threads=1):
+def curve_general_mc(gamma, mu, t, x_grid, n, seed, threads=1):
     """General-drift density curve over x_grid plus per-point standard
     errors, all from one path batch.
 
@@ -531,7 +543,7 @@ def curve_general_mc(gamma, mu, t, x_grid, n, seed, cfg=DEFAULT_QUAD, threads=1)
     validate and x=1 alone differ by 5.4e-8 relative (n=2e4).  Adding
     points inside [min(x_grid), max(x_grid)] changes no value."""
     x_grid = np.asarray(x_grid, dtype=float)
-    vals, errs = _general_mc_engine(gamma, mu, t, x_grid, n, seed, cfg, threads)
+    vals, errs = _general_mc_engine(gamma, mu, t, x_grid, n, seed, threads)
     curve = DensityCurve(
         x_grid,
         vals,
@@ -541,10 +553,11 @@ def curve_general_mc(gamma, mu, t, x_grid, n, seed, cfg=DEFAULT_QUAD, threads=1)
     return curve, errs
 
 
-def curve_lognormal(mu, t, n_points=200, width=7.0):
-    grid = np.exp(
-        np.linspace(mu * t - width * math.sqrt(t), mu * t + width * math.sqrt(t), n_points)
-    )
+def curve_lognormal(mu, t, n_points=200):
+    """Lognormal density curve on a log grid over mu t +- 7 sqrt(t)."""
+    require_positive("t", t)
+    require_count("n_points", n_points, 2)
+    grid = np.exp(np.linspace(mu * t - 7.0 * math.sqrt(t), mu * t + 7.0 * math.sqrt(t), n_points))
     return DensityCurve(
         grid,
         lognormal_density(mu, t, grid),

@@ -13,6 +13,11 @@ class ConvergenceError(RuntimeError):
     """A quadrature failed to meet its tolerance within budget."""
 
 
+def require_finite(name, x):
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite")
+
+
 def require_positive(name, x):
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"{name} must be finite and > 0")

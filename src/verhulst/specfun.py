@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, require_positive
+from .errors import ConvergenceError, DomainError, require_nonnegative, require_positive
 
 # Overflow guard for the I_nu ascending series: I_nu(x) ~ e^x/sqrt(2 pi x),
 # safely representable up to x ~ 700; we stop well short of that.
@@ -19,27 +19,17 @@ BESSEL_I_MAX_X = 600.0
 
 _EPS = np.finfo(float).eps
 
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances and truncation policy for the oscillatory quadratures."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_panels: int = 2000
-    z_cut_factor: float = 10.0
-    t_min_theta: float = 0.2
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("tolerances must be positive")
-        if self.max_panels < 1:
-            raise DomainError("max_panels must be >= 1")
-        if self.t_min_theta <= 0:
-            raise DomainError("t_min_theta must be positive")
-
-
-DEFAULT_QUAD = QuadConfig()
+# The one quadrature policy of every closed form: absolute and relative
+# tolerance of the quadratures and series,
+ABS_TOL = 1e-10
+REL_TOL = 1e-8
+# the smallest t at which Theta is evaluated (below it the e^{pi^2/(2t)}
+# prefactor amplifies roundoff past any tolerance),
+T_MIN_THETA = 0.2
+# and the panel budget of one Theta node set and how far above ABS_TOL
+# (on the e^{r} scale of the value) its integrand is cut.
+_MAX_PANELS = 2000
+_Z_CUT_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -49,8 +39,7 @@ class BesselOrder:
     nu: float
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise DomainError("Bessel order must be >= 0")
+        require_nonnegative("Bessel order", self.nu)
 
     @classmethod
     def from_rate(cls, lam):
@@ -60,7 +49,7 @@ class BesselOrder:
 
 
 def _order(nu):
-    return nu.nu if isinstance(nu, BesselOrder) else float(nu)
+    return nu.nu if isinstance(nu, BesselOrder) else BesselOrder(float(nu)).nu
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -104,17 +93,16 @@ def log_panel_integral(fn, lo, hi, kink):
     return float(np.dot(w, z * np.array([fn(zi) for zi in z])))
 
 
-def bessel_i(nu, x, cfg=DEFAULT_QUAD):
+def bessel_i(nu, x):
     """Modified Bessel I_nu(x) by the ascending power series.
 
     All series terms are positive, so there is no cancellation and the
-    term-ratio stop at rel_tol is also a remainder bound.  Supported for
+    term-ratio stop at REL_TOL is also a remainder bound.  Supported for
     0 <= x <= 600 (DomainError above; the series itself would overflow
-    near x ~ 700), any nu >= 0.
+    near x ~ 700), any finite nu >= 0.
     """
     nu = _order(nu)
-    if x < 0:
-        raise DomainError("bessel_i needs x >= 0")
+    require_nonnegative("x", x)
     if x > BESSEL_I_MAX_X:
         raise DomainError(f"bessel_i overflow guard: x > {BESSEL_I_MAX_X:g}")
     if x == 0.0:
@@ -127,13 +115,13 @@ def bessel_i(nu, x, cfg=DEFAULT_QUAD):
         k += 1
         term *= q / (k * (k + nu))
         total += term
-        if k > 3 and term <= cfg.rel_tol * 1e-4 * total:
+        if k > 3 and term <= REL_TOL * 1e-4 * total:
             return total
         if k > 10000:  # unreachable on the guarded domain
             raise ConvergenceError("bessel_i series stalled")
 
 
-def bessel_k(nu, x, cfg=DEFAULT_QUAD):
+def bessel_k(nu, x):
     """Modified Bessel K_nu(x) via K_nu = integral e^{-x cosh u} cosh(nu u) du.
 
     Computed in the scaled form e^x K_nu (integrand e^{-x(cosh u - 1)}
@@ -142,9 +130,8 @@ def bessel_k(nu, x, cfg=DEFAULT_QUAD):
     x(cosh u - 1) - nu*u = L by fixed-point iteration.
     """
     nu = _order(nu)
-    if x <= 0:
-        raise DomainError("bessel_k needs x > 0")
-    L = -math.log(cfg.abs_tol) + 18.0
+    require_positive("x", x)
+    L = -math.log(ABS_TOL) + 18.0
     u_max = 1.0
     for _ in range(60):
         nxt = math.acosh(1.0 + (L + nu * u_max) / x)
@@ -158,27 +145,27 @@ def bessel_k(nu, x, cfg=DEFAULT_QUAD):
     return math.exp(-x) * float(np.dot(w, vals))
 
 
-def bessel_product_F(nu, x, y, cfg=DEFAULT_QUAD):
+def bessel_product_F(nu, x, y):
     """Symmetric product I_nu(min(x,y)) * K_nu(max(x,y)).
 
     I takes the smaller argument and K the larger one; that orientation is
     what makes the exponential-time density integrable at both ends.
     """
-    if x <= 0 or y <= 0:
-        raise DomainError("bessel_product_F needs x, y > 0")
+    require_positive("x", x)
+    require_positive("y", y)
     lo, hi = (x, y) if x <= y else (y, x)
-    return bessel_i(nu, lo, cfg) * bessel_k(nu, hi, cfg)
+    return bessel_i(nu, lo) * bessel_k(nu, hi)
 
 
-def _theta_breaks(r, t, cfg, r_cap=None):
+def _theta_breaks(r, t, r_cap=None):
     """Panel breakpoints for the Theta integrand.
 
     Half-period panels of sin(pi z/t), with panel width additionally capped
     at min(1.5, 3.5/sqrt(r_cap)) so both the cosh envelope at large t and
     the near-Gaussian e^{-r z^2/2} envelope at large r stay resolved by a
     16-node rule.  Truncated where the envelope e^{-z^2/(2t) - r(cosh z -
-    1) + z} times the e^{pi^2/(2t)} prefactor drops below abs_tol *
-    z_cut_factor, i.e. the cut is on the e^{r} scale of the value; past
+    1) + z} times the e^{pi^2/(2t)} prefactor drops below ABS_TOL *
+    _Z_CUT_FACTOR, i.e. the cut is on the e^{r} scale of the value; past
     the envelope peak the panel-start value bounds the remainder scale.
 
     Grid callers pass r = smallest element (weakest damping, so the range
@@ -188,7 +175,7 @@ def _theta_breaks(r, t, cfg, r_cap=None):
     """
     rc = r_cap if r_cap is not None else r
     log_pref = math.pi**2 / (2.0 * t) + math.log(rc / math.sqrt(2.0 * math.pi**3 * t))
-    log_cut = math.log(cfg.abs_tol * cfg.z_cut_factor) - log_pref
+    log_cut = math.log(ABS_TOL * _Z_CUT_FACTOR) - log_pref
     width = min(1.5, 3.5 / math.sqrt(rc))
     # envelope peak z* solves 1 - z/t - r sinh z = 0, so z* <= min(t, asinh(1/r))
     z_peak = min(t, math.asinh(1.0 / r))
@@ -198,15 +185,15 @@ def _theta_breaks(r, t, cfg, r_cap=None):
         z = breaks[-1]
         if z > z_peak and -z * z / (2.0 * t) - r * (math.cosh(z) - 1.0) + z < log_cut:
             break
-        if len(breaks) > cfg.max_panels:
-            raise ConvergenceError(f"theta quadrature at t={t:g} exceeded max_panels")
+        if len(breaks) > _MAX_PANELS:
+            raise ConvergenceError(f"theta quadrature at t={t:g} exceeded {_MAX_PANELS} panels")
         while k * t <= z + 1e-15:
             k += 1
         breaks.append(min(k * t, z + width))
     return np.array(breaks)
 
 
-def hartman_watson_theta(r, t, cfg=DEFAULT_QUAD, scaled=False):
+def hartman_watson_theta(r, t):
     """Hartman-Watson function Theta(r,t), the kernel whose Laplace
     transform in nu^2/2 is I_nu(r).
 
@@ -216,22 +203,20 @@ def hartman_watson_theta(r, t, cfg=DEFAULT_QUAD, scaled=False):
 
     Parameters
     ----------
-    r, t : floats, r > 0 and t >= cfg.t_min_theta.  Below t_min_theta the
-        e^{pi^2/(2t)} prefactor amplifies roundoff past any tolerance
+    r, t : finite floats, r > 0 and t >= T_MIN_THETA.  Below T_MIN_THETA
+        the e^{pi^2/(2t)} prefactor amplifies roundoff past any tolerance
         (DomainError; no small-t scheme is attempted).
-    scaled : if True return e^{r} * Theta(r,t), the form the density
-        integrands consume (their own exponentials absorb the e^{-r}).
 
     Gauss-Legendre 16 on panels aligned with the sign changes of
-    sin(pi z/t), evaluated as hartman_watson_theta_grid of the one r
-    (the scaled value is the grid's bit for bit).  Sign rule, on the
-    e^{r} scale like the quadrature cut: with the error floor (8 eps +
-    rel_tol) * prefactor * unsigned mass, a scaled value below
-    -max(abs_tol, floor) raises ConvergenceError and smaller negatives
-    are clamped to 0; the unscaled value is the scaled one times e^{-r}.
+    sin(pi z/t), evaluated as e^{-r} times hartman_watson_theta_grid of
+    the one r; the density integrands consume that grid's e^{r}-scaled
+    value directly (their own exponentials absorb the e^{-r}).  Sign
+    rule, on the e^{r} scale like the quadrature cut: with the error
+    floor (8 eps + REL_TOL) * prefactor * unsigned mass, a scaled value
+    below -max(ABS_TOL, floor) raises ConvergenceError and smaller
+    negatives are clamped to 0.
     """
-    value = float(hartman_watson_theta_grid(np.array([float(r)]), t, cfg)[0])
-    return value if scaled else value * math.exp(-r)
+    return float(hartman_watson_theta_grid(np.array([float(r)]), t)[0]) * math.exp(-r)
 
 
 # Element budget of one t-chunk of the Theta kernel: a chunk's damping
@@ -286,7 +271,7 @@ def _theta_sums(rs, ts, breaks):
     return dots, masses
 
 
-def hartman_watson_theta_grid(rs, t, cfg=DEFAULT_QUAD, with_floor=False):
+def hartman_watson_theta_grid(rs, t, with_floor=False):
     """e^{r} Theta(r,t) for an array of r values at one t, or at each t of
     a 1-d array: the kernel behind hartman_watson_theta (quadrature and
     sign rule stated there).  A scalar t gives a vector like rs, an array
@@ -295,10 +280,10 @@ def hartman_watson_theta_grid(rs, t, cfg=DEFAULT_QUAD, with_floor=False):
     Each t gets one node set built from the smallest r (range) and the
     largest r (panel width, cut depth).  Each (t, r) value is reduced on
     its own, so a row's values do not depend on the other t in the call,
-    and a value whose own node set is the batch's gets
-    hartman_watson_theta's bit for bit, whatever else the batch holds.
+    and a value whose own node set is the batch's equals the one-r call
+    bit for bit, whatever else the batch holds.
     For any other r the batch only adds tail panels past that r's own
-    cut, where its integrand is below abs_tol * z_cut_factor on the e^{r}
+    cut, where its integrand is below ABS_TOL * _Z_CUT_FACTOR on the e^{r}
     scale, or, when the largest r narrows the panel width below the
     half-period t, finer panels.
 
@@ -307,25 +292,22 @@ def hartman_watson_theta_grid(rs, t, cfg=DEFAULT_QUAD, with_floor=False):
     mass.  At small r the true value sinks below that floor (Theta
     vanishes faster than any power of r) and an untrusted output is
     positive noise a caller must discount.  The raise guard keeps the
-    larger rel_tol-based floor so that an honest tiny negative never
+    larger REL_TOL-based floor so that an honest tiny negative never
     trips it.
     """
     rs = np.asarray(rs, dtype=float)
     t_in = np.asarray(t, dtype=float)
     if t_in.ndim > 1:
         raise DomainError("theta takes t as a scalar or a 1-d array")
-    if not (rs > 0).all():
-        raise DomainError("theta needs r > 0")
+    r_min, r_max = float(rs.min()), float(rs.max())
+    if not (r_min > 0 and r_max < math.inf):  # a NaN r makes both NaN
+        raise DomainError("theta needs finite r > 0")
     ts = t_in.reshape(-1)
     tl = ts.tolist()
     for ti in tl:
-        if not ti >= cfg.t_min_theta:
-            raise DomainError(
-                f"theta at t={ti:g} not evaluated below t_min_theta={cfg.t_min_theta:g} "
-                "(cancellation regime)"
-            )
-    r_min, r_max = float(rs.min()), float(rs.max())
-    breaks = [_theta_breaks(r_min, ti, cfg, r_cap=r_max) for ti in tl]
+        if not (math.isfinite(ti) and ti >= T_MIN_THETA):
+            raise DomainError(f"theta t must be finite and >= {T_MIN_THETA:g}, got t={ti:g}")
+    breaks = [_theta_breaks(r_min, ti, r_cap=r_max) for ti in tl]
     dots, masses = _theta_sums(rs, ts, breaks)
     # math.exp per t, not np.exp: the two can differ in the last bit
     sqrt_t = np.array([math.sqrt(2.0 * math.pi**3 * ti) for ti in tl])
@@ -333,7 +315,7 @@ def hartman_watson_theta_grid(rs, t, cfg=DEFAULT_QUAD, with_floor=False):
     pref = rs / sqrt_t[:, None] * exp_t[:, None]
     vals = pref * dots
     unsigned = pref * masses
-    guard = np.maximum(cfg.abs_tol, (8.0 * _EPS + cfg.rel_tol) * unsigned)
+    guard = np.maximum(ABS_TOL, (8.0 * _EPS + REL_TOL) * unsigned)
     negative = vals < -guard
     if negative.any():
         i = int(negative.any(axis=1).argmax())
@@ -356,8 +338,8 @@ def phi_arcosh(x, y):
     exactly.  Broadcasts over numpy arrays.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("phi_arcosh needs x >= 0")
+    if not (np.all((x >= 0) & (x < math.inf)) and np.all(np.isfinite(y))):
+        raise DomainError("phi_arcosh: x must be finite and >= 0, and y finite")
     ey = np.exp(-y)
     c = x * ey + np.cosh(y)
     s2 = x * x * ey * ey + np.sinh(y) ** 2 + 2.0 * x * ey * np.cosh(y)
@@ -371,8 +353,7 @@ def laplace_kernel_F(x, z, t):
     phi_z(x) >= |x| for z >= 0, so the exponent is <= 0; equals 1 exactly
     at z = 0.  Broadcasts over numpy arrays.
     """
-    if t <= 0:
-        raise DomainError("laplace_kernel_F needs t > 0")
+    require_positive("t", t)
     phi = phi_arcosh(z, x)
     out = np.exp(-(phi * phi - np.square(x)) / (2.0 * t))
     return float(out) if np.ndim(out) == 0 else out
@@ -386,16 +367,16 @@ _T_LAPLACE_HI = 400.0
 _T_LAPLACE_PANELS = 180
 
 
-def _theta_time_nodes(rs, cfg):
-    """Log-spaced GL nodes/weights on [t_min_theta, 400] and the matrix of
+def _theta_time_nodes(rs):
+    """Log-spaced GL nodes/weights on [T_MIN_THETA, 400] and the matrix of
     scaled values e^{r} Theta(r, t_i) over an r grid, from one kernel call
     over all t nodes."""
-    breaks = cfg.t_min_theta * np.exp(
-        np.linspace(0.0, math.log(_T_LAPLACE_HI / cfg.t_min_theta), _T_LAPLACE_PANELS + 1)
+    breaks = T_MIN_THETA * np.exp(
+        np.linspace(0.0, math.log(_T_LAPLACE_HI / T_MIN_THETA), _T_LAPLACE_PANELS + 1)
     )
     u, w = _panels(np.log(breaks))
     t = np.exp(u)
-    return t, w * t, hartman_watson_theta_grid(rs, t, cfg)
+    return t, w * t, hartman_watson_theta_grid(rs, t)
 
 
 def anchor_completion(rates, anchors, s, tau):
@@ -435,15 +416,15 @@ def anchor_completion(rates, anchors, s, tau):
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
-def theta_time_laplace(r, s, cfg=DEFAULT_QUAD):
+def theta_time_laplace(r, s):
     """integral_0^inf e^{-s t} Theta(r,t) dt with a documented small-t bound.
 
-    Returns (value, bound).  The [t_min_theta, 400] part is honest panel
-    quadrature in log t.  The mass below t_min_theta cannot be integrated
+    Returns (value, bound).  The [T_MIN_THETA, 400] part is honest panel
+    quadrature in log t.  The mass below T_MIN_THETA cannot be integrated
     directly (Theta is not evaluable there), but it is pinned by anchor
     values c_j = I_{nu_j}(r) - Q(nu_j^2/2) at orders nu_j in {0.3, 3, 5}:
     the completion added to Q(s) is the midpoint of the sharp bracket over
-    all positive measures on [0, t_min_theta] consistent with those
+    all positive measures on [0, T_MIN_THETA] consistent with those
     anchors, and `bound` is the bracket halfwidth (plus anchor noise).
 
     Requires 0.045 <= s <= 12.5, the range of the anchor rates.  Beyond
@@ -462,21 +443,21 @@ def theta_time_laplace(r, s, cfg=DEFAULT_QUAD):
             f"theta_time_laplace supports {s_anchors[0]:g} <= s <= {s_anchors[-1]:g}"
         )
     r = float(r)
-    t, w, theta = _theta_time_nodes(np.array([r]), cfg)
+    t, w, theta = _theta_time_nodes(np.array([r]))
 
     def q(rate):
         return ((w * np.exp(-rate * t)) @ theta)[0]
 
     er = np.exp(r)
     anchors = np.array(
-        [er * bessel_i(nu, r, cfg) - q(s_a) for nu, s_a in zip(_ANCHOR_ORDERS, s_anchors)]
+        [er * bessel_i(nu, r) - q(s_a) for nu, s_a in zip(_ANCHOR_ORDERS, s_anchors)]
     )
-    noise = 4e-9 * (er + er * bessel_i(0.3, r, cfg))
+    noise = 4e-9 * (er + er * bessel_i(0.3, r))
     missing = max(anchors[0], 0.0)
     if missing <= noise:
         # missing mass indistinguishable from quadrature noise; bounds itself
         mid, half = 0.0, missing
     else:
-        mid, half = anchor_completion(s_anchors, anchors, s, cfg.t_min_theta)
+        mid, half = anchor_completion(s_anchors, anchors, s, T_MIN_THETA)
     scale = math.exp(-r)
     return float(q(s) + mid) * scale, float(half + noise) * scale

@@ -45,7 +45,7 @@ from .simulate import (
     simulate_terminal_batch,
 )
 from .specfun import (
-    DEFAULT_QUAD,
+    ABS_TOL,
     bessel_i,
     bessel_product_F,
     log_panel_integral,
@@ -200,7 +200,7 @@ def _bessel_product_quad(nu, x, w):
     """
     p = x * w
     d = abs(x - w)
-    L = -math.log(DEFAULT_QUAD.abs_tol) + 14.0
+    L = -math.log(ABS_TOL) + 14.0
     z_hi = 2.0 * L
     z_lo = max(d * d / (2.0 * L), 2.0 * math.pi * p * 2.5e-21)
     z, wts = log_panels(math.log(z_lo), math.log(z_hi), 2.5, 8)
@@ -438,7 +438,7 @@ def z2_symmetry_check(lam, z_grid):
     zg = np.asarray(z_grid, dtype=float)
     if zg.size == 0 or np.any(zg <= 0):
         raise DomainError("z_grid must be positive and nonempty")
-    x_hi = 0.5 * (-math.log(DEFAULT_QUAD.abs_tol)) + 6.0
+    x_hi = 0.5 * (-math.log(ABS_TOL)) + 6.0
     worst = -1.0
     at = None
     for z in zg:

@@ -37,7 +37,6 @@ from verhulst.simulate import (
     simulate_exp_terminal,
     simulate_terminal_batch,
 )
-from verhulst.specfun import DEFAULT_QUAD
 from verhulst.validate import SUITE_REGISTRY, SuiteConfig, measure_change_test, run_suite
 
 pytestmark = pytest.mark.acceptance
@@ -134,7 +133,7 @@ def test_criterion_10_general_density():
     # deterministic substitution quadrature at x = 1
     gamma, mu, t, n = 1.0, 0.0, 1.0, 100_000
     quad = density_general_quad(gamma, mu, t, 1.0)
-    ((pref, h, _),) = _tilt_kernels(gamma, mu, t, np.array([1.0]), n, 99001, DEFAULT_QUAD)
+    ((pref, h, _),) = _tilt_kernels(gamma, mu, t, np.array([1.0]), n, 99001)
     uncond = McEstimate.from_samples(pref * h)
     z_uncond = abs(uncond.mean - quad) / uncond.stderr
     # the report prints the estimate and its error unrounded (repr)

@@ -210,6 +210,7 @@ def test_laplace_default_besq_agrees_with_direct(capsys):
     ["simulate", "--dt", "nan"],
     ["density", "--kind", "exact-half", "--x", "1", "--t", "nan"],
     ["density", "--kind", "general-mc", "--gamma", "nan"],
+    ["density", "--kind", "lognormal", "--mu", "nan"],
 ])
 def test_nan_input_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"

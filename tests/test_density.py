@@ -45,7 +45,7 @@ from verhulst.simulate import (
     simulate_exp_terminal,
     simulate_terminal_batch,
 )
-from verhulst.specfun import DEFAULT_QUAD, _panels, hartman_watson_theta_grid
+from verhulst.specfun import _panels, hartman_watson_theta_grid
 
 # Frozen from mpmath at dps=30: 2 lam e^{x-z} sqrt(x/z^3) I_nu(min) K_nu(max),
 # nu = sqrt(2 lam + 1/4).
@@ -445,7 +445,7 @@ def test_general_mc_conditional_matches_quad():
 def _unconditional_mc(gamma, mu, t, x, n, seed):
     # negative control: the tilt kernel averaged over the draws without
     # conditioning them on the endpoint
-    ((pref, h, _),) = _tilt_kernels(gamma, mu, t, np.array([x]), n, seed, DEFAULT_QUAD)
+    ((pref, h, _),) = _tilt_kernels(gamma, mu, t, np.array([x]), n, seed)
     return McEstimate(
         mean=pref * float(h.mean()), stderr=pref * float(h.std(ddof=1) / math.sqrt(n)), n=n
     )
@@ -493,6 +493,9 @@ _NON_FINITE = {
     "exact_half w=inf": lambda: density_exact_half(1.0, 1.0, _INF),
     "exact_half x=inf": lambda: density_exact_half(_INF, 1.0, 1.0),
     "curve_exact_half t=nan": lambda: curve_exact_half(1.0, _NAN, n_points=10),
+    "curve_exact_half x=-1": lambda: curve_exact_half(-1.0, 1.0, n_points=10),
+    "curve_exact_half t=-1": lambda: curve_exact_half(1.0, -1.0, n_points=10),
+    "curve_lognormal t=-1": lambda: curve_lognormal(0.0, -1.0),
     "general_mc x=nan": lambda: curve_general_mc(1.0, 0.0, 1.0, [0.5, _NAN], 100, seed=1),
     "general_mc x=inf": lambda: curve_general_mc(1.0, 0.0, 1.0, [0.5, _INF], 100, seed=1),
     "general_mc t=inf": lambda: density_general_mc(1.0, 0.0, _INF, 1.0, 100, seed=1),
@@ -500,10 +503,16 @@ _NON_FINITE = {
     "exp_time z=nan": lambda: density_exp_time(1.0, 1.0, _NAN),
     "exp_time lam=nan": lambda: density_exp_time(1.0, _NAN, 1.0),
     "lognormal t=nan": lambda: lognormal_density(0.0, _NAN, 1.0),
+    "lognormal mu=nan": lambda: lognormal_density(_NAN, 1.0, 1.0),
+    "curve_lognormal mu=nan": lambda: curve_lognormal(_NAN, 1.0),
+    "moment t=nan": lambda: moment_exp_int_theta(ModelParams(mu=0.0, beta=1.0), _NAN),
+    "moment t=inf": lambda: moment_exp_int_theta(ModelParams(mu=0.0, beta=1.0), _INF),
     "myor v=nan": lambda: conditional_laplace(1.0, 1.0, [1.0, _NAN], np.log, 0.0),
     "myor lam=nan": lambda: conditional_laplace(_NAN, 1.0, [1.0], np.log, 0.0),
     "psi t=nan": lambda: myor_psi_profile(0.0, _NAN, [1.0], 0.0),
     "psi v=nan": lambda: myor_psi_profile(0.0, 1.0, [1.0, _NAN], 0.0),
+    "psi mu=nan": lambda: myor_psi_profile(_NAN, 1.0, [1.0], 0.0),
+    "psi x=nan": lambda: myor_psi_profile(0.0, 1.0, [1.0], _NAN),
     "h_kernel x=nan": lambda: conditional_laplace(1.0, 1.0, [1.0], np.log, 0.0)(_NAN),
 }
 
@@ -514,6 +523,12 @@ _NON_INTEGRAL = {
     "general_mc threads=nan": (
         "threads", lambda: density_general_mc(1.0, 0.0, 1.0, 1.0, 10, 1, threads=_NAN)
     ),
+    "curve_exact_half n_points=2.5": (
+        "n_points", lambda: curve_exact_half(1.0, 1.0, n_points=2.5)
+    ),
+    "curve_exp_time n_points=nan": ("n_points", lambda: curve_exp_time(1.0, 1.0, n_points=_NAN)),
+    "curve_lognormal n_points=nan": ("n_points", lambda: curve_lognormal(0.0, 1.0, n_points=_NAN)),
+    "quad n=nan": ("n", lambda: density_general_quad(1.0, 0.0, 1.0, 1.0, n=_NAN)),
 }
 _REFUSALS = {
     **{key: ("must be finite", call) for key, call in _NON_FINITE.items()},
@@ -537,12 +552,12 @@ def test_theta_log_interp_equals_np_interp(table, monkeypatch):
     r_lo, r_hi, tau, n = 0.02, 300.0, 0.25, 2000
     grid = np.geomspace(r_lo, r_hi, n)
     if table == "theta":
-        vals, _ = hartman_watson_theta_grid(grid, tau, DEFAULT_QUAD, with_floor=True)
+        vals, _ = hartman_watson_theta_grid(grid, tau, with_floor=True)
     else:
         vals = np.exp(3.0 * np.random.default_rng(0).standard_normal(n))
         monkeypatch.setattr("verhulst.density.hartman_watson_theta_grid",
                             lambda *_, **__: (vals, np.ones(n, dtype=bool)))
-    interp, _ = _theta_log_interp(r_lo, r_hi, tau, DEFAULT_QUAD, n)
+    interp, _ = _theta_log_interp(r_lo, r_hi, tau, n)
     lg = np.log(grid)
     logs = np.log(np.maximum(vals, 1e-300))
     rng = np.random.default_rng(4)

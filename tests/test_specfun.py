@@ -18,9 +18,9 @@ from verhulst import specfun
 from verhulst.errors import ConvergenceError, DomainError
 from verhulst.specfun import (
     BESSEL_I_MAX_X,
-    DEFAULT_QUAD,
+    REL_TOL,
+    T_MIN_THETA,
     BesselOrder,
-    QuadConfig,
     _THETA_CHUNK_ELEMS,
     _panels,
     _theta_breaks,
@@ -37,7 +37,7 @@ from verhulst.specfun import (
 
 mpmath.mp.dps = 30
 
-REL = DEFAULT_QUAD.rel_tol
+REL = REL_TOL
 
 # Frozen from mpmath.besseli / mpmath.besselk at dps=30.
 I_HALF_AT_1 = 0.93767488824548765  # = sqrt(2/pi) sinh(1)
@@ -192,17 +192,6 @@ def test_bessel_order_validation():
         BesselOrder.from_rate(0.0)
 
 
-def test_quad_config_validation():
-    with pytest.raises(DomainError):
-        QuadConfig(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadConfig(rel_tol=-1e-8)
-    with pytest.raises(DomainError):
-        QuadConfig(max_panels=0)
-    with pytest.raises(DomainError):
-        QuadConfig(t_min_theta=0.0)
-
-
 # --- Hartman-Watson Theta ---------------------------------------------------
 
 
@@ -214,7 +203,7 @@ def test_theta_frozen_values(r, t, ref):
 def test_theta_scaled_flag():
     for r, t, _ in THETA_TABLE:
         plain = hartman_watson_theta(r, t)
-        scaled = hartman_watson_theta(r, t, scaled=True)
+        scaled = hartman_watson_theta_grid([r], t)[0]
         assert scaled == pytest.approx(math.exp(r) * plain, rel=1e-12)
 
 
@@ -222,20 +211,21 @@ def test_theta_grid_matches_scalar():
     rs = np.array([0.5, 1.0, 2.0, 5.0, 20.0])
     grid = hartman_watson_theta_grid(rs, 1.0)
     for r, g in zip(rs, grid):
-        assert g == pytest.approx(hartman_watson_theta(r, 1.0, scaled=True), rel=1e-9)
+        assert g == pytest.approx(math.exp(r) * hartman_watson_theta(r, 1.0), rel=1e-9)
 
 
 def test_theta_grid_rows_independent_of_batch():
     t = 0.25
     for r in (0.5, 2.0544, 17.12):
-        assert hartman_watson_theta(r, t, scaled=True) == hartman_watson_theta_grid([r], t)[0]
-        assert hartman_watson_theta(r, t, scaled=True) == hartman_watson_theta_grid([r], [t])[0, 0]
+        one = hartman_watson_theta_grid([r], t)[0]
+        assert hartman_watson_theta(r, t) == one * math.exp(-r)
+        assert hartman_watson_theta_grid([r], [t])[0, 0] == one
     # 2.0 and 2.5 alone build the batch's node set; 3.0 alone does not
     rs = np.array([2.0, 2.5, 3.0])
-    batch_breaks = _theta_breaks(rs.min(), t, DEFAULT_QUAD, r_cap=rs.max())
+    batch_breaks = _theta_breaks(rs.min(), t, r_cap=rs.max())
     grid = hartman_watson_theta_grid(rs, t)
     for r, g in zip(rs[:2], grid[:2]):
-        assert np.array_equal(_theta_breaks(r, t, DEFAULT_QUAD), batch_breaks)
+        assert np.array_equal(_theta_breaks(r, t), batch_breaks)
         assert g == hartman_watson_theta_grid([r], t)[0]
     # along t: a row of a t-array call does not depend on the other t
     ts = np.array([t, 1.0, 4.0])
@@ -246,7 +236,7 @@ def test_theta_grid_rows_independent_of_batch():
 
 def _theta_time_t():
     """The 2,880 t nodes of theta_time_laplace."""
-    t, _, _ = _theta_time_nodes(np.array([1.0]), DEFAULT_QUAD)
+    t, _, _ = _theta_time_nodes(np.array([1.0]))
     return t
 
 
@@ -266,7 +256,7 @@ def _theta_time_t():
 def test_theta_grid_t_array_rows_equal_one_t_calls(rs, ts, chunks):
     rs = np.array(rs)
     ts = _theta_time_t() if isinstance(ts, str) else np.array(ts)
-    breaks = [_theta_breaks(rs.min(), t, DEFAULT_QUAD, r_cap=rs.max()) for t in ts]
+    breaks = [_theta_breaks(rs.min(), t, r_cap=rs.max()) for t in ts]
     elems = sum(16 * (b.size - 1) for b in breaks) * rs.size
     assert elems > chunks * _THETA_CHUNK_ELEMS
     grid = hartman_watson_theta_grid(rs, ts)
@@ -286,7 +276,7 @@ def test_theta_grid_t_array_trusted_masks():
         assert np.array_equal(row, one) and np.array_equal(mask, one_mask)
 
 
-def test_theta_grid_t_shapes_and_domain():
+def test_theta_grid_t_shapes_and_domain(monkeypatch):
     assert hartman_watson_theta_grid([1.0, 2.0], 1.0).shape == (2,)
     assert hartman_watson_theta_grid([1.0, 2.0], [1.0]).shape == (1, 2)
     assert hartman_watson_theta_grid([1.0, 2.0], np.empty(0)).shape == (0, 2)
@@ -301,13 +291,16 @@ def test_theta_grid_t_shapes_and_domain():
     with pytest.raises(DomainError, match="r > 0"):
         hartman_watson_theta(math.nan, 1.0)
     # a cut 1e12 times too shallow leaves t = 0.7 and 1 negative at r = 0.1
-    shallow = QuadConfig(z_cut_factor=1e12)
-    assert hartman_watson_theta_grid([0.1], 4.0, shallow)[0] > 0.0
-    with pytest.raises(ConvergenceError, match="t=0.7 negative"):
-        hartman_watson_theta_grid([0.1], [4.0, 0.7, 1.0], shallow)
+    with monkeypatch.context() as m:
+        m.setattr(specfun, "_Z_CUT_FACTOR", 1e12)
+        assert hartman_watson_theta_grid([0.1], 4.0)[0] > 0.0
+        with pytest.raises(ConvergenceError, match="t=0.7 negative"):
+            hartman_watson_theta_grid([0.1], [4.0, 0.7, 1.0])
     # t = 400 needs 4 breaks at r = 1, t = 0.25 needs 16
-    with pytest.raises(ConvergenceError, match="t=0.25 exceeded"):
-        hartman_watson_theta_grid([1.0], [400.0, 0.25], QuadConfig(max_panels=8))
+    with monkeypatch.context() as m:
+        m.setattr(specfun, "_MAX_PANELS", 8)
+        with pytest.raises(ConvergenceError, match="t=0.25 exceeded"):
+            hartman_watson_theta_grid([1.0], [400.0, 0.25])
 
 
 def test_theta_nonnegative():
@@ -328,7 +321,45 @@ def test_theta_domain():
         hartman_watson_theta(-1.0, 1.0)
     with pytest.raises(DomainError):
         hartman_watson_theta(1.0, 0.19)
-    assert hartman_watson_theta(1.0, DEFAULT_QUAD.t_min_theta) >= 0.0
+    assert hartman_watson_theta(1.0, T_MIN_THETA) >= 0.0
+
+
+_NAN, _INF = math.nan, math.inf
+_NON_FINITE = {
+    "bessel_i x=nan": lambda: bessel_i(1.0, _NAN),
+    "bessel_i x=inf": lambda: bessel_i(1.0, _INF),
+    "bessel_i nu=nan": lambda: bessel_i(_NAN, 1.0),
+    "bessel_i nu=inf": lambda: bessel_i(_INF, 1.0),
+    "BesselOrder nu=nan": lambda: BesselOrder(_NAN),
+    "bessel_k x=nan": lambda: bessel_k(1.0, _NAN),
+    "bessel_k x=inf": lambda: bessel_k(1.0, _INF),
+    "bessel_k nu=nan": lambda: bessel_k(_NAN, 1.0),
+    "bessel_product_F x=nan": lambda: bessel_product_F(1.0, _NAN, 1.0),
+    "bessel_product_F y=inf": lambda: bessel_product_F(1.0, 1.0, _INF),
+    "phi_arcosh x=nan": lambda: phi_arcosh(_NAN, 1.0),
+    "phi_arcosh x=inf": lambda: phi_arcosh(np.array([1.0, _INF]), 1.0),
+    "phi_arcosh y=nan": lambda: phi_arcosh(1.0, _NAN),
+    "laplace_kernel_F t=nan": lambda: laplace_kernel_F(1.0, 1.0, _NAN),
+    "laplace_kernel_F z=nan": lambda: laplace_kernel_F(1.0, _NAN, 1.0),
+    "theta t=nan": lambda: hartman_watson_theta(1.0, _NAN),
+    "theta t=inf": lambda: hartman_watson_theta(1.0, _INF),
+    "theta_grid t=inf": lambda: hartman_watson_theta_grid([1.0], [1.0, _INF]),
+}
+_REFUSALS = {
+    **{key: ("must be finite", call) for key, call in _NON_FINITE.items()},
+    "bessel_i nu=-1.0": ("Bessel order must be", lambda: bessel_i(-1.0, 1.0)),
+    "theta r=inf": ("r > 0", lambda: hartman_watson_theta(_INF, 1.0)),
+    "theta_grid r=inf": ("r > 0", lambda: hartman_watson_theta_grid([1.0, _INF], 1.0)),
+}
+
+
+@pytest.mark.parametrize("pattern, call", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_non_finite_inputs_refused(pattern, call):
+    # NaN passes every `x <= 0` guard; each input must be refused by name,
+    # not turned into NaN, a stalled series, a Python ValueError or a
+    # later complaint
+    with pytest.raises(DomainError, match=pattern):
+        call()
 
 
 # --- arcosh kernel ----------------------------------------------------------
@@ -403,15 +434,15 @@ def test_theta_time_laplace_identity(r, nu):
     assert bound < 1e-4 * ref
 
 
-def _theta_time_nodes_per_t(rs, cfg):
+def _theta_time_nodes_per_t(rs):
     """The t-node table from one kernel call per t: the reference that the
     one-call table must equal bit for bit."""
-    breaks = cfg.t_min_theta * np.exp(np.linspace(0.0, math.log(400.0 / cfg.t_min_theta), 181))
+    breaks = T_MIN_THETA * np.exp(np.linspace(0.0, math.log(400.0 / T_MIN_THETA), 181))
     u, w = _panels(np.log(breaks))
     t = np.exp(u)
     theta = np.empty((t.size, rs.size))
     for i, ti in enumerate(t):
-        theta[i] = hartman_watson_theta_grid(rs, ti, cfg)
+        theta[i] = hartman_watson_theta_grid(rs, ti)
     return t, w * t, theta
 
 
