@@ -49,7 +49,6 @@ from .specfun import (
 )
 from .validate import (
     SUITE_REGISTRY,
-    RepresentationParams,
     SuiteConfig,
     TestReport,
     bessel_identity_check,

@@ -124,19 +124,11 @@ class TimeGrid:
 
 @dataclass
 class PathSample:
-    """One path on a TimeGrid with its terminal integral bookkeeping.
-
-    theta and bmd (= B_t + mu t) are node arrays; the four integrals are
-    terminal trapezoid values.
-    """
+    """One path on a TimeGrid: theta and bmd (= B_t + mu t) at the nodes."""
 
     grid: TimeGrid
     theta: np.ndarray
     bmd: np.ndarray
-    int_theta: float
-    int_theta_sq: float
-    a_T: float
-    A_T: float
 
     def running_integrals(self):
         """Cumulative trapezoid series (int theta, int theta^2, a_t, A_t)."""
@@ -183,11 +175,6 @@ def _cum_trapezoid(v, dt):
     return out
 
 
-def _trapezoid(v, dt):
-    """Terminal trapezoid integral of node values v with step dt."""
-    return float(dt * (v.sum() - 0.5 * (v[0] + v[-1])))
-
-
 def simulate_functional(params, grid, seed):
     """Exact-in-distribution path of the functional at the grid nodes.
 
@@ -202,17 +189,8 @@ def simulate_functional(params, grid, seed):
     np.cumsum(g, out=bmd[1:])
     bmd[1:] += params.mu * dt * np.arange(1, grid.n_steps + 1)
     e = np.exp(bmd)
-    a = _cum_trapezoid(e, dt)
-    theta = params.x0 * e / (1.0 + params.beta * a)
-    return PathSample(
-        grid=grid,
-        theta=theta,
-        bmd=bmd,
-        int_theta=_trapezoid(theta, dt),
-        int_theta_sq=_trapezoid(theta**2, dt),
-        a_T=float(a[-1]),
-        A_T=_trapezoid(e * e, dt),
-    )
+    theta = params.x0 * e / (1.0 + params.beta * _cum_trapezoid(e, dt))
+    return PathSample(grid=grid, theta=theta, bmd=bmd)
 
 
 def simulate_terminal_batch(params, grid, n, seed, threads=1):

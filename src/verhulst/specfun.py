@@ -18,6 +18,8 @@ from .errors import ConvergenceError, DomainError, require_nonnegative, require_
 BESSEL_I_MAX_X = 600.0
 
 _EPS = np.finfo(float).eps
+# ln(DBL_MAX): cosh and exp overflow past it
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 # The one quadrature policy of every closed form: absolute and relative
 # tolerance of the quadratures and series,
@@ -127,7 +129,9 @@ def bessel_k(nu, x):
     Computed in the scaled form e^x K_nu (integrand e^{-x(cosh u - 1)}
     cosh(nu u), positive and monotone-decaying past its peak) on composite
     Gauss-Legendre panels; the truncation point solves
-    x(cosh u - 1) - nu*u = L by fixed-point iteration.
+    x(cosh u - 1) - nu*u = L by fixed-point iteration.  Refused where
+    cosh(nu*u) overflows on that range (large nu or tiny x), before any
+    node is allocated.
     """
     nu = _order(nu)
     require_positive("x", x)
@@ -138,6 +142,11 @@ def bessel_k(nu, x):
         if abs(nxt - u_max) < 1e-9:
             break
         u_max = nxt
+    if not nu * u_max <= _LOG_DBL_MAX:  # also a cut u_max of inf or NaN
+        raise DomainError(
+            f"bessel_k(nu={nu:g}, x={x:g}) is out of range: the quadrature cut "
+            f"u_max={u_max:g} is not finite or cosh(nu*u_max) overflows"
+        )
     width = min(0.5, 2.0 / (1.0 + nu))
     n_pan = max(4, int(math.ceil(u_max / width)))
     z, w = _panels(np.linspace(0.0, u_max, n_pan + 1))

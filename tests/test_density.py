@@ -533,6 +533,10 @@ _NON_INTEGRAL = {
 _REFUSALS = {
     **{key: ("must be finite", call) for key, call in _NON_FINITE.items()},
     **{key: (f"^{arg} must be an integer", call) for key, (arg, call) in _NON_INTEGRAL.items()},
+    # the Bessel K factor of the density overflows at the quadrature's z -> 0 end
+    "exp_time_total_mass x=1e-300": (
+        r"bessel_k\(nu=1.5, x=", lambda: exp_time_total_mass(1e-300, 1.0)
+    ),
 }
 
 

@@ -35,7 +35,7 @@ from verhulst.simulate import (
     simulate_terminal_batch,
 )
 from verhulst.simulate import _BATCH_CHUNK_ELEMS, _block_rng, _run_blocks
-from verhulst.validate import _CERTIFIED_DT, _MART_GRID, _MOMENT_GRID
+from verhulst.validate import _CERTIFIED_DT, _MART_CELLS, _MOMENT_CELLS
 
 
 # --- parameter types --------------------------------------------------------
@@ -166,12 +166,8 @@ def test_functional_replay_deterministic():
     s2 = simulate_functional(p, g, seed=77)
     assert np.array_equal(s1.theta, s2.theta)
     assert np.array_equal(s1.bmd, s2.bmd)
-    assert (s1.int_theta, s1.int_theta_sq, s1.a_T, s1.A_T) == (
-        s2.int_theta,
-        s2.int_theta_sq,
-        s2.a_T,
-        s2.A_T,
-    )
+    for r1, r2 in zip(s1.running_integrals(), s2.running_integrals()):
+        assert np.array_equal(r1, r2)
 
 
 def test_gbm_terminal_mean():
@@ -190,10 +186,10 @@ def test_batch_path_zero_matches_single_path():
     assert batch.theta[0] == single.theta[-1]
     assert batch.bmd[0] == single.bmd[-1]
     # the integrals differ only in summation order
-    for got, ref in ((batch.a, single.a_T), (batch.A, single.A_T),
-                     (batch.int_theta, single.int_theta),
-                     (batch.int_theta_sq, single.int_theta_sq)):
-        assert got[0] == pytest.approx(ref, rel=1e-12)
+    i_th, i_th2, a_run, big_a = single.running_integrals()
+    for got, ref in ((batch.a, a_run), (batch.A, big_a),
+                     (batch.int_theta, i_th), (batch.int_theta_sq, i_th2)):
+        assert got[0] == pytest.approx(ref[-1], rel=1e-12)
 
 
 _STATS_FIELDS = ("theta", "bmd", "a", "A", "int_theta", "int_theta_sq")
@@ -288,8 +284,9 @@ def test_pathwise_exponential_identities(params):
     g = TimeGrid(1.0, 1000)
     for seed in (2, 17, 31):
         s = simulate_functional(params, g, seed=seed)
-        lhs = math.exp(params.beta / params.x0 * s.int_theta)
-        rhs = 1.0 + params.beta * s.a_T
+        i_th, _, a_run, _ = s.running_integrals()
+        lhs = math.exp(params.beta / params.x0 * i_th[-1])
+        rhs = 1.0 + params.beta * a_run[-1]
         assert abs(lhs / rhs - 1.0) < 1e-2
         lhs2 = s.theta[-1] * lhs
         rhs2 = params.x0 * math.exp(s.bmd[-1])
@@ -303,10 +300,6 @@ def test_running_integrals_consistency():
     assert i_th[0] == i_th2[0] == a_run[0] == big_a[0] == 0.0
     for series in (i_th, i_th2, a_run, big_a):
         assert np.all(np.diff(series) >= 0.0)
-    assert i_th[-1] == pytest.approx(s.int_theta, rel=1e-12)
-    assert i_th2[-1] == pytest.approx(s.int_theta_sq, rel=1e-12)
-    assert a_run[-1] == pytest.approx(s.a_T, rel=1e-12)
-    assert big_a[-1] == pytest.approx(s.A_T, rel=1e-12)
 
 
 # --- Euler witness ----------------------------------------------------------
@@ -740,7 +733,7 @@ def test_laplace_step_bias_paired(mu, beta, t):
         _assert_step_bias_small(route(fine), route(coarse), route.__name__)
 
 
-_MART_PATHS = sorted({(mu, beta, T) for _, mu, beta, T in _MART_GRID})
+_MART_PATHS = sorted({(mu, beta, T) for _, mu, beta, T in _MART_CELLS["all"]})
 
 
 @pytest.mark.parametrize("mu, beta, T", _MART_PATHS)
@@ -752,14 +745,14 @@ def test_girsanov_step_bias_paired(mu, beta, T):
     assert TimeGrid.with_step(T, _CERTIFIED_DT) == TimeGrid(T, round(T / _FINE_DT) // group)
     params = ModelParams(mu=mu, beta=beta)
     fine, coarse = _paired_batches(params, T, 20_000, 37, group)
-    gammas = [g for g, *cell in _MART_GRID if tuple(cell) == (mu, beta, T)]
+    gammas = [g for g, *cell in _MART_CELLS["all"] if tuple(cell) == (mu, beta, T)]
     assert gammas == [0.5, 1.0]
     for gamma in gammas:
         _assert_step_bias_small(girsanov_weight_batch(fine, gamma, params),
                                 girsanov_weight_batch(coarse, gamma, params), gamma)
 
 
-@pytest.mark.parametrize("mu, beta, T", _MOMENT_GRID)
+@pytest.mark.parametrize("mu, beta, T", _MOMENT_CELLS["all"])
 def test_moment_step_bias_paired(mu, beta, T):
     """validate's moment check steps at _CERTIFIED_DT: on every cell of its
     full grid the bias of e^{beta int theta} there stays under a tenth of
@@ -831,4 +824,4 @@ def test_dump_path_csv_round_trip():
     assert np.array_equal(data[:, 1], s.theta)  # %.17g round-trips doubles
     assert np.array_equal(data[:, 2], s.bmd)
     assert data[0, 3] == 0.0
-    assert data[-1, 3] == pytest.approx(s.int_theta, rel=1e-12)
+    assert np.array_equal(data[:, 3:].T, s.running_integrals())

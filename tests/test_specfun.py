@@ -350,6 +350,12 @@ _REFUSALS = {
     "bessel_i nu=-1.0": ("Bessel order must be", lambda: bessel_i(-1.0, 1.0)),
     "theta r=inf": ("r > 0", lambda: hartman_watson_theta(_INF, 1.0)),
     "theta_grid r=inf": ("r > 0", lambda: hartman_watson_theta_grid([1.0, _INF], 1.0)),
+    # cosh(nu*u) overflows on the quadrature range: the value would be NaN,
+    # an OverflowError or, at nu = 1e6, a node array of gigabytes
+    "bessel_k nu=150": (r"bessel_k\(nu=150, x=1\)", lambda: bessel_k(150.0, 1.0)),
+    "bessel_k x=1e-250": (r"bessel_k\(nu=1.5, x=1e-250\)", lambda: bessel_k(1.5, 1e-250)),
+    "bessel_k x=1e-310": (r"bessel_k\(nu=1.5, x=1e-310\)", lambda: bessel_k(1.5, 1e-310)),
+    "bessel_k nu=1e6": (r"bessel_k\(nu=1e\+06, x=0.001\)", lambda: bessel_k(1e6, 1e-3)),
 }
 
 

@@ -20,7 +20,6 @@ from verhulst.errors import DomainError
 from verhulst.simulate import ModelParams, TimeGrid, laplace_mc_direct, simulate_terminal_batch
 from verhulst.validate import (
     SUITE_REGISTRY,
-    RepresentationParams,
     SuiteConfig,
     TestReport,
     bessel_identity_check,
@@ -183,45 +182,31 @@ def test_measure_change_domain():
 # --- pathwise representation ------------------------------------------------------
 
 
-def test_representation_params_coupling():
-    rp = RepresentationParams.from_alpha(0.5, 1.0, t=1.0, T=2.0)
-    assert rp.beta == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        RepresentationParams(alpha=0.5, gamma=1.0, beta=0.7, t=1.0, T=2.0)
-    with pytest.raises(DomainError):
-        RepresentationParams.from_alpha(1.0, 1.0, t=1.0, T=2.0)
-    with pytest.raises(DomainError):
-        RepresentationParams.from_alpha(0.5, 1.0, t=2.0, T=2.0)
-    # alpha = 0 is the degenerate beta = 0 case
-    rp0 = RepresentationParams.from_alpha(0.0, 1.0, t=1.0, T=2.0)
-    assert rp0.beta == 0.0
-
-
 def test_representation_exact_for_gbm():
-    rp = RepresentationParams.from_alpha(0.0, 1.0, t=1.0, T=2.0)
-    r = representation_check(rp, TimeGrid(1.0, 200), seed=4)
+    # alpha = 0 is the degenerate beta = 0 case
+    r = representation_check(0.0, 1.0, TimeGrid(1.0, 200), seed=4)
+    assert "beta=0 " in r.details
     assert r.statistic < 1e-12
 
 
 def test_representation_residual_within_bound():
-    rp = RepresentationParams.from_alpha(0.5, 1.0, t=1.0, T=2.0)
-    r = representation_check(rp, TimeGrid(1.0, 1000), seed=11)
+    r = representation_check(0.5, 1.0, TimeGrid(1.0, 1000), seed=11)
+    assert "alpha=0.5 beta=1 gamma=1 mu=0;" in r.details
     assert r.threshold == pytest.approx(1e-2)
     assert r.passed
     assert "node 0 = 0.0e+00" in r.details
 
 
-def test_representation_horizon_guard():
-    rp = RepresentationParams.from_alpha(0.5, 1.0, t=1.0, T=2.0)
-    with pytest.raises(DomainError):
-        representation_check(rp, TimeGrid(3.0, 300), seed=0)
+def test_representation_alpha_domain():
+    for alpha in (-0.1, 1.0, math.nan):
+        with pytest.raises(DomainError, match="alpha must lie in"):
+            representation_check(alpha, 1.0, TimeGrid(1.0, 10), seed=0)
 
 
 def test_representation_residual_shrinks_under_refinement():
-    rp = RepresentationParams.from_alpha(0.5, 1.0, t=1.0, T=2.0)
     seeds = range(21, 24)
-    coarse = _mean_representation_residual(rp, TimeGrid(1.0, 500), seeds)
-    fine = _mean_representation_residual(rp, TimeGrid(1.0, 1000), seeds)
+    coarse = _mean_representation_residual(0.5, 1.0, TimeGrid(1.0, 500), seeds)
+    fine = _mean_representation_residual(0.5, 1.0, TimeGrid(1.0, 1000), seeds)
     assert fine / coarse < 0.75
 
 
@@ -233,7 +218,9 @@ def test_z2_symmetry(lam):
     r = z2_symmetry_check(lam, (0.5, 1.0, 2.0))
     assert r.passed
     assert r.statistic < 1e-3
+    assert type(r.statistic) is float
     assert r.name == f"z2_symmetry[lam={lam:g}]"
+    assert r.details.endswith("; z_grid=[0.5, 1.0, 2.0]")
 
 
 def test_z2_integrands_share_kernel():
@@ -242,6 +229,17 @@ def test_z2_integrands_share_kernel():
     lhs = z * z * 2.0 * math.exp(-2.0 * z) * density_exp_time(z, lam, z)
     rhs = 2.0 * math.exp(-2.0 * z) * z * z * density_exp_time(z, lam, z)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("z_grid", [[1.0, 400.0], [400.0]])
+def test_z2_symmetry_nan_gap_fails(z_grid):
+    # at z = 400 both sides underflow to 0: the 0/0 gap is NaN, and a NaN
+    # anywhere on the grid is the worst point, never skipped
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        r = z2_symmetry_check(1.0, z_grid)
+    assert math.isnan(r.statistic)
+    assert not r.passed
+    assert "worst z=400;" in r.details
 
 
 def test_z2_domain():
@@ -264,19 +262,10 @@ _NON_FINITE = {
         "gamma", lambda: measure_change_test(_P0, _NAN, 1.0, 100, 0)
     ),
     "representation gamma=nan": (
-        "gamma", lambda: RepresentationParams.from_alpha(0.5, _NAN, t=1.0, T=2.0)
-    ),
-    "representation t=nan": (
-        "t", lambda: RepresentationParams.from_alpha(0.5, 1.0, t=_NAN, T=2.0)
-    ),
-    "representation T=inf": (
-        "T", lambda: RepresentationParams.from_alpha(0.5, 1.0, t=1.0, T=_INF)
+        "gamma", lambda: representation_check(0.5, _NAN, TimeGrid(1.0, 10), 0)
     ),
     "representation mu=nan": (
-        "mu", lambda: RepresentationParams.from_alpha(0.5, 1.0, 1.0, 2.0, mu=_NAN)
-    ),
-    "representation beta=nan": (
-        "beta", lambda: RepresentationParams(0.5, 1.0, _NAN, 1.0, 2.0)
+        "mu", lambda: representation_check(0.5, 1.0, TimeGrid(1.0, 10), 0, mu=_NAN)
     ),
     "ks_distance sample=nan": ("samples", lambda: ks_distance([0.1, _NAN], lambda s: s)),
     "z2 lam=nan": ("lam", lambda: z2_symmetry_check(_NAN, (1.0,))),
