@@ -12,6 +12,7 @@ standard output so the run stays reproducible after the fact.
 """
 
 import argparse
+import math
 import os
 import secrets
 import sys
@@ -27,7 +28,7 @@ from .density import (
     exp_time_total_mass,
     write_density_csv,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_positive
 from .simulate import (
     ModelParams,
     TimeGrid,
@@ -90,6 +91,9 @@ def cmd_density(args):
         except DomainError:
             pass  # rate outside the truncation band: report the trapezoid mass
     else:
+        require_positive("--x-min", args.x_min)
+        if not (math.isfinite(args.x_max) and args.x_max > args.x_min):
+            raise DomainError("--x-max must be finite and > --x-min")
         seed = _resolve_seed(args)
         grid = np.geomspace(args.x_min, args.x_max, points)
         curve, _ = curve_general_mc(

@@ -29,20 +29,9 @@ BLOCK_PATHS = 4096
 _LAPLACE_DT = 1e-2
 
 # element budget of one (paths x steps) chunk buffer of the terminal
-# batch sampler: 2**17 doubles = 1 MiB, so its two buffers fit a 2 MiB L2
+# batch and the exp-time sampler: 2**17 doubles = 1 MiB, so a chunk's
+# two buffers fit a 2 MiB L2
 _BATCH_CHUNK_ELEMS = 2**17
-
-# element budget of one (steps x active paths) chunk buffer of the
-# exp-time sampler: 2**14 doubles = 128 KiB.  At 2**17 the block
-# runner's threads left glibc's arenas holding more memory: 89-92 MB
-# peak RSS over the mc-oracle benchmark's operations against 76-79 MB,
-# at the same wall time
-_EXP_CHUNK_ELEMS = 2**14
-
-# chunks at least this wide take their running sums one step row at a
-# time: np.cumsum down axis 0 costs about 5 ns per element at a few rows,
-# a row-wide np.add about 1 us per call plus 0.5 ns per element
-_ROW_SUM_MIN_WIDTH = 256
 
 
 def _block_rng(seed, block):
@@ -193,6 +182,21 @@ def simulate_functional(params, grid, seed):
     return PathSample(grid=grid, theta=theta, bmd=bmd)
 
 
+def _path_kernel(w, cum, sqdt, drift):
+    """In place, each row of w, S standard normals, becomes e^{B + mu t}
+    at nodes 1..S of one path with steps of variance sqdt**2 and drift
+    mu t at the nodes, and the same row of cum its running sum; returns
+    B + mu t at node S.  Every row is its own sequential sum, so a path's
+    values do not depend on the other rows or on what follows its node."""
+    w *= sqdt
+    np.cumsum(w, axis=1, out=w)
+    w += drift  # now B + mu t at nodes 1..S
+    bmd_T = w[:, -1].copy()
+    np.exp(w, out=w)
+    np.cumsum(w, axis=1, out=cum)
+    return bmd_T
+
+
 def simulate_terminal_batch(params, grid, n, seed, threads=1):
     """Terminal summaries of n functional paths, block-parallel.
 
@@ -231,15 +235,9 @@ def simulate_terminal_batch(params, grid, n, seed, threads=1):
         for c0, c1 in zip([0] + ends, ends + [m]):
             w, cum = w_buf[: c1 - c0], cum_buf[: c1 - c0]
             rng.standard_normal(out=w)
-            w *= sqdt
-            np.cumsum(w, axis=1, out=w)
-            w += drift  # now B + mu t at nodes 1..S
-            bmd_T = w[:, -1].copy()
-            np.exp(w, out=w)  # now e^{B + mu t}
+            bmd_T = _path_kernel(w, cum, sqdt, drift)
             e_T = w[:, -1].copy()
             ee_sum = np.einsum("ij,ij->i", w, w)
-
-            np.cumsum(w, axis=1, out=cum)
             a_T = (cum[:, -1] - 0.5 * e_T + 0.5) * dt
             if beta != 0.0:
                 cum -= 0.5 * w
@@ -267,36 +265,19 @@ def simulate_terminal_batch(params, grid, n, seed, threads=1):
     return out
 
 
-def _cumsum_steps(x):
-    """In place, row i of x becomes the sum of rows 0..i, each partial
-    sum formed as np.cumsum(x, axis=0) forms it, so bit for bit equal."""
-    if x.shape[1] < _ROW_SUM_MIN_WIDTH:
-        np.cumsum(x, axis=0, out=x)
-    else:
-        for i in range(1, len(x)):
-            np.add(x[i - 1], x[i], out=x[i])
-
-
 def simulate_exp_terminal(params, rate, dt, n, seed, threads=1):
     """theta evaluated at an independent Exp(rate) time, n replicates.
 
     Horizons are rounded to the step grid (at least one step); a rounded
-    horizon beyond int64 raises DomainError.  Within a block, paths are
-    sorted by decreasing horizon, so the paths still active at step s
-    are always a prefix; total work is the sum of the horizons rather
-    than block size times the longest one.
-
-    A block advances in chunks of steps.  A chunk that starts with k
-    active paths spans at most 2**14 // k steps and ends before fewer
-    than k/2 paths remain, so its zero-padded (steps x k) buffers hold
-    at most 2**14 doubles (128 KiB; about 1 MiB per worker in all) and
-    at most twice the real work.  One normal draw per chunk consumes the
-    Philox stream in the same step-major order as one draw per step,
-    and the running sums are sequential sums along the step axis, so
-    the result is bit for bit that of the step-by-step recursion.  The
-    chunk's work is numpy calls over whole step rows or the whole chunk,
-    which release the interpreter lock, so worker threads run
-    concurrently.
+    horizon beyond int64 raises DomainError.  Within a block, paths run
+    in decreasing order of horizon (stable) and each takes the next n_k
+    normals of the block's stream for its n_k steps, so results depend
+    on neither the thread count nor the chunk budget.  Chunks of
+    max(2, 2**17 // S) paths, S the longest horizon among them, run as
+    zero-padded rows of the terminal batch's path kernel, and theta is
+    read at each path's own last node: work is about the sum of the
+    horizons.  A worker holds two buffers of max(2**17, 2 S_max) doubles,
+    S_max the block's longest horizon in steps.
     """
     require_positive("rate", rate)
     require_positive("dt", dt)
@@ -315,39 +296,22 @@ def simulate_exp_terminal(params, rate, dt, n, seed, threads=1):
         n_steps = np.maximum(1, steps.astype(np.int64))
         order = np.argsort(-n_steps, kind="stable")
         ns = n_steps[order]
-        ns_up = ns[::-1]  # ascending, for geq(s) = m - searchsorted(ns_up, s)
-
-        bm = np.zeros(m)
-        a = np.zeros(m)
-        e_prev = np.ones(m)
-        res = np.empty(m)
-        s0, act = 1, m  # first step of the chunk, paths active there
-        while act:
-            # last step: at least half of the act paths still active, and
-            # the (steps x act) buffers within the element budget
-            s1 = min(int(ns[(act - 1) // 2]), s0 + max(1, _EXP_CHUNK_ELEMS // act) - 1)
-            live = m - np.searchsorted(ns_up, np.arange(s0, s1 + 2))  # geq(s0..s1+1)
-            mask = np.arange(act) < live[:-1, None]
-            bmc = np.zeros((s1 - s0 + 1, act))
-            bmc[mask] = rng.standard_normal(int(live[:-1].sum())) * sqdt + mu * dt
-            bmc[0] += bm[:act]
-            _cumsum_steps(bmc)
-            e = np.exp(bmc)
-            ac = np.empty_like(e)
-            ac[0] = e_prev[:act] + e[0]
-            np.add(e[:-1], e[1:], out=ac[1:])
-            ac *= 0.5 * dt
-            ac[0] += a[:act]
-            _cumsum_steps(ac)
-            # paths live[-1]..act-1 take their last step in this chunk
-            done = np.arange(int(live[-1]), act)
-            row = ns[done] - s0
-            res[done] = x0 * e[row, done] / (1.0 + beta * ac[row, done])
-            bm[:act], e_prev[:act], a[:act] = bmc[-1], e[-1], ac[-1]
-            s0, act = s1 + 1, int(live[-1])
-        block_out = np.empty(m)
-        block_out[order] = res
-        out[lo : lo + m] = block_out
+        drift = mu * dt * np.arange(1, int(ns[0]) + 1)
+        w_buf, cum_buf = np.empty((2, max(_BATCH_CHUNK_ELEMS, 2 * int(ns[0]))))
+        c0 = 0
+        while c0 < m:
+            S = int(ns[c0])
+            k = ns[c0 : c0 + max(2, _BATCH_CHUNK_ELEMS // S)]
+            w = w_buf[: k.size * S].reshape(k.size, S)
+            cum = cum_buf[: w.size].reshape(w.shape)
+            w.fill(0.0)
+            w[np.arange(S) < k[:, None]] = rng.standard_normal(int(k.sum()))
+            _path_kernel(w, cum, sqdt, drift[:S])
+            rows = np.arange(k.size)
+            e = w[rows, k - 1]
+            a = (cum[rows, k - 1] - 0.5 * e + 0.5) * dt
+            out[lo + order[c0 : c0 + k.size]] = x0 * e / (1.0 + beta * a)
+            c0 += k.size
 
     _run_blocks(n, seed, fill, threads)
     return out

@@ -222,6 +222,22 @@ def test_nan_input_exits_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bounds, flag", [
+    (["--x-min", "0"], "--x-min"),
+    (["--x-min", "nan"], "--x-min"),
+    (["--x-max", "inf"], "--x-max"),
+    (["--x-min", "5", "--x-max", "1"], "--x-max"),
+])
+def test_density_general_mc_grid_bounds_exit_2(bounds, flag, tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    argv = ["density", "--kind", "general-mc", "--n", "100", "--seed", "1", "--output", str(out)]
+    assert main(argv + bounds) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} ") and captured.err.count("\n") == 1
+    assert captured.out == ""  # refused before the Monte Carlo run
+    assert not out.exists()
+
+
 # --- simulate ------------------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from verhulst import simulate
 from verhulst.errors import DomainError
 from verhulst.simulate import (
     BLOCK_PATHS,
@@ -450,39 +451,21 @@ def test_exp_terminal_sampler():
     assert quick.mean() > th1.mean() + 0.1
 
 
-def _exp_terminal_stepwise(params, rate, dt, n, seed):
-    """Reference: the exp-time sampler advanced one time step per iteration."""
-    sqdt = math.sqrt(dt)
+def _exp_terminal_pathwise(params, rate, dt, n, seed):
+    """Reference: the exp-time sampler one path at a time, in decreasing
+    order of horizon within each block."""
     mu, beta, x0 = params.mu, params.beta, params.x0
     out = np.empty(n)
     for b in range((n + BLOCK_PATHS - 1) // BLOCK_PATHS):
-        lo = b * BLOCK_PATHS
-        m = min(BLOCK_PATHS, n - lo)
         rng = _block_rng(seed, b)
-        horizons = -np.log1p(-rng.random(m)) / rate
+        horizons = -np.log1p(-rng.random(min(BLOCK_PATHS, n - b * BLOCK_PATHS))) / rate
         n_steps = np.maximum(1, np.rint(horizons / dt).astype(np.int64))
-        order = np.argsort(-n_steps, kind="stable")
-        ns = n_steps[order]
-        n_max = int(ns[0])
-        cnt = np.bincount(ns, minlength=n_max + 2)
-        geq = np.cumsum(cnt[::-1])[::-1]  # geq[s] = number of paths with ns >= s
-
-        bm = np.zeros(m)
-        a = np.zeros(m)
-        e_prev = np.ones(m)
-        res = np.empty(m)
-        for s in range(1, n_max + 1):
-            act = int(geq[s])
-            g = rng.standard_normal(act)
-            bm[:act] += g * sqdt + mu * dt
-            e = np.exp(bm[:act])
-            a[:act] += 0.5 * dt * (e_prev[:act] + e)
-            e_prev[:act] = e
-            retire_lo = int(geq[s + 1]) if s + 1 <= n_max else 0
-            if retire_lo < act:
-                sl = slice(retire_lo, act)
-                res[sl] = x0 * e[sl] / (1.0 + beta * a[sl])
-        out[lo + order] = res
+        for i in np.argsort(-n_steps, kind="stable"):
+            k = int(n_steps[i])
+            bmd = np.cumsum(rng.standard_normal(k) * math.sqrt(dt)) + mu * dt * np.arange(1, k + 1)
+            e = np.exp(bmd)
+            a = (np.cumsum(e)[-1] - 0.5 * e[-1] + 0.5) * dt
+            out[b * BLOCK_PATHS + i] = x0 * e[-1] / (1.0 + beta * a)
     return out
 
 
@@ -496,13 +479,16 @@ def _exp_terminal_stepwise(params, rate, dt, n, seed):
         (ModelParams.coupled_start(1.0), 1.0, 1e3, 5_000),  # every horizon is 1 step
         (ModelParams(mu=0.3, beta=2.0, x0=0.7), 0.5, 2e-3, 5_000),
         (ModelParams.coupled_start(1.0), 0.1, 1e-3, 300),  # tens of thousands of steps
+        (ModelParams.coupled_start(1.0), 0.05, 1e-4, 5),  # longest beyond the chunk budget
     ],
 )
-def test_exp_terminal_chunks_match_stepwise(params, rate, dt, n):
-    ref = _exp_terminal_stepwise(params, rate, dt, n, seed=21)
+def test_exp_terminal_chunks_match_pathwise(params, rate, dt, n, monkeypatch):
+    ref = _exp_terminal_pathwise(params, rate, dt, n, seed=21)
     for threads in (1, 3):
         got = simulate_exp_terminal(params, rate, dt, n, seed=21, threads=threads)
         assert np.array_equal(got, ref)
+    monkeypatch.setattr(simulate, "_BATCH_CHUNK_ELEMS", 2**9)
+    assert np.array_equal(simulate_exp_terminal(params, rate, dt, n, seed=21), ref)
 
 
 def test_exp_terminal_horizon_overflow_refused():
