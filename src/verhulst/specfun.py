@@ -57,10 +57,9 @@ def _order(nu):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _panels(breaks, ends=None):
-    """Gauss-Legendre 16 nodes/weights over consecutive [a,b] panels, or
-    over the panels [breaks[i], ends[i]] when ends is given."""
-    a, b = (breaks[:-1], breaks[1:]) if ends is None else (breaks, ends)
+def _panels(breaks):
+    """Gauss-Legendre 16 nodes/weights over consecutive [a,b] panels."""
+    a, b = breaks[:-1], breaks[1:]
     h = 0.5 * (b - a)
     mid = a + h
     z = (h[:, None] * _GL_NODES + mid[:, None]).ravel()
@@ -228,73 +227,18 @@ def hartman_watson_theta(r, t):
     return float(hartman_watson_theta_grid(np.array([float(r)]), t)[0]) * math.exp(-r)
 
 
-# Element budget of one t-chunk of the Theta kernel: a chunk's damping
-# matrix holds about this many doubles (128 KiB).  theta_time_laplace's
-# 2,880-t call then peaks within 0.5 MB of the RSS its one-t calls
-# reached; at 2**17 doubles it peaked 6 MB higher, and was no faster.  A t
-# whose own node set needs more is a chunk of its own.
-_THETA_CHUNK_ELEMS = 2**14
-
-
-def _theta_sums(rs, ts, breaks):
-    """GL sums of the Theta integrand without its prefactor, signed and
-    unsigned, as (ts.size, rs.size) matrices; breaks[i] are the panel
-    breaks of ts[i].
-
-    The t are taken in chunks whose damping matrix holds about
-    _THETA_CHUNK_ELEMS doubles; the nodes of a chunk's t lie back to back
-    in one flat array, so every transcendental is one numpy call per chunk.
-    """
-    counts = [16 * (b.size - 1) for b in breaks]
-    dots = np.empty((ts.size, rs.size))
-    masses = np.empty_like(dots)
-    stop = 0
-    while stop < ts.size:
-        start, size = stop, counts[stop] * rs.size
-        stop += 1
-        while stop < ts.size and size + counts[stop] * rs.size <= _THETA_CHUNK_ELEMS:
-            size += counts[stop] * rs.size
-            stop += 1
-        chunk = breaks[start:stop]
-        z, w = _panels(
-            np.concatenate([b[:-1] for b in chunk]), np.concatenate([b[1:] for b in chunk])
-        )
-        tz = ts[start:stop].repeat(counts[start:stop])
-        base = np.exp(-z * z / (2.0 * tz)) * np.sinh(z) * np.sin(np.pi * z / tz) * w
-        unsigned_base = np.abs(base)
-        # in place: at 240 r x 300 z, allocating a fresh matrix for each
-        # step doubled the time of the step (0.83 against 0.41 ms)
-        damp = rs.reshape(-1, 1) * (np.cosh(z) - 1.0)
-        np.negative(damp, out=damp)
-        with np.errstate(under="ignore"):
-            np.exp(damp, out=damp)
-        # one dot product per (t, r) over that t's own nodes: a matrix
-        # product (BLAS gemv) accumulates in an order that depends on the
-        # number of rows
-        lo = 0
-        for i in range(start, stop):
-            hi = lo + counts[i]
-            dots[i] = np.vecdot(damp[:, lo:hi], base[lo:hi])
-            masses[i] = np.vecdot(damp[:, lo:hi], unsigned_base[lo:hi])
-            lo = hi
-    return dots, masses
-
-
 def hartman_watson_theta_grid(rs, t, with_floor=False):
-    """e^{r} Theta(r,t) for an array of r values at one t, or at each t of
-    a 1-d array: the kernel behind hartman_watson_theta (quadrature and
-    sign rule stated there).  A scalar t gives a vector like rs, an array
-    t a (t.size, rs.size) matrix whose row i is the call at t[i].
+    """e^{r} Theta(r,t) for a 1-d array of r values at one scalar t: the
+    kernel behind hartman_watson_theta (quadrature and sign rule stated
+    there).
 
-    Each t gets one node set built from the smallest r (range) and the
-    largest r (panel width, cut depth).  Each (t, r) value is reduced on
-    its own, so a row's values do not depend on the other t in the call,
-    and a value whose own node set is the batch's equals the one-r call
-    bit for bit, whatever else the batch holds.
-    For any other r the batch only adds tail panels past that r's own
-    cut, where its integrand is below ABS_TOL * _Z_CUT_FACTOR on the e^{r}
-    scale, or, when the largest r narrows the panel width below the
-    half-period t, finer panels.
+    The call builds one node set from the smallest r (range) and the
+    largest r (panel width, cut depth), and reduces each r on its own, so
+    a value whose own node set is the batch's equals the one-r call bit
+    for bit, whatever else the batch holds.  For any other r the batch
+    only adds tail panels past that r's own cut, where its integrand is
+    below ABS_TOL * _Z_CUT_FACTOR on the e^{r} scale, or, when the largest
+    r narrows the panel width below the half-period t, finer panels.
 
     with_floor additionally returns the mask `trusted`: values above 30
     times the *realistic* cancellation floor 8 eps * prefactor * unsigned
@@ -305,37 +249,38 @@ def hartman_watson_theta_grid(rs, t, with_floor=False):
     trips it.
     """
     rs = np.asarray(rs, dtype=float)
-    t_in = np.asarray(t, dtype=float)
-    if t_in.ndim > 1:
-        raise DomainError("theta takes t as a scalar or a 1-d array")
+    if rs.ndim != 1 or rs.size == 0:
+        raise DomainError(f"theta: rs must be a nonempty 1-d array, got shape {rs.shape}")
+    if np.ndim(t) != 0:
+        raise DomainError(f"theta takes one scalar t, got t of shape {np.shape(t)}")
+    t = float(t)
     r_min, r_max = float(rs.min()), float(rs.max())
     if not (r_min > 0 and r_max < math.inf):  # a NaN r makes both NaN
         raise DomainError("theta needs finite r > 0")
-    ts = t_in.reshape(-1)
-    tl = ts.tolist()
-    for ti in tl:
-        if not (math.isfinite(ti) and ti >= T_MIN_THETA):
-            raise DomainError(f"theta t must be finite and >= {T_MIN_THETA:g}, got t={ti:g}")
-    breaks = [_theta_breaks(r_min, ti, r_cap=r_max) for ti in tl]
-    dots, masses = _theta_sums(rs, ts, breaks)
-    # math.exp per t, not np.exp: the two can differ in the last bit
-    sqrt_t = np.array([math.sqrt(2.0 * math.pi**3 * ti) for ti in tl])
-    exp_t = np.array([math.exp(math.pi**2 / (2.0 * ti)) for ti in tl])
-    pref = rs / sqrt_t[:, None] * exp_t[:, None]
-    vals = pref * dots
-    unsigned = pref * masses
+    if not (math.isfinite(t) and t >= T_MIN_THETA):
+        raise DomainError(f"theta t must be finite and >= {T_MIN_THETA:g}, got t={t:g}")
+    z, w = _panels(_theta_breaks(r_min, t, r_cap=r_max))
+    base = np.exp(-z * z / (2.0 * t)) * np.sinh(z) * np.sin(np.pi * z / t) * w
+    # in place: at 240 r x 300 z, allocating a fresh matrix for each
+    # step doubled the time of the step (0.83 against 0.41 ms)
+    damp = rs.reshape(-1, 1) * (np.cosh(z) - 1.0)
+    np.negative(damp, out=damp)
+    with np.errstate(under="ignore"):
+        np.exp(damp, out=damp)
+    pref = rs / math.sqrt(2.0 * math.pi**3 * t) * math.exp(math.pi**2 / (2.0 * t))
+    # one dot product per r: a matrix product (BLAS gemv) accumulates in
+    # an order that depends on the number of rows
+    vals = pref * np.vecdot(damp, base)
+    unsigned = pref * np.vecdot(damp, np.abs(base))
     guard = np.maximum(ABS_TOL, (8.0 * _EPS + REL_TOL) * unsigned)
-    negative = vals < -guard
-    if negative.any():
-        i = int(negative.any(axis=1).argmax())
+    if np.any(vals < -guard):
         raise ConvergenceError(
-            f"theta at t={tl[i]:g} negative beyond quadrature floor: {float(vals[i].min()):g}"
+            f"theta at t={t:g} negative beyond quadrature floor: {float(vals.min()):g}"
         )
     vals = np.where(vals < 0.0, 0.0, vals)
-    rows = 0 if t_in.ndim == 0 else slice(None)
     if with_floor:
-        return vals[rows], (vals > 30.0 * (8.0 * _EPS * unsigned))[rows]
-    return vals[rows]
+        return vals, vals > 30.0 * (8.0 * _EPS * unsigned)
+    return vals
 
 
 def phi_arcosh(x, y):
@@ -373,19 +318,6 @@ def laplace_kernel_F(x, z, t):
 
 _ANCHOR_ORDERS = (0.3, 3.0, 5.0)
 _T_LAPLACE_HI = 400.0
-_T_LAPLACE_PANELS = 180
-
-
-def _theta_time_nodes(rs):
-    """Log-spaced GL nodes/weights on [T_MIN_THETA, 400] and the matrix of
-    scaled values e^{r} Theta(r, t_i) over an r grid, from one kernel call
-    over all t nodes."""
-    breaks = T_MIN_THETA * np.exp(
-        np.linspace(0.0, math.log(_T_LAPLACE_HI / T_MIN_THETA), _T_LAPLACE_PANELS + 1)
-    )
-    u, w = _panels(np.log(breaks))
-    t = np.exp(u)
-    return t, w * t, hartman_watson_theta_grid(rs, t)
 
 
 def anchor_completion(rates, anchors, s, tau):
@@ -429,12 +361,18 @@ def theta_time_laplace(r, s):
     """integral_0^inf e^{-s t} Theta(r,t) dt with a documented small-t bound.
 
     Returns (value, bound).  The [T_MIN_THETA, 400] part is honest panel
-    quadrature in log t.  The mass below T_MIN_THETA cannot be integrated
-    directly (Theta is not evaluable there), but it is pinned by anchor
-    values c_j = I_{nu_j}(r) - Q(nu_j^2/2) at orders nu_j in {0.3, 3, 5}:
-    the completion added to Q(s) is the midpoint of the sharp bracket over
-    all positive measures on [0, T_MIN_THETA] consistent with those
-    anchors, and `bound` is the bracket halfwidth (plus anchor noise).
+    quadrature in log t on log_panels' rule of 2 panels per unit (16
+    panels, 256 nodes, one scalar-t kernel call each), the rule of
+    density_exact_half and the mixture's t-axis.  Two per unit suffice:
+    against a 720-panel (11,520-node) table over r in {0.5, 1, 2, 3} and
+    7 rates, the 256-node sum stays within 1.7% of the bound's own noise
+    term 4e-9 (e^{r} + e^{r} I_{0.3}(r)).  The mass below T_MIN_THETA
+    cannot be integrated directly (Theta is not evaluable there), but it
+    is pinned by anchor values c_j = I_{nu_j}(r) - Q(nu_j^2/2) at orders
+    nu_j in {0.3, 3, 5}: the completion added to Q(s) is the midpoint of
+    the sharp bracket over all positive measures on [0, T_MIN_THETA]
+    consistent with those anchors, and `bound` is the bracket halfwidth
+    (plus anchor noise).
 
     Requires 0.045 <= s <= 12.5, the range of the anchor rates.  Beyond
     400 the e^{-st} tail is below e^{-400 s} I_0(r): under 1e-30 of the
@@ -444,7 +382,9 @@ def theta_time_laplace(r, s):
     misses by 9.2e-3 relative against a bound of 7.1e-9): DomainError.
 
     Quadrature, anchors and bracket live on the e^{r} scale, so nothing
-    underflows at large r; the results are scaled back at the end.
+    underflows at large r; the results are scaled back at the end.  Where
+    that scale overflows, e^{r} I_{0.3}(r) not finite (from r ~ 357 on),
+    DomainError.
     """
     s_anchors = np.array([0.5 * a * a for a in _ANCHOR_ORDERS])
     if not s_anchors[0] <= s <= s_anchors[-1]:
@@ -452,16 +392,19 @@ def theta_time_laplace(r, s):
             f"theta_time_laplace supports {s_anchors[0]:g} <= s <= {s_anchors[-1]:g}"
         )
     r = float(r)
-    t, w, theta = _theta_time_nodes(np.array([r]))
+    with np.errstate(over="ignore"):
+        er = np.exp(r)
+        closed = [er * bessel_i(nu, r) for nu in _ANCHOR_ORDERS]
+    if not math.isfinite(closed[0]):
+        raise DomainError(f"theta_time_laplace(r={r:g}): e^r I_0.3(r) overflows")
+    t, w = log_panels(math.log(T_MIN_THETA), math.log(_T_LAPLACE_HI), 2.0, 2)
+    theta = np.array([hartman_watson_theta_grid([r], ti)[0] for ti in t])
 
     def q(rate):
-        return ((w * np.exp(-rate * t)) @ theta)[0]
+        return float(np.dot(w * t * np.exp(-rate * t), theta))
 
-    er = np.exp(r)
-    anchors = np.array(
-        [er * bessel_i(nu, r) - q(s_a) for nu, s_a in zip(_ANCHOR_ORDERS, s_anchors)]
-    )
-    noise = 4e-9 * (er + er * bessel_i(0.3, r))
+    anchors = np.array([c - q(s_a) for c, s_a in zip(closed, s_anchors)])
+    noise = 4e-9 * (er + closed[0])
     missing = max(anchors[0], 0.0)
     if missing <= noise:
         # missing mass indistinguishable from quadrature noise; bounds itself

@@ -21,10 +21,7 @@ from verhulst.specfun import (
     REL_TOL,
     T_MIN_THETA,
     BesselOrder,
-    _THETA_CHUNK_ELEMS,
-    _panels,
     _theta_breaks,
-    _theta_time_nodes,
     bessel_i,
     bessel_k,
     bessel_product_F,
@@ -219,7 +216,8 @@ def test_theta_grid_rows_independent_of_batch():
     for r in (0.5, 2.0544, 17.12):
         one = hartman_watson_theta_grid([r], t)[0]
         assert hartman_watson_theta(r, t) == one * math.exp(-r)
-        assert hartman_watson_theta_grid([r], [t])[0, 0] == one
+        # a 0-d array t is the scalar t
+        assert hartman_watson_theta_grid([r], np.array(t))[0] == one
     # 2.0 and 2.5 alone build the batch's node set; 3.0 alone does not
     rs = np.array([2.0, 2.5, 3.0])
     batch_breaks = _theta_breaks(rs.min(), t, r_cap=rs.max())
@@ -227,80 +225,40 @@ def test_theta_grid_rows_independent_of_batch():
     for r, g in zip(rs[:2], grid[:2]):
         assert np.array_equal(_theta_breaks(r, t), batch_breaks)
         assert g == hartman_watson_theta_grid([r], t)[0]
-    # along t: a row of a t-array call does not depend on the other t
-    ts = np.array([t, 1.0, 4.0])
-    for sub in (ts, ts[::-1], ts[1:]):
-        for ti, row in zip(sub, hartman_watson_theta_grid(rs, sub)):
-            assert np.array_equal(row, hartman_watson_theta_grid(rs, ti))
-
-
-def _theta_time_t():
-    """The 2,880 t nodes of theta_time_laplace."""
-    t, _, _ = _theta_time_nodes(np.array([1.0]))
-    return t
-
-
-@pytest.mark.parametrize(
-    "rs,ts,chunks",
-    [
-        # the theta_time_laplace nodes, t_min_theta and 400 included
-        ([1.0], "time-nodes", 1),
-        ([0.3, 1.0, 2.0], [0.2, 0.37, 1.0, 2.5, 7.0, 400.0], 0),
-        # 3.5/sqrt(40) < 1.5: the width falls below the half-period t
-        ([40.0], [0.2, 0.6, 1.0, 4.0, 400.0], 0),
-        ([0.5, 40.0], [0.2, 1.0, 9.0], 0),
-        # several chunks of many t each
-        (np.geomspace(0.5, 50.0, 40), np.linspace(0.2, 20.0, 120), 4),
-    ],
-)
-def test_theta_grid_t_array_rows_equal_one_t_calls(rs, ts, chunks):
-    rs = np.array(rs)
-    ts = _theta_time_t() if isinstance(ts, str) else np.array(ts)
-    breaks = [_theta_breaks(rs.min(), t, r_cap=rs.max()) for t in ts]
-    elems = sum(16 * (b.size - 1) for b in breaks) * rs.size
-    assert elems > chunks * _THETA_CHUNK_ELEMS
-    grid = hartman_watson_theta_grid(rs, ts)
-    assert grid.shape == (ts.size, rs.size)
-    for ti, row in zip(ts, grid):
-        assert np.array_equal(row, hartman_watson_theta_grid(rs, ti))
-
-
-def test_theta_grid_t_array_trusted_masks():
-    # the smallest r sink below the cancellation floor: both mask values occur
-    rs = np.geomspace(0.01, 5.0, 12)
-    ts = np.array([0.2, 0.25, 1.0, 4.0])
-    vals, trusted = hartman_watson_theta_grid(rs, ts, with_floor=True)
-    assert trusted.any() and not trusted.all()
-    for ti, row, mask in zip(ts, vals, trusted):
-        one, one_mask = hartman_watson_theta_grid(rs, ti, with_floor=True)
-        assert np.array_equal(row, one) and np.array_equal(mask, one_mask)
+    # at each t, a value does not depend on where its r sits in the batch
+    for ti in (t, 1.0, 4.0):
+        row = hartman_watson_theta_grid(rs, ti)
+        for perm in ([2, 1, 0], [1, 2, 0]):
+            assert np.array_equal(hartman_watson_theta_grid(rs[perm], ti), row[perm])
 
 
 def test_theta_grid_t_shapes_and_domain(monkeypatch):
     assert hartman_watson_theta_grid([1.0, 2.0], 1.0).shape == (2,)
-    assert hartman_watson_theta_grid([1.0, 2.0], [1.0]).shape == (1, 2)
-    assert hartman_watson_theta_grid([1.0, 2.0], np.empty(0)).shape == (0, 2)
-    with pytest.raises(DomainError):
-        hartman_watson_theta_grid([1.0], np.ones((2, 2)))
+    for t in ([1.0], np.empty(0), np.ones((2, 2))):
+        with pytest.raises(DomainError, match="one scalar t"):
+            hartman_watson_theta_grid([1.0], t)
     with pytest.raises(DomainError, match="t=0.19"):
-        hartman_watson_theta_grid([1.0], [1.0, 0.19, 2.0])
+        hartman_watson_theta_grid([1.0], 0.19)
     # a NaN r, alone or among valid r, would otherwise end the node set early
     for rs in ([math.nan], [1.0, math.nan, 2.0]):
-        with pytest.raises(DomainError, match="r > 0"):
-            hartman_watson_theta_grid(rs, [1.0, 2.0])
+        for t in (1.0, 2.0):
+            with pytest.raises(DomainError, match="r > 0"):
+                hartman_watson_theta_grid(rs, t)
     with pytest.raises(DomainError, match="r > 0"):
         hartman_watson_theta(math.nan, 1.0)
     # a cut 1e12 times too shallow leaves t = 0.7 and 1 negative at r = 0.1
     with monkeypatch.context() as m:
         m.setattr(specfun, "_Z_CUT_FACTOR", 1e12)
         assert hartman_watson_theta_grid([0.1], 4.0)[0] > 0.0
-        with pytest.raises(ConvergenceError, match="t=0.7 negative"):
-            hartman_watson_theta_grid([0.1], [4.0, 0.7, 1.0])
+        for t in (0.7, 1.0):
+            with pytest.raises(ConvergenceError, match=f"t={t:g} negative"):
+                hartman_watson_theta_grid([0.1], t)
     # t = 400 needs 4 breaks at r = 1, t = 0.25 needs 16
     with monkeypatch.context() as m:
         m.setattr(specfun, "_MAX_PANELS", 8)
+        assert hartman_watson_theta_grid([1.0], 400.0)[0] > 0.0
         with pytest.raises(ConvergenceError, match="t=0.25 exceeded"):
-            hartman_watson_theta_grid([1.0], [400.0, 0.25])
+            hartman_watson_theta_grid([1.0], 0.25)
 
 
 def test_theta_nonnegative():
@@ -343,13 +301,25 @@ _NON_FINITE = {
     "laplace_kernel_F z=nan": lambda: laplace_kernel_F(1.0, _NAN, 1.0),
     "theta t=nan": lambda: hartman_watson_theta(1.0, _NAN),
     "theta t=inf": lambda: hartman_watson_theta(1.0, _INF),
-    "theta_grid t=inf": lambda: hartman_watson_theta_grid([1.0], [1.0, _INF]),
+    "theta_grid t=inf": lambda: hartman_watson_theta_grid([1.0], _INF),
 }
 _REFUSALS = {
     **{key: ("must be finite", call) for key, call in _NON_FINITE.items()},
     "bessel_i nu=-1.0": ("Bessel order must be", lambda: bessel_i(-1.0, 1.0)),
     "theta r=inf": ("r > 0", lambda: hartman_watson_theta(_INF, 1.0)),
     "theta_grid r=inf": ("r > 0", lambda: hartman_watson_theta_grid([1.0, _INF], 1.0)),
+    "theta_grid rs=[]": (
+        "rs must be a nonempty 1-d array",
+        lambda: hartman_watson_theta_grid([], 1.0),
+    ),
+    "theta_grid rs 2-d": (
+        "rs must be a nonempty 1-d array",
+        lambda: hartman_watson_theta_grid([[1.0, 2.0], [3.0, 4.0]], 1.0),
+    ),
+    "theta_grid t array": ("one scalar t", lambda: hartman_watson_theta_grid([1.0], [1.0, 2.0])),
+    # e^r I_0.3(r), the scale of the quadrature and anchors, overflows
+    "theta_time_laplace r=358": (r"r=358\)", lambda: theta_time_laplace(358.0, 0.5)),
+    "theta_time_laplace r=600": (r"r=600\)", lambda: theta_time_laplace(600.0, 0.5)),
     # cosh(nu*u) overflows on the quadrature range: the value would be NaN,
     # an OverflowError or, at nu = 1e6, a node array of gigabytes
     "bessel_k nu=150": (r"bessel_k\(nu=150, x=1\)", lambda: bessel_k(150.0, 1.0)),
@@ -426,7 +396,8 @@ def test_laplace_kernel_domain():
 
 @pytest.mark.parametrize(
     "r,nu",
-    [(0.5, 2.0), (1.0, 1.0), (2.0, 0.6), (2.0, 1.5), (3.0, 1.0)],
+    # the 12 pairs of the suite's identity check, and nu = 1.5
+    [(r, nu) for nu in (0.6, 1.0, 2.0) for r in (0.5, 1.0, 2.0, 3.0)] + [(2.0, 1.5)],
 )
 def test_theta_time_laplace_identity(r, nu):
     # the transform at rate nu^2/2 must reproduce I_nu(r); nu=1.5 sits
@@ -440,24 +411,13 @@ def test_theta_time_laplace_identity(r, nu):
     assert bound < 1e-4 * ref
 
 
-def _theta_time_nodes_per_t(rs):
-    """The t-node table from one kernel call per t: the reference that the
-    one-call table must equal bit for bit."""
-    breaks = T_MIN_THETA * np.exp(np.linspace(0.0, math.log(400.0 / T_MIN_THETA), 181))
-    u, w = _panels(np.log(breaks))
-    t = np.exp(u)
-    theta = np.empty((t.size, rs.size))
-    for i, ti in enumerate(t):
-        theta[i] = hartman_watson_theta_grid(rs, ti)
-    return t, w * t, theta
-
-
-def test_theta_time_laplace_matches_per_t_table(monkeypatch):
-    # the 12 (nu, r) pairs of the closed-form benchmark
-    pairs = [(nu, r) for nu in (0.6, 1.0, 2.0) for r in (0.5, 1.0, 2.0, 3.0)]
-    batched = [theta_time_laplace(r, 0.5 * nu * nu) for nu, r in pairs]
-    monkeypatch.setattr(specfun, "_theta_time_nodes", _theta_time_nodes_per_t)
-    assert [theta_time_laplace(r, 0.5 * nu * nu) for nu, r in pairs] == batched
+def test_theta_time_laplace_large_r():
+    # just below the overflow of e^r I_0.3(r): no anchor fits, and the
+    # fallback bracket [0, c_0] is wide but finite and honest
+    val, bound = theta_time_laplace(355.0, 0.5)
+    ref = float(mpmath.besseli(1.0, 355.0))
+    assert math.isfinite(val) and math.isfinite(bound)
+    assert abs(val - ref) <= bound
 
 
 def test_theta_time_laplace_domain():
