@@ -12,7 +12,6 @@ from .density import (
     density_exact_half,
     density_exp_time,
     density_exp_time_mixture,
-    density_general_mc,
     density_general_quad,
     exp_time_total_mass,
     lognormal_density,
@@ -32,6 +31,7 @@ from .simulate import (
     laplace_mc_besq,
     laplace_mc_direct,
     laplace_mc_gbm,
+    simulate_bridge_integrals,
     simulate_exp_terminal,
     simulate_functional,
     simulate_terminal_batch,

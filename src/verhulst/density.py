@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (
     DomainError, require_count, require_finite, require_nonnegative, require_positive
 )
-from .simulate import McEstimate, ModelParams, TimeGrid, simulate_terminal_batch
+from .simulate import TimeGrid, simulate_bridge_integrals
 from .specfun import (
     ABS_TOL,
     T_MIN_THETA,
@@ -259,30 +259,29 @@ def _coth_remainder(s):
 
 def conditional_laplace(lam, t, v, log_theta, r_rel):
     """The conditional Laplace transform E[exp(-(lam^2/2) A_t) | a_t = v,
-    e^{B_t + mu t} = x] in log form along an array of v, with A_t the
-    time integral of e^{2(B_s + mu s)}.
+    e^{B_t + mu t} = x] in log form, with A_t the time integral of
+    e^{2(B_s + mu s)}; given the endpoint the law does not depend on mu.
 
-    Returns at(x) -> (log transform, log Theta~(r0, t/4)), r0 = 4 sqrt(x)/v:
-    the second array is the Theta factor of psi(v, ln x).  x is the
-    endpoint itself, not its log as in myor_psi_profile, and given it the
-    law does not depend on mu.  log_theta maps log r to
-    log Theta~(r, t/4), Theta~ = e^{r} Theta as hartman_watson_theta_grid
-    returns it; r_rel is its trust edge, 0 for an exact Theta.  The
-    factors of s = lam v/2 depend on the draws only and are formed here
-    once; at(x) does the work of one endpoint.
+    Returns at(x) -> log transform.  x is the endpoint itself, not its
+    log as in myor_psi_profile: a scalar, or an array that broadcasts
+    against v, such as a row of endpoints against a 2-d v whose column k
+    holds draws given x[k]; a scalar gives the bits of the same x in an
+    array.  log_theta maps log r to log Theta~(r, t/4), Theta~ = e^{r}
+    Theta as hartman_watson_theta_grid returns it; r_rel is its trust
+    edge, 0 for an exact Theta.  The factors of s = lam v/2 are formed
+    here once.
 
     Grouped so the only exponential is exp(r0 - phi - lam (1+x) (coth s
-    - 1/s)) with phi = r0 s/sinh s, which is <= 0 for all arguments
-    (1 + x >= 2 sqrt(x) and s coth(s/2) >= 2); the two Theta factors
-    enter as the difference of their e^{r}-scaled logs.
+    - 1/s)) with r0 = 4 sqrt(x)/v and phi = r0 s/sinh s, which is <= 0
+    for all arguments (1 + x >= 2 sqrt(x) and s coth(s/2) >= 2); the two
+    Theta factors enter as the difference of their e^{r}-scaled logs.
 
     Theta values below r_rel never enter log-scale arithmetic directly.
     When r0 (and so phi) is below min(r_rel, 0.9), the log-ratio is
     taken from the leading small-argument form ln Theta~ ~ -(ln 1/r)^2
     / (2 t/4), whose difference vanishes as the two arguments coalesce
     -- this keeps the lam -> 0 limit exact.  Any other transform with
-    an argument below r_rel is zero beyond all orders (-inf), and so is
-    log Theta~(r0) wherever r0 < r_rel.
+    an argument below r_rel is zero beyond all orders (-inf).
     """
     require_positive("lam", lam)
     require_positive("t", t)
@@ -296,12 +295,13 @@ def conditional_laplace(lam, t, v, log_theta, r_rel):
     lssr = np.log(ssr)
 
     def at(x):
-        require_positive("x", x)
-        r0 = 4.0 * math.sqrt(x) / v
+        x = np.asarray(x, dtype=float)
+        if not np.all((x > 0) & (x < math.inf)):
+            raise DomainError("x must be finite and > 0")
+        r0 = 4.0 * np.sqrt(x) / v
         phi = r0 * ssr
         lr0 = np.log(r0)
-        log_theta_r0 = log_theta(lr0)
-        delta = log_theta(np.log(phi)) - log_theta_r0
+        delta = log_theta(np.log(phi)) - log_theta(lr0)
         if r_rel > 0.0:
             lphi = lr0 + lssr
             paired = r0 < min(r_rel, 0.9)
@@ -309,10 +309,8 @@ def conditional_laplace(lam, t, v, log_theta, r_rel):
         # a conditional Laplace transform at lam > 0 cannot exceed one
         log_cond = np.minimum(lssr + (r0 - phi) - lam * (1.0 + x) * rem + delta, 0.0)
         if r_rel > 0.0:
-            low = r0 < r_rel
-            log_cond = np.where(~paired & (low | (phi < r_rel)), -np.inf, log_cond)
-            log_theta_r0 = np.where(low, -np.inf, log_theta_r0)
-        return log_cond, log_theta_r0
+            log_cond = np.where(~paired & ((r0 < r_rel) | (phi < r_rel)), -np.inf, log_cond)
+        return log_cond
 
     return at
 
@@ -413,97 +411,36 @@ def _theta_log_interp(r_lo, r_hi, tau, n=2000):
     return interp, r_reliable
 
 
-# step of the general-drift Monte Carlo's path batch
-GENERAL_MC_DT = 1e-3
+# bridge steps of the general-drift Monte Carlo: on paired bridges the
+# kernel's shift against 1000 steps stays under a tenth of its standard
+# error at n = 1e5 (test_general_mc_step_bias_paired)
+GENERAL_MC_STEPS = 250
+
+# element budget of a row chunk of the tilt kernel's temporaries
+_KERNEL_CHUNK_ELEMS = 2**15
 
 
-def _tilt_kernels(gamma, mu, t, xs, n, seed, threads=1):
-    """Per-draw tilt kernels and endpoint-conditioning log-weights, one x
-    at a time, from one sample set.
-
-    Draws (v_i, b_i) = (integrated GBM, terminal log) from one drift-mu
-    run and yields, for each x in xs, (pref, h, logw): the tilt kernel
-    h_i = e^{gamma (mu + 1/2) v_i} times conditional_laplace at (v_i, x),
-    with its x-only prefactor pref split off, and the self-normalized
-    importance log-weights psi(v_i, ln x) N(b_i) / psi(v_i, b_i) (up to
-    a constant) that move the draws to the conditional law given
-    b = ln x.  All Theta factors go through one dense log-r interpolant
-    shared by every x.  Weights at an argument below the interpolant's
-    trust edge are zeroed outright: the dropped target mass is beyond
-    all orders.
-    """
-    require_positive("gamma", gamma)
-    _require_t(t, 4.0 * T_MIN_THETA)
-    if not np.all((xs > 0) & (xs < math.inf)):
-        raise DomainError("x must be finite and > 0")
-
-    grid = TimeGrid.with_step(t, GENERAL_MC_DT)
-    stats = simulate_terminal_batch(
-        ModelParams(mu=mu, beta=0.0, x0=1.0), grid, n, seed, threads=threads
-    )
-    v = stats.a
-    b = stats.bmd
-    eb = np.exp(0.5 * b)
-    rb = 4.0 * eb / v
-
-    # the interpolant must reach the smallest phi = r0 s/sinh s, so its
-    # range takes s/sinh s before the kernel that forms it again exists
+def _tilt_kernel(gamma, mu, t, xs, v):
+    """In place, v (draws x xs.size), column k drawn given the endpoint
+    xs[k], becomes the tilt kernel e^{gamma (mu + 1/2) v} times
+    conditional_laplace at (v, xs[k]); returns the per-x count of draws
+    zeroed at the trust edge.  One Theta interpolant serves all of v:
+    phi = r0 s/sinh s is smallest at the largest v of each x."""
     sx = np.sqrt(xs)
-    ssr = _sinh_ratio(0.5 * gamma * v)
-    r_lo = 0.9 * min(4.0 * sx.min() * (ssr / v).min(), rb.min())
-    r_hi = 1.1 * max(4.0 * sx.max() / v.min(), rb.max())
+    v_lo, v_hi = v.min(axis=0), v.max(axis=0)
+    r_lo = 0.9 * float(np.min(4.0 * sx * _sinh_ratio(0.5 * gamma * v_hi) / v_hi))
+    r_hi = 1.1 * float(np.max(4.0 * sx / v_lo))
     interp, r_rel = _theta_log_interp(r_lo, r_hi, 0.25 * t)
-    cond = conditional_laplace(gamma, t, v, interp, r_rel)
-
-    log_theta_rb = interp(np.log(rb))
-    psi_b_core = mu * b - 2.0 * (1.0 + eb) ** 2 / v + log_theta_rb
-    log_norm_b = -((b - mu * t) ** 2) / (2.0 * t) - 0.5 * math.log(2.0 * math.pi * t)
-    rb_ok = rb >= r_rel
-    tilt = gamma * (mu + 0.5) * v
-
-    for k, x_val in enumerate(xs):
-        log_cond, log_theta_r0 = cond(x_val)
-        h = np.exp(tilt + log_cond)
-        pref = lognormal_density(mu, t, x_val) * math.exp(-gamma * (x_val - 1.0))
-
-        lnx = math.log(x_val)
-        logw = np.where(
-            rb_ok,
-            mu * lnx
-            - 2.0 * (1.0 + sx[k]) ** 2 / v
-            + log_theta_r0
-            + log_norm_b
-            - psi_b_core,
-            -np.inf,
-        )
-        yield pref, h, logw
-
-
-def _general_mc_engine(gamma, mu, t, xs, n, seed, threads=1):
-    """Density values and standard errors over an x grid, from one sample
-    set: per x, the tilt kernel averaged under the conditional law of the
-    draws given the endpoint b = ln x (self-normalized importance
-    weights from _tilt_kernels).  The tilt kernel is a conditional
-    Laplace transform given the endpoint, so only that conditional
-    average is the density; the plain average over the draws is not.
-    """
-    xs = np.asarray(xs, dtype=float)
-    vals = np.empty(xs.size)
-    errs = np.empty(xs.size)
-    for k, (pref, h, logw) in enumerate(
-        _tilt_kernels(gamma, mu, t, xs, n, seed, threads)
-    ):
-        top = logw.max()
-        if not np.isfinite(top):
-            est = se = 0.0
-        else:
-            wgt = np.exp(logw - top)
-            wbar = wgt / wgt.sum()
-            est = float(np.dot(wbar, h))
-            se = float(np.sqrt(np.sum((wbar * (h - est)) ** 2)))
-        vals[k] = pref * est
-        errs[k] = pref * se
-    return vals, errs
+    zeroed = np.zeros(xs.size, dtype=np.int64)
+    rows = max(1, _KERNEL_CHUNK_ELEMS // xs.size)
+    for c0 in range(0, v.shape[0], rows):
+        vc = v[c0 : c0 + rows]
+        log_cond = conditional_laplace(gamma, t, vc, interp, r_rel)(xs)
+        zeroed += np.count_nonzero(log_cond == -np.inf, axis=0)
+        vc *= gamma * (mu + 0.5)
+        vc += log_cond
+        np.exp(vc, out=vc)
+    return zeroed
 
 
 def density_general_quad(gamma, mu, t, x, n=4000):
@@ -526,31 +463,49 @@ def density_general_quad(gamma, mu, t, x, n=4000):
     return float(np.trapezoid(np.where(trusted, ys, 0.0), vs)) / x
 
 
-def density_general_mc(gamma, mu, t, x, n, seed, threads=1):
-    """Monte Carlo value of the general-drift density at one point x, the
-    endpoint-conditional average of the tilt kernel."""
-    vals, errs = _general_mc_engine(gamma, mu, t, np.array([float(x)]), n, seed, threads)
-    return McEstimate(mean=float(vals[0]), stderr=float(errs[0]), n=n)
-
-
 def curve_general_mc(gamma, mu, t, x_grid, n, seed, threads=1):
     """General-drift density curve over x_grid plus per-point standard
-    errors, all from one path batch.
+    errors, all from one batch of n Brownian bridges.
 
-    A point matches density_general_mc at that x (same n and seed) only
-    to the error of the shared Theta interpolant, whose range is set by
-    the smallest and largest grid point: at x=1 the 72-point grid of
-    validate and x=1 alone differ by 5.4e-8 relative (n=2e4).  Adding
-    points inside [min(x_grid), max(x_grid)] changes no value."""
-    x_grid = np.asarray(x_grid, dtype=float)
-    vals, errs = _general_mc_engine(gamma, mu, t, x_grid, n, seed, threads)
-    curve = DensityCurve(
-        x_grid,
-        vals,
-        kind="general_mc",
-        params=f"gamma={gamma:g} mu={mu:g} t={t:g} n={n} seed={seed}",
-    )
-    return curve, errs
+    The density at x is pref(x) E[h | e^{B_t + mu t} = x], pref(x) the
+    drift-mu lognormal density times e^{-gamma (x - 1)} and h the tilt
+    kernel (_tilt_kernel) at a_t, drawn given the endpoint up to its
+    trapezoid rule (simulate_bridge_integrals, GENERAL_MC_STEPS steps):
+    n iid draws per x, no weights, the plain standard error.  Each block
+    reduces to per-x (count, mean, M2, zeroed), combined in block order
+    by Chan, Golub and LeVeque's update, so no (n x grid) matrix is held
+    and threads do not change a bit.  Draws zeroed at the trust edge
+    carry mass beyond all orders; params end with the step count and the
+    largest zeroed fraction with its x.
+    """
+    require_positive("gamma", gamma)
+    require_finite("mu", mu)
+    _require_t(t, 4.0 * T_MIN_THETA)
+    require_count("n", n, 2)
+    xs = np.asarray(x_grid, dtype=float)
+    if not np.all((xs > 0) & (xs < math.inf)):
+        raise DomainError("x must be finite and > 0")
+
+    def reduce(v):
+        zeroed = _tilt_kernel(gamma, mu, t, xs, v)
+        mean = v.mean(axis=0)
+        v -= mean
+        return v.shape[0], mean, np.einsum("ij,ij->j", v, v), zeroed
+
+    grid = TimeGrid(t, GENERAL_MC_STEPS)
+    parts = simulate_bridge_integrals(grid, xs, n, seed, reduce, threads=threads)
+    count, mean, m2, zeroed = parts[0]
+    for c, mean_b, m2_b, zeroed_b in parts[1:]:
+        delta = mean_b - mean
+        mean = mean + delta * (c / (count + c))
+        m2 = m2 + m2_b + delta * delta * (count * c / (count + c))
+        count, zeroed = count + c, zeroed + zeroed_b
+    pref = lognormal_density(mu, t, xs) * np.exp(-gamma * (xs - 1.0))
+    k = int(np.argmax(zeroed))
+    params = (f"gamma={gamma:g} mu={mu:g} t={t:g} n={n} seed={seed} steps={GENERAL_MC_STEPS} "
+              f"zeroed_max={zeroed[k] / n:.3g}@x={xs[k]:.4g}")
+    curve = DensityCurve(xs, pref * mean, kind="general_mc", params=params)
+    return curve, pref * np.sqrt(m2 / ((n - 1) * n))
 
 
 def curve_lognormal(mu, t, n_points=200):

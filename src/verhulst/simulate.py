@@ -42,20 +42,19 @@ def _block_rng(seed, block):
 
 def _run_blocks(n, seed, fill, threads):
     """Call fill(lo, m, rng) for every block covering n paths: the block's
-    m paths start at index lo and draw from its generator rng."""
+    m paths start at index lo and draw from its generator rng.  Returns
+    the calls' results in block order."""
     require_count("threads", threads, 1)
 
     def run(b):
         lo = b * BLOCK_PATHS
-        fill(lo, min(BLOCK_PATHS, n - lo), _block_rng(seed, b))
+        return fill(lo, min(BLOCK_PATHS, n - lo), _block_rng(seed, b))
 
     n_blocks = (n + BLOCK_PATHS - 1) // BLOCK_PATHS
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(run, range(n_blocks)))
-    else:
-        for b in range(n_blocks):
-            run(b)
+            return list(ex.map(run, range(n_blocks)))
+    return [run(b) for b in range(n_blocks)]
 
 
 @dataclass(frozen=True)
@@ -182,14 +181,19 @@ def simulate_functional(params, grid, seed):
     return PathSample(grid=grid, theta=theta, bmd=bmd)
 
 
-def _path_kernel(w, cum, sqdt, drift):
-    """In place, each row of w, S standard normals, becomes e^{B + mu t}
-    at nodes 1..S of one path with steps of variance sqdt**2 and drift
-    mu t at the nodes, and the same row of cum its running sum; returns
-    B + mu t at node S.  Every row is its own sequential sum, so a path's
-    values do not depend on the other rows or on what follows its node."""
+def _walk(w, sqdt):
+    """In place, each row of w, S standard normals, becomes B at nodes
+    1..S of one path with steps of variance sqdt**2, a row's own
+    sequential sum: independent of the other rows and later nodes."""
     w *= sqdt
     np.cumsum(w, axis=1, out=w)
+
+
+def _path_kernel(w, cum, sqdt, drift):
+    """In place, each row of w, S standard normals, becomes e^{B + mu t}
+    at nodes 1..S of one path (_walk) with drift mu t at the nodes, and
+    the same row of cum its running sum; returns B + mu t at node S."""
+    _walk(w, sqdt)
     w += drift  # now B + mu t at nodes 1..S
     bmd_T = w[:, -1].copy()
     np.exp(w, out=w)
@@ -315,6 +319,47 @@ def simulate_exp_terminal(params, rate, dt, n, seed, threads=1):
 
     _run_blocks(n, seed, fill, threads)
     return out
+
+
+def simulate_bridge_integrals(grid, xs, n, seed, reduce, threads=1):
+    """Trapezoid integrals over grid of e^{B_s + mu s} given its endpoint
+    e^{B_t + mu t} = x, for each x in xs, on n paths, block-parallel.
+
+    Given B_t + mu t = ln x, B_s + mu s is Z_s + (s/t) ln x, Z a standard
+    Brownian bridge, whatever mu (Glasserman, Monte Carlo Methods in
+    Financial Engineering, 2003, sec. 3.1).  So with E = e^Z at nodes
+    j = 1..S-1, one matrix product dt/2 (1 + x) + E . (dt x^{j/S}) serves
+    every x.  Z is the terminal batch's walk, on its block streams and
+    row chunks, less j/S times its last node.  Each block's (m x xs.size)
+    integrals go to reduce on the thread that drew them; returns
+    reduce's results in block order.
+    """
+    require_count("n", n, 1)
+    xs = np.asarray(xs, dtype=float)
+    S, dt = grid.n_steps, grid.dt
+    sqdt = math.sqrt(dt)
+    frac = np.arange(1, S) / S
+    weights = dt * np.exp(np.outer(frac, np.log(xs)))  # dt x^{j/S}
+    ends = 0.5 * dt * (1.0 + xs)
+    rows = max(2, _BATCH_CHUNK_ELEMS // S)
+
+    def fill(lo, m, rng):
+        v = np.empty((m, xs.size))
+        w_buf = np.empty((min(m, rows), S))
+        e_buf = np.empty((w_buf.shape[0], S - 1))
+        for c0 in range(0, m, rows):
+            c = min(rows, m - c0)
+            w, e = w_buf[:c], e_buf[:c]
+            rng.standard_normal(out=w)
+            _walk(w, sqdt)
+            np.multiply(w[:, -1:], frac, out=e)
+            np.subtract(w[:, :-1], e, out=e)  # the bridge at nodes 1..S-1
+            np.exp(e, out=e)
+            np.matmul(e, weights, out=v[c0 : c0 + c])
+        v += ends
+        return reduce(v)
+
+    return _run_blocks(n, seed, fill, threads)
 
 
 # --- change of measure ------------------------------------------------------

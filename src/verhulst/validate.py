@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import (
-    GENERAL_MC_DT,
+    GENERAL_MC_STEPS,
     DensityCurve,
     curve_exact_half,
     curve_exp_time,
@@ -697,12 +697,9 @@ def _check_general_density(config, knobs, seed):
     est, se = float(both.values[k]), float(errs[k])
     curve = DensityCurve(x_grid, np.delete(both.values, k))
     quad = density_general_quad(gamma, mu, t, 1.0)
-    curve_grid = TimeGrid.with_step(t, GENERAL_MC_DT)
-    curve_work = n * curve_grid.n_steps
-    both_work = (
-        f"histogram dt={grid.dt:g}, curve dt={curve_grid.dt:g}; "
-        f"path-steps={hist_n * grid.n_steps + curve_work}"
-    )
+    # the curve's params state its bridge steps and largest zeroed fraction
+    curve_work = f"curve {both.params}; path-steps={n * GENERAL_MC_STEPS}"
+    both_work = f"histogram dt={grid.dt:g}, path-steps={hist_n * grid.n_steps}; {curve_work}"
     hist = TestReport(
         name="general_density_histogram",
         statistic=abs(est - p_hist) / math.hypot(se, se_hist),
@@ -719,10 +716,7 @@ def _check_general_density(config, knobs, seed):
         statistic=abs(curve.total_mass - 1.0),
         threshold=2e-2,
         n_or_tolerance=f"n={n}",
-        details=(
-            f"mass={curve.total_mass:.4f}; grid=[0.01,20]x72; "
-            + _work(curve_grid.dt, curve_work)
-        ),
+        details=f"mass={curve.total_mass:.4f}; grid=[0.01,20]x72; {curve_work}",
     )
     if not knobs["general_cdf"]:
         # at the quick sizes this sup-CDF exceeds 1e-2 on about one seed in five
@@ -730,7 +724,7 @@ def _check_general_density(config, knobs, seed):
     # at the full hist_n = 1e6 the Kolmogorov band is below the 1e-2 floor
     cdf = _ks_report(
         "general_density_cdf", stats.theta, curve, 1e-2,
-        f"sup |curve CDF - empirical CDF|; curve n={n}, grid=[0.01,20]x72; {both_work}",
+        f"sup |curve CDF - empirical CDF|; grid=[0.01,20]x72; {both_work}",
     )
     return [hist, mass, cdf]
 

@@ -22,10 +22,11 @@ import numpy as np
 import pytest
 
 from verhulst.density import (
-    _tilt_kernels,
+    GENERAL_MC_STEPS,
+    _tilt_kernel,
     curve_general_mc,
-    density_general_mc,
     density_general_quad,
+    lognormal_density,
 )
 from verhulst.simulate import (
     McEstimate,
@@ -128,13 +129,18 @@ def test_criterion_10_general_density():
     reports = _suite(10, "general_density", 99000)
     assert "general_density_cdf" in reports  # sup-CDF against 1e6 paths, full budget only
     hist = reports["general_density_histogram"]
-    # negative control: the tilt kernel averaged over the group's draws
-    # (seed 99001) without conditioning them on the endpoint, against the
-    # deterministic substitution quadrature at x = 1
+    # negative control: the tilt kernel averaged over unconditional
+    # drift-mu paths (seed 99001, the curve's seed) instead of paths given
+    # the endpoint, against the deterministic substitution quadrature at
+    # x = 1; at x = 1 the kernel's prefactor is the lognormal density
     gamma, mu, t, n = 1.0, 0.0, 1.0, 100_000
     quad = density_general_quad(gamma, mu, t, 1.0)
-    ((pref, h, _),) = _tilt_kernels(gamma, mu, t, np.array([1.0]), n, 99001)
-    uncond = McEstimate.from_samples(pref * h)
+    stats = simulate_terminal_batch(
+        ModelParams(mu=mu, beta=0.0, x0=1.0), TimeGrid(t, GENERAL_MC_STEPS), n, 99001
+    )
+    h = stats.a[:, None].copy()
+    _tilt_kernel(gamma, mu, t, np.array([1.0]), h)
+    uncond = McEstimate.from_samples(lognormal_density(mu, t, 1.0) * h[:, 0])
     z_uncond = abs(uncond.mean - quad) / uncond.stderr
     # the report prints the estimate and its error unrounded (repr)
     est, se = map(float, re.search(r"estimate=(\S+?)\+-(\S+?);", hist.details).groups())
@@ -190,15 +196,10 @@ def test_criterion_13_determinism():
     ]
     assert mc[0].statistic == mc[1].statistic
 
-    gd = [density_general_mc(1.0, 0.0, 1.0, 1.0, n, 55006, threads=th) for th in (1, 3)]
-    assert (gd[0].mean, gd[0].stderr) == (gd[1].mean, gd[1].stderr)
-
     x_grid = np.geomspace(0.1, 5.0, 9)
-    curves = [
-        curve_general_mc(1.0, 0.0, 1.0, x_grid, n, 55007, threads=th)[0]
-        for th in (1, 3)
-    ]
-    assert np.array_equal(curves[0].values, curves[1].values)
+    curves = [curve_general_mc(1.0, 0.0, 1.0, x_grid, n, 55007, threads=th) for th in (1, 3)]
+    assert np.array_equal(curves[0][0].values, curves[1][0].values)
+    assert np.array_equal(curves[0][1], curves[1][1])
 
     _verdict(13, "determinism across worker counts", 0.0, 0.0,
              "terminal batch, exp-time sampler, three transform routes, "

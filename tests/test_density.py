@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from verhulst.density import (
+    GENERAL_MC_STEPS,
     DensityCurve,
     _theta_log_interp,
-    _tilt_kernels,
+    _tilt_kernel,
     conditional_laplace,
     curve_exact_half,
     curve_exp_time,
@@ -29,7 +30,6 @@ from verhulst.density import (
     density_exact_half,
     density_exp_time,
     density_exp_time_mixture,
-    density_general_mc,
     density_general_quad,
     exp_time_total_mass,
     lognormal_density,
@@ -68,7 +68,7 @@ def exact_cond(lam, t, v, x):
     at = conditional_laplace(
         lam, t, v, lambda L: np.log(hartman_watson_theta_grid(np.exp(L), t / 4)), 0.0
     )
-    return np.exp(at(x)[0])
+    return np.exp(at(x))
 
 
 def ks_stat(samples, cdf_vals):
@@ -430,8 +430,8 @@ def test_general_quad_resolution_stable():
 
 
 def test_general_mc_small_gamma_is_lognormal():
-    est = density_general_mc(1e-8, 0.0, 1.0, 1.0, 5_000, seed=3)
-    assert est.mean == pytest.approx(lognormal_density(0.0, 1.0, 1.0), rel=1e-6)
+    curve, _ = curve_general_mc(1e-8, 0.0, 1.0, [1.0, 2.0], 5_000, seed=3)
+    assert curve.values[0] == pytest.approx(lognormal_density(0.0, 1.0, 1.0), rel=1e-6)
 
 
 def test_general_mc_conditional_matches_quad():
@@ -443,21 +443,25 @@ def test_general_mc_conditional_matches_quad():
 
 
 def _unconditional_mc(gamma, mu, t, x, n, seed):
-    # negative control: the tilt kernel averaged over the draws without
-    # conditioning them on the endpoint
-    ((pref, h, _),) = _tilt_kernels(gamma, mu, t, np.array([x]), n, seed)
-    return McEstimate(
-        mean=pref * float(h.mean()), stderr=pref * float(h.std(ddof=1) / math.sqrt(n)), n=n
+    """Negative control: the tilt kernel averaged over unconditional
+    drift-mu paths (GENERAL_MC_STEPS steps) instead of paths given the
+    endpoint x."""
+    stats = simulate_terminal_batch(
+        ModelParams(mu=mu, beta=0.0, x0=1.0), TimeGrid(t, GENERAL_MC_STEPS), n, seed
     )
+    h = stats.a[:, None].copy()
+    _tilt_kernel(gamma, mu, t, np.array([x]), h)
+    pref = lognormal_density(mu, t, x) * math.exp(-gamma * (x - 1.0))
+    return McEstimate.from_samples(pref * h[:, 0])
 
 
 def test_general_mc_unconditional_average_disagrees():
     # the kernel is a Laplace transform conditional on the endpoint, so
-    # its plain average is a different quantity: 0.3122+-0.0010 against
-    # 0.3522+-0.0017 here, with the substitution quadrature at 0.3541
+    # its plain average is a different quantity: 0.3125+-0.0010 against
+    # 0.3546+-0.0006 here, with the substitution quadrature at 0.3541
     u = _unconditional_mc(1.0, 0.0, 1.0, 1.0, 20_000, seed=77)
-    c = density_general_mc(1.0, 0.0, 1.0, 1.0, 20_000, seed=77)
-    assert abs(u.mean - c.mean) > 5.0 * math.hypot(u.stderr, c.stderr)
+    curve, errs = curve_general_mc(1.0, 0.0, 1.0, [1.0, 2.0], 20_000, seed=77)
+    assert abs(u.mean - curve.values[0]) > 5.0 * math.hypot(u.stderr, errs[0])
     assert abs(u.mean - density_general_quad(1.0, 0.0, 1.0, 1.0)) > 5.0 * u.stderr
 
 
@@ -468,18 +472,24 @@ def test_general_mc_conditional_curve_mass():
 
 
 def test_general_mc_thread_count_invariance():
-    a = density_general_mc(1.0, 0.0, 1.0, 1.0, 4_000, seed=9, threads=1)
-    b = density_general_mc(1.0, 0.0, 1.0, 1.0, 4_000, seed=9, threads=3)
-    assert (a.mean, a.stderr) == (b.mean, b.stderr)
+    # four blocks, the last one ragged, combine in block order
+    xg = np.geomspace(0.05, 8.0, 12)
+    n = 3 * 4096 + 17
+    (a, ea), (b, eb) = (
+        curve_general_mc(1.0, 0.0, 1.0, xg, n, seed=9, threads=th) for th in (1, 3)
+    )
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(ea, eb)
+    assert a.params == b.params
 
 
 def test_general_mc_domain():
     with pytest.raises(DomainError):
-        density_general_mc(0.0, 0.0, 1.0, 1.0, 100, seed=1)
+        curve_general_mc(0.0, 0.0, 1.0, [1.0, 2.0], 100, seed=1)
     with pytest.raises(DomainError):
-        density_general_mc(1.0, 0.0, 0.5, 1.0, 100, seed=1)  # t < 4*t_min_theta
+        curve_general_mc(1.0, 0.0, 0.5, [1.0, 2.0], 100, seed=1)  # t < 4*t_min_theta
     with pytest.raises(DomainError):
-        density_general_mc(1.0, 0.0, 1.0, -1.0, 100, seed=1)
+        curve_general_mc(1.0, 0.0, 1.0, [-1.0, 1.0], 100, seed=1)
 
 
 _NAN, _INF = math.nan, math.inf
@@ -498,8 +508,8 @@ _NON_FINITE = {
     "curve_lognormal t=-1": lambda: curve_lognormal(0.0, -1.0),
     "general_mc x=nan": lambda: curve_general_mc(1.0, 0.0, 1.0, [0.5, _NAN], 100, seed=1),
     "general_mc x=inf": lambda: curve_general_mc(1.0, 0.0, 1.0, [0.5, _INF], 100, seed=1),
-    "general_mc t=inf": lambda: density_general_mc(1.0, 0.0, _INF, 1.0, 100, seed=1),
-    "general_mc gamma=nan": lambda: density_general_mc(_NAN, 0.0, 1.0, 1.0, 100, seed=1),
+    "general_mc t=inf": lambda: curve_general_mc(1.0, 0.0, _INF, [1.0, 2.0], 100, seed=1),
+    "general_mc gamma=nan": lambda: curve_general_mc(_NAN, 0.0, 1.0, [1.0, 2.0], 100, seed=1),
     "exp_time z=nan": lambda: density_exp_time(1.0, 1.0, _NAN),
     "exp_time lam=nan": lambda: density_exp_time(1.0, _NAN, 1.0),
     "lognormal t=nan": lambda: lognormal_density(0.0, _NAN, 1.0),
@@ -521,7 +531,7 @@ _NON_INTEGRAL = {
     "curve_general_mc n=nan": ("n", lambda: curve_general_mc(1.0, 0.0, 1.0, [1.0], _NAN, 1)),
     "curve_general_mc n=2.5": ("n", lambda: curve_general_mc(1.0, 0.0, 1.0, [1.0], 2.5, 1)),
     "general_mc threads=nan": (
-        "threads", lambda: density_general_mc(1.0, 0.0, 1.0, 1.0, 10, 1, threads=_NAN)
+        "threads", lambda: curve_general_mc(1.0, 0.0, 1.0, [1.0, 2.0], 10, 1, threads=_NAN)
     ),
     "curve_exact_half n_points=2.5": (
         "n_points", lambda: curve_exact_half(1.0, 1.0, n_points=2.5)

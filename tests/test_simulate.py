@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from verhulst import simulate
+from verhulst.density import GENERAL_MC_STEPS, _tilt_kernel
 from verhulst.errors import DomainError
 from verhulst.simulate import (
     BLOCK_PATHS,
@@ -31,6 +32,7 @@ from verhulst.simulate import (
     laplace_mc_gbm,
     sample_besq0,
     sample_exp_time,
+    simulate_bridge_integrals,
     simulate_exp_terminal,
     simulate_functional,
     simulate_terminal_batch,
@@ -793,6 +795,78 @@ def test_exp_time_step_bias_paired():
 
     _run_blocks(n, 47, fill, threads=2)
     assert _worst_decile_shift(theta[0], theta[1]) <= 1e-3
+
+
+def _bridge_integrals(z, dt, xs):
+    """Trapezoid integrals of e^{Z_s} x^{s/t} for each x in xs, on step-dt
+    nodes 0..S, of the bridges whose rows z hold Z at nodes 1..S."""
+    m, S = z.shape
+    zz = np.concatenate((np.zeros((m, 1)), z), axis=1)
+    f = np.exp(zz)[:, :, None] * xs ** (np.arange(S + 1) / S)[:, None]
+    return np.trapezoid(f, dx=dt, axis=1)
+
+
+def _paired_bridges(t, xs, n, seed, group):
+    """(fine, coarse) integrals of the same n bridges over [0, t].  The
+    fine bridges take 1000 steps, from the block streams as
+    simulate_bridge_integrals draws them; the coarse bridges read the fine
+    ones at every `group`-th node."""
+    S, dt = 1000, t / 1000
+    out = np.empty((2, n, xs.size))
+
+    def fill(lo, m, rng):
+        for c0 in range(0, m, 128):
+            c = min(128, m - c0)
+            w = np.cumsum(rng.standard_normal((c, S)) * math.sqrt(dt), axis=1)
+            z = w - w[:, -1:] * (np.arange(1, S + 1) / S)
+            sl = slice(lo + c0, lo + c0 + c)
+            out[0, sl] = _bridge_integrals(z, dt, xs)
+            out[1, sl] = _bridge_integrals(z[:, group - 1 :: group], group * dt, xs)
+
+    _run_blocks(n, seed, fill, threads=2)
+    return out
+
+
+def test_paired_bridges_fine_side_is_the_sampler():
+    xs, n = np.array([0.01, 1.0, 20.0]), 2 * BLOCK_PATHS + 5
+    fine, coarse = _paired_bridges(1.0, xs, n, seed=51, group=4)
+    blocks = simulate_bridge_integrals(TimeGrid(1.0, 1000), xs, n, 51, lambda v: v)
+    assert [b.shape[0] for b in blocks] == [BLOCK_PATHS, BLOCK_PATHS, 5]
+    np.testing.assert_allclose(np.concatenate(blocks), fine, rtol=1e-12, atol=0.0)
+    assert np.all(coarse != fine)
+
+
+def test_bridge_integrals_mean_and_threads():
+    # E e^{Z_s} = e^{s (t - s)/(2 t)} for a standard Brownian bridge, so
+    # the trapezoid integral's mean is known exactly on the nodes
+    t, S, n = 2.0, 50, 3 * BLOCK_PATHS + 17
+    xs = np.array([0.1, 1.0, 5.0])
+    grid = TimeGrid(t, S)
+    s = grid.times()
+    exact = np.trapezoid(np.exp(s * (t - s) / (2.0 * t))[:, None] * xs ** (s / t)[:, None],
+                         dx=grid.dt, axis=0)
+    runs = [np.concatenate(simulate_bridge_integrals(grid, xs, n, 52, lambda v: v, threads=th))
+            for th in (1, 3)]
+    assert np.array_equal(runs[0], runs[1])
+    for k in range(xs.size):
+        est = McEstimate.from_samples(runs[0][:, k])
+        assert abs(est.mean - exact[k]) < 3.0 * est.stderr
+
+
+def test_general_mc_step_bias_paired():
+    """curve_general_mc's GENERAL_MC_STEPS bridge steps against 1000 on the
+    same bridges: at each x the tilt kernel's shift stays under a tenth
+    of its standard error at n = 1e5.  One Theta interpolant serves both
+    sides, so only the step differs."""
+    gamma, mu, t = 1.0, 0.0, 1.0
+    group = 1000 // GENERAL_MC_STEPS
+    assert group * GENERAL_MC_STEPS == 1000
+    xs = np.array([0.01, 0.02, 0.1, 0.3, 1.0, 3.0, 8.0, 14.0, 20.0])
+    v = _paired_bridges(t, xs, 100_000, 53, group).reshape(-1, xs.size)
+    _tilt_kernel(gamma, mu, t, xs, v)
+    fine, coarse = v.reshape(2, -1, xs.size)
+    for k, x in enumerate(xs):
+        _assert_step_bias_small(fine[:, k], coarse[:, k], x)
 
 
 # --- serialization ----------------------------------------------------------
