@@ -9,7 +9,7 @@ on the e^{r} scale so exponentials stay in range across the whole support.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .specfun import (
     ABS_TOL,
     T_MIN_THETA,
     BesselOrder,
-    anchor_completion,
+    anchored_time_laplace,
     bessel_product_F,
     hartman_watson_theta_grid,
     log_panel_integral,
@@ -33,16 +33,15 @@ from .specfun import (
 class DensityCurve:
     """A density sampled on a strictly increasing positive grid.
 
-    total_mass is the trapezoid integral over the grid; for a curve meant
-    to cover the whole support it should sit within the advertised
-    tolerance of 1.
+    total_mass is the trapezoid integral over the grid, the last value
+    of cumulative(); for a curve meant to cover the whole support it
+    should sit within the advertised tolerance of 1.
     """
 
     abscissae: np.ndarray
     values: np.ndarray
     kind: str = ""
     params: str = ""
-    total_mass: float = field(init=False)
 
     def __post_init__(self):
         x = np.asarray(self.abscissae, dtype=float)
@@ -55,12 +54,15 @@ class DensityCurve:
             raise DomainError("density values must be finite and nonnegative")
         self.abscissae = x
         self.values = y
-        self.total_mass = float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
 
     def cumulative(self):
         """Running trapezoid integral; starts at 0, ends at total_mass."""
         seg = 0.5 * (self.values[1:] + self.values[:-1]) * np.diff(self.abscissae)
         return np.concatenate(([0.0], np.cumsum(seg)))
+
+    @property
+    def total_mass(self):
+        return float(self.cumulative()[-1])
 
 
 def write_density_csv(curve, fh):
@@ -333,38 +335,26 @@ def density_exp_time_mixture(x_start, lam, w):
     """Exponential-time density at w as the rate-lam mixture of fixed-time
     densities, evaluated without touching the closed form at rate lam.
 
-    The t >= T_MIN_THETA part is direct log-t panel quadrature of
-    lam e^{-lam t} p_t(w).  The [0, T_MIN_THETA) mass (dominant when w is
-    near x_start, where the fixed-time density grows a small-t peak) is
-    not reachable that way, but its integrals against e^{-rate t} at the
-    three anchor rates are: each equals the closed-form transform at that
-    rate minus the same quadrature.  The completion added is the midpoint
-    of the sharp two-sided bracket over positive measures on
-    [0, T_MIN_THETA] consistent with those anchors; returns (value, bound)
-    with bound = bracket halfwidth + anchor noise + quadrature tail.
+    lam times anchored_time_laplace of p_t(w) over t, anchored at the
+    closed forms of three other rates; the mass it completes below
+    T_MIN_THETA dominates when w is near x_start, where p_t grows a
+    small-t peak.  Returns (value, bound), bound = bracket halfwidth +
+    anchor noise (1e-6 of the first anchor's closed form) + quadrature tail.
     """
-    x = float(x_start)
-    w = float(w)
-    if x <= 0 or w <= 0:
-        raise DomainError("mixture needs x_start > 0 and w > 0")
+    require_positive("x_start", x_start)
+    require_positive("w", w)
+    x, w = float(x_start), float(w)
     rates = np.array(_MIX_ANCHOR_RATES)
     if not 0.0 < lam <= rates[-1]:
         raise DomainError(f"mixture supports 0 < lam <= {rates[-1]:g}")
     # the integrand carries e^{-(rate + 1/8) t} overall; 45 e-foldings
     t_hi = 45.0 / (rates[0] + 0.125)
-    ts, gw = log_panels(math.log(T_MIN_THETA), math.log(t_hi), 2.0, 2)
-    gwt = gw * ts
-    dens = np.array([density_exact_half(x, t, w) for t in ts])
-
-    def q(rate):
-        return float(np.dot(gwt, np.exp(-rate * ts) * dens))
-
-    base = q(lam)
-    anchors = np.array([density_exp_time(x, rate, w) / rate - q(rate) for rate in rates])
-    noise = 1e-6 * (np.maximum(anchors[0], 0.0) + q(rates[0]))
+    closed = [density_exp_time(x, rate, w) / rate for rate in rates]
+    value, bound, dens = anchored_time_laplace(
+        lambda t: density_exact_half(x, t, w), t_hi, lam, rates, closed, 1e-6 * closed[0]
+    )
     tail = math.exp(-45.0) * float(dens.max()) * t_hi
-    mid, half = anchor_completion(rates, anchors, lam, T_MIN_THETA)
-    return lam * (base + mid), lam * (half + noise + tail)
+    return lam * value, lam * (bound + tail)
 
 
 def _theta_log_interp(r_lo, r_hi, tau, n=2000):

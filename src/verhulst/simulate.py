@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_count, require_nonnegative, require_positive
+from .errors import (
+    DomainError, require_count, require_finite, require_nonnegative, require_positive
+)
 from .specfun import laplace_kernel_F
 
 BLOCK_PATHS = 4096
@@ -59,30 +61,21 @@ def _run_blocks(n, seed, fill, threads):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Drift mu, crowding beta >= 0, start value x0 > 0.
-
-    `coupled` marks the convention where the start level doubles as the
-    crowding coefficient: theta_t(x) = x e^{B_t - t/2}/(1 + x a_t).  It
-    pins mu = -1/2 and beta = x0; the generic and coupled conventions
-    are never mixed within one run.
-    """
+    """Drift mu, crowding beta >= 0, start value x0 > 0."""
 
     mu: float
     beta: float
     x0: float = 1.0
-    coupled: bool = False
 
     def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise DomainError("mu must be finite")
+        require_finite("mu", self.mu)
         require_nonnegative("beta", self.beta)
         require_positive("x0", self.x0)
-        if self.coupled and (self.mu != -0.5 or self.beta != self.x0):
-            raise DomainError("coupled convention requires mu = -1/2 and beta = x0")
 
     @classmethod
     def coupled_start(cls, x):
-        return cls(mu=-0.5, beta=float(x), x0=float(x), coupled=True)
+        """theta_t(x) = x e^{B_t - t/2}/(1 + x a_t): mu = -1/2, beta = x0 = x."""
+        return cls(mu=-0.5, beta=float(x), x0=float(x))
 
 
 @dataclass(frozen=True)
@@ -119,10 +112,13 @@ class PathSample:
     bmd: np.ndarray
 
     def running_integrals(self):
-        """Cumulative trapezoid series (int theta, int theta^2, a_t, A_t)."""
-        dt = self.grid.dt
+        """Running trapezoid series (int theta, int theta^2, a_t, A_t), 0 at
+        node 0; a_t at node S is the terminal batch's a of the same path."""
         e = np.exp(self.bmd)
-        return tuple(_cum_trapezoid(v, dt) for v in (self.theta, self.theta**2, e, e * e))
+        return tuple(
+            _trapezoid(np.append(0.0, np.cumsum(v[1:])), v, v[0], self.grid.dt)
+            for v in (self.theta, self.theta**2, e, e * e)
+        )
 
 
 @dataclass(frozen=True)
@@ -155,11 +151,13 @@ class TerminalStats:
     int_theta_sq: np.ndarray
 
 
-def _cum_trapezoid(v, dt):
-    """Running trapezoid integral of node values v with step dt; starts at 0."""
-    out = np.empty_like(v)
-    out[0] = 0.0
-    np.cumsum(0.5 * dt * (v[1:] + v[:-1]), out=out[1:])
+def _trapezoid(total, last, first, dt, out=None):
+    """dt (total - last/2 + first/2): the trapezoid integral over nodes
+    0..k of v with step dt, from total = v_1 + ... + v_k, last = v_k and
+    first = v_0.  Elementwise over arrays; in place with out=total."""
+    out = np.subtract(total, 0.5 * last, out=out)
+    out += 0.5 * first
+    out *= dt
     return out
 
 
@@ -167,18 +165,17 @@ def simulate_functional(params, grid, seed):
     """Exact-in-distribution path of the functional at the grid nodes.
 
     Gaussian increments are exact; only the running integrals carry
-    trapezoid bias.  Uses the stream of (seed, block 0), so path 0 of a
-    batch run with the same seed sees the same increments.
+    trapezoid bias.  Uses the stream of (seed, block 0) and runs the
+    terminal batch's path arithmetic on its one row, so theta, B + mu t
+    and a_t at node S are path 0 of a batch run with the same seed, bit
+    for bit.
     """
-    dt = grid.dt
-    g = _block_rng(seed, 0).standard_normal((1, grid.n_steps))[0] * math.sqrt(dt)
-    bmd = np.empty(grid.n_steps + 1)
-    bmd[0] = 0.0
-    np.cumsum(g, out=bmd[1:])
-    bmd[1:] += params.mu * dt * np.arange(1, grid.n_steps + 1)
-    e = np.exp(bmd)
-    theta = params.x0 * e / (1.0 + params.beta * _cum_trapezoid(e, dt))
-    return PathSample(grid=grid, theta=theta, bmd=bmd)
+    S, dt = grid.n_steps, grid.dt
+    w = _block_rng(seed, 0).standard_normal((1, S))
+    cum = np.empty_like(w)
+    bmd = _path_kernel(w, cum, math.sqrt(dt), params.mu * dt * np.arange(1, S + 1), keep=0)
+    _theta_rows(w, cum, params.beta, params.x0, dt)
+    return PathSample(grid=grid, theta=np.append(params.x0, w[0]), bmd=np.append(0.0, bmd))
 
 
 def _walk(w, sqdt):
@@ -189,16 +186,30 @@ def _walk(w, sqdt):
     np.cumsum(w, axis=1, out=w)
 
 
-def _path_kernel(w, cum, sqdt, drift):
+def _path_kernel(w, cum, sqdt, drift, keep=(slice(None), -1)):
     """In place, each row of w, S standard normals, becomes e^{B + mu t}
     at nodes 1..S of one path (_walk) with drift mu t at the nodes, and
-    the same row of cum its running sum; returns B + mu t at node S."""
+    the same row of cum its running sum; returns B + mu t at w[keep]."""
     _walk(w, sqdt)
     w += drift  # now B + mu t at nodes 1..S
-    bmd_T = w[:, -1].copy()
+    bmd = w[keep].copy()
     np.exp(w, out=w)
     np.cumsum(w, axis=1, out=cum)
-    return bmd_T
+    return bmd
+
+
+def _theta_rows(w, cum, beta, x0, dt):
+    """In place, rows of w, e^{B + mu t} at nodes 1..S with running sums
+    in cum (_path_kernel), become theta = x0 e^{B + mu t}/(1 + beta a_t),
+    a_t the running trapezoid, skipping a_t at beta = 0 and the product
+    at x0 = 1; cum is spent."""
+    if beta != 0.0:
+        _trapezoid(cum, w, 1.0, dt, out=cum)  # the running a_t, a_0 = 0 folded in
+        cum *= beta
+        cum += 1.0
+        np.divide(w, cum, out=w)
+    if x0 != 1.0:
+        w *= x0
 
 
 def simulate_terminal_batch(params, grid, n, seed, threads=1):
@@ -242,16 +253,8 @@ def simulate_terminal_batch(params, grid, n, seed, threads=1):
             bmd_T = _path_kernel(w, cum, sqdt, drift)
             e_T = w[:, -1].copy()
             ee_sum = np.einsum("ij,ij->i", w, w)
-            a_T = (cum[:, -1] - 0.5 * e_T + 0.5) * dt
-            if beta != 0.0:
-                cum -= 0.5 * w
-                cum += 0.5
-                cum *= dt  # now the running a_t (trapezoid, a_0 = 0 folded in)
-                cum *= beta
-                cum += 1.0
-                np.divide(w, cum, out=w)
-            if x0 != 1.0:
-                w *= x0
+            a_T = _trapezoid(cum[:, -1], e_T, 1.0, dt)
+            _theta_rows(w, cum, beta, x0, dt)
             th_T = w[:, -1].copy()  # w is now theta at nodes 1..S
             th_sum = w.sum(axis=1)
             # at beta = 0 and x0 = 1, theta is e^{B + mu t} itself
@@ -261,9 +264,9 @@ def simulate_terminal_batch(params, grid, n, seed, threads=1):
             out.theta[sl] = th_T
             out.bmd[sl] = bmd_T
             out.a[sl] = a_T
-            out.A[sl] = dt * (ee_sum - 0.5 * e_T * e_T + 0.5)
-            out.int_theta[sl] = dt * (th_sum - 0.5 * th_T + 0.5 * x0)
-            out.int_theta_sq[sl] = dt * (thth_sum - 0.5 * th_T * th_T + 0.5 * x0 * x0)
+            out.A[sl] = _trapezoid(ee_sum, e_T * e_T, 1.0, dt)
+            out.int_theta[sl] = _trapezoid(th_sum, th_T, x0, dt)
+            out.int_theta_sq[sl] = _trapezoid(thth_sum, th_T * th_T, x0 * x0, dt)
 
     _run_blocks(n, seed, fill, threads)
     return out
@@ -313,7 +316,7 @@ def simulate_exp_terminal(params, rate, dt, n, seed, threads=1):
             _path_kernel(w, cum, sqdt, drift[:S])
             rows = np.arange(k.size)
             e = w[rows, k - 1]
-            a = (cum[rows, k - 1] - 0.5 * e + 0.5) * dt
+            a = _trapezoid(cum[rows, k - 1], e, 1.0, dt)
             out[lo + order[c0 : c0 + k.size]] = x0 * e / (1.0 + beta * a)
             c0 += k.size
 
@@ -455,29 +458,22 @@ def laplace_mc_gbm(lam, params, t, n, seed, n_steps=None, threads=1):
     """E e^{-lambda theta_t} through the plain-GBM representation
     e^beta E exp(-(beta+lam) e^{B+mu t} + beta (mu+1/2) a_t - (beta^2/2) A_t).
 
-    In the coupled convention the start level x enters as
-    lam -> lam * x, beta -> x; the generic form is stated for x0 = 1.
-    Paths step on laplace_grid(t, n_steps), dt = 0.01 by default; the
-    paired test test_laplace_step_bias_paired bounds that step's bias by
-    a tenth of this route's standard error at n = 1e5.
+    The representation is stated for x0 = 1; theta scales with its start,
+    theta(x0, beta) = x0 theta(1, beta), so any x0 enters it as
+    lam -> lam x0.  Paths step on laplace_grid(t, n_steps), dt = 0.01 by
+    default; the paired test test_laplace_step_bias_paired bounds that
+    step's bias by a tenth of this route's standard error at n = 1e5.
     """
     require_nonnegative("lam", lam)
-    if params.coupled:
-        lam_eff = lam * params.x0
-        beta_eff = params.x0
-    else:
-        if params.x0 != 1.0:
-            raise DomainError("GBM route is stated for x0 = 1 (or the coupled convention)")
-        lam_eff = lam
-        beta_eff = params.beta
+    lam_eff, beta = lam * params.x0, params.beta
     gbm = ModelParams(mu=params.mu, beta=0.0, x0=1.0)
     stats = simulate_terminal_batch(gbm, laplace_grid(t, n_steps), n, seed, threads=threads)
     e_T = np.exp(stats.bmd)
     expo = (
-        beta_eff
-        - (beta_eff + lam_eff) * e_T
-        + beta_eff * (params.mu + 0.5) * stats.a
-        - 0.5 * beta_eff * beta_eff * stats.A
+        beta
+        - (beta + lam_eff) * e_T
+        + beta * (params.mu + 0.5) * stats.a
+        - 0.5 * beta * beta * stats.A
     )
     return McEstimate.from_samples(np.exp(expo))
 

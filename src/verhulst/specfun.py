@@ -320,7 +320,7 @@ _ANCHOR_ORDERS = (0.3, 3.0, 5.0)
 _T_LAPLACE_HI = 400.0
 
 
-def anchor_completion(rates, anchors, s, tau):
+def _anchor_completion(rates, anchors, s, tau):
     """Completion (mid, half) of a Laplace transform at rate s from the
     mass on [0, tau] that quadrature cannot reach.
 
@@ -357,22 +357,42 @@ def anchor_completion(rates, anchors, s, tau):
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
+def anchored_time_laplace(f, t_hi, s, rates, closed, noise):
+    """Laplace transform at rate s of a positive density f(t), evaluable
+    only from T_MIN_THETA on, given its transforms `closed` at the
+    increasing `rates`; returns (value, bound, f at the nodes).
+
+    Q, the [T_MIN_THETA, t_hi] part, is panel quadrature in log t on
+    log_panels' rule of 2 panels per unit, one f call per node.  The
+    anchors closed[j] - Q(rates[j]) pin the mass below T_MIN_THETA: Q(s)
+    gains the midpoint of _anchor_completion's bracket, and the bound is
+    its halfwidth plus `noise`.  A first anchor within `noise` is
+    quadrature noise: no completion, and it bounds itself.
+    """
+    t, w = log_panels(math.log(T_MIN_THETA), math.log(t_hi), 2.0, 2)
+    wt = w * t
+    vals = np.array([f(ti) for ti in t])
+
+    def q(rate):
+        return float(np.dot(wt * np.exp(-rate * t), vals))
+
+    anchors = np.array([c - q(rate) for c, rate in zip(closed, rates)])
+    missing = max(anchors[0], 0.0)
+    if missing <= noise:
+        mid, half = 0.0, missing
+    else:
+        mid, half = _anchor_completion(rates, anchors, s, T_MIN_THETA)
+    return q(s) + mid, half + noise, vals
+
+
 def theta_time_laplace(r, s):
     """integral_0^inf e^{-s t} Theta(r,t) dt with a documented small-t bound.
 
-    Returns (value, bound).  The [T_MIN_THETA, 400] part is honest panel
-    quadrature in log t on log_panels' rule of 2 panels per unit (16
-    panels, 256 nodes, one scalar-t kernel call each), the rule of
-    density_exact_half and the mixture's t-axis.  Two per unit suffice:
-    against a 720-panel (11,520-node) table over r in {0.5, 1, 2, 3} and
-    7 rates, the 256-node sum stays within 1.7% of the bound's own noise
-    term 4e-9 (e^{r} + e^{r} I_{0.3}(r)).  The mass below T_MIN_THETA
-    cannot be integrated directly (Theta is not evaluable there), but it
-    is pinned by anchor values c_j = I_{nu_j}(r) - Q(nu_j^2/2) at orders
-    nu_j in {0.3, 3, 5}: the completion added to Q(s) is the midpoint of
-    the sharp bracket over all positive measures on [0, T_MIN_THETA]
-    consistent with those anchors, and `bound` is the bracket halfwidth
-    (plus anchor noise).
+    Returns (value, bound): anchored_time_laplace of Theta(r, .) up to
+    t = 400 (256 nodes), anchored at I_{nu_j}(r), orders nu_j in {0.3, 3,
+    5}.  Two panels per unit suffice: against a 720-panel (11,520-node)
+    table over r in {0.5, 1, 2, 3} and 7 rates, the 256-node sum stays
+    within 1.7% of the bound's own noise term 4e-9 (e^{r} + e^{r} I_{0.3}(r)).
 
     Requires 0.045 <= s <= 12.5, the range of the anchor rates.  Beyond
     400 the e^{-st} tail is below e^{-400 s} I_0(r): under 1e-30 of the
@@ -380,6 +400,12 @@ def theta_time_laplace(r, s):
     carries its own tail, moves most of it into the completion.  Below
     0.045 the tail outgrows the bound (at s = 1e-3, r = 0.5 the value
     misses by 9.2e-3 relative against a bound of 7.1e-9): DomainError.
+
+    The bound is honest but not uniformly tight.  At s = 0.5 it exceeds
+    1e-4 relative from about r = 6 (1.13e-4 at r = 6, 1.32e-4 at r = 10;
+    8.3e-5 at r = 12), past the suite's 1e-4 gate, which samples r <= 3.
+    From r ~ 101-105 on no anchor support fits: the result is the
+    fallback I_1(r)/2 +- I_1(r)/2.
 
     Quadrature, anchors and bracket live on the e^{r} scale, so nothing
     underflows at large r; the results are scaled back at the end.  Where
@@ -397,19 +423,9 @@ def theta_time_laplace(r, s):
         closed = [er * bessel_i(nu, r) for nu in _ANCHOR_ORDERS]
     if not math.isfinite(closed[0]):
         raise DomainError(f"theta_time_laplace(r={r:g}): e^r I_0.3(r) overflows")
-    t, w = log_panels(math.log(T_MIN_THETA), math.log(_T_LAPLACE_HI), 2.0, 2)
-    theta = np.array([hartman_watson_theta_grid([r], ti)[0] for ti in t])
-
-    def q(rate):
-        return float(np.dot(w * t * np.exp(-rate * t), theta))
-
-    anchors = np.array([c - q(s_a) for c, s_a in zip(closed, s_anchors)])
-    noise = 4e-9 * (er + closed[0])
-    missing = max(anchors[0], 0.0)
-    if missing <= noise:
-        # missing mass indistinguishable from quadrature noise; bounds itself
-        mid, half = 0.0, missing
-    else:
-        mid, half = anchor_completion(s_anchors, anchors, s, T_MIN_THETA)
+    value, bound, _ = anchored_time_laplace(
+        lambda ti: hartman_watson_theta_grid([r], ti)[0],
+        _T_LAPLACE_HI, s, s_anchors, closed, 4e-9 * (er + closed[0]),
+    )
     scale = math.exp(-r)
-    return float(q(s) + mid) * scale, float(half + noise) * scale
+    return float(value) * scale, float(bound) * scale

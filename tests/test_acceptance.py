@@ -127,7 +127,7 @@ def test_criterion_09_laplace_triangle():
 
 def test_criterion_10_general_density():
     reports = _suite(10, "general_density", 99000)
-    assert "general_density_cdf" in reports  # sup-CDF against 1e6 paths, full budget only
+    assert "general_density_cdf" in reports  # sup-CDF against the 1e6 histogram paths
     hist = reports["general_density_histogram"]
     # negative control: the tilt kernel averaged over unconditional
     # drift-mu paths (seed 99001, the curve's seed) instead of paths given

@@ -286,6 +286,16 @@ def test_mixture_matches_closed_form(w):
     assert bound < closed
 
 
+def test_mixture_bound_is_honest():
+    # no slack: the bound covers the miss across the support, both where
+    # the completion is the bracket and where the missing head is within
+    # noise and bounds itself (w <= 0.1)
+    for w in [0.1, *np.geomspace(0.05, 8.0, 12)]:
+        closed = density_exp_time(1.0, 1.0, w)
+        value, bound = density_exp_time_mixture(1.0, 1.0, w)
+        assert abs(value - closed) <= bound, w
+
+
 def test_mixture_rate_domain():
     with pytest.raises(DomainError):
         density_exp_time_mixture(1.0, 0.0, 1.0)

@@ -1,4 +1,4 @@
-"""Module boundaries of the package: a `_`-prefixed function is used only
+"""Module boundaries of the package: a `_`-prefixed name is used only
 inside the module that defines it, and a module imports only names it
 uses."""
 
@@ -25,6 +25,20 @@ def test_no_private_function_crosses_a_module():
         and fn.__name__.startswith("_")
     ]
     assert crossings == []
+
+
+def test_no_private_name_imported_across_modules():
+    # functions, constants and classes alike: `from .x import _name` (or
+    # `from verhulst.x import _name`) reaches into another module's privates
+    imported = []
+    for path in sorted(Path(verhulst.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "verhulst"
+            ):
+                imported += [f"{path.name}:{node.lineno} {alias.name}"
+                             for alias in node.names if alias.name.startswith("_")]
+    assert imported == []
 
 
 def test_no_unused_import():

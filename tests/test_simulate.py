@@ -49,12 +49,8 @@ def test_model_params_validation():
         ModelParams(mu=0.0, beta=-0.1, x0=1.0)
     with pytest.raises(DomainError):
         ModelParams(mu=0.0, beta=1.0, x0=0.0)
-    with pytest.raises(DomainError):
-        ModelParams(mu=0.0, beta=1.0, x0=1.0, coupled=True)  # mu must be -1/2
-    with pytest.raises(DomainError):
-        ModelParams(mu=-0.5, beta=2.0, x0=1.0, coupled=True)  # beta must equal x0
-    p = ModelParams.coupled_start(2.0)
-    assert (p.mu, p.beta, p.x0, p.coupled) == (-0.5, 2.0, 2.0, True)
+    # the coupled convention is a start, not a mode: mu = -1/2, beta = x0
+    assert ModelParams.coupled_start(2.0) == ModelParams(mu=-0.5, beta=2.0, x0=2.0)
 
 
 def test_time_grid():
@@ -182,17 +178,29 @@ def test_gbm_terminal_mean():
 
 
 def test_batch_path_zero_matches_single_path():
-    p = ModelParams(mu=0.2, beta=0.8, x0=1.0)
-    g = TimeGrid(1.0, 250)
-    single = simulate_functional(p, g, seed=9)
-    batch = simulate_terminal_batch(p, g, 5, seed=9)
-    assert batch.theta[0] == single.theta[-1]
-    assert batch.bmd[0] == single.bmd[-1]
-    # the integrals differ only in summation order
-    i_th, i_th2, a_run, big_a = single.running_integrals()
-    for got, ref in ((batch.a, a_run), (batch.A, big_a),
-                     (batch.int_theta, i_th), (batch.int_theta_sq, i_th2)):
-        assert got[0] == pytest.approx(ref[-1], rel=1e-12)
+    # one path arithmetic: theta, B + mu t and a_T are path 0 of the batch
+    # bit for bit; the other integrals differ only in summation order
+    params_sets = (
+        ModelParams(mu=0.2, beta=0.8),
+        ModelParams.coupled_start(2.0),
+        ModelParams(mu=1.0, beta=0.5, x0=0.7),
+        ModelParams(mu=0.3, beta=0.0, x0=2.5),  # the batch's beta = 0 skip
+    )
+    for params in params_sets:
+        for n_steps in (1, 7, 250, 1000):
+            g = TimeGrid(1.0, n_steps)
+            for seed in range(200):
+                single = simulate_functional(params, g, seed=seed)
+                i_th, i_th2, a_run, big_a = single.running_integrals()
+                for n in (1, 5):
+                    case = (params, n_steps, seed, n)
+                    batch = simulate_terminal_batch(params, g, n, seed=seed)
+                    assert batch.theta[0] == single.theta[-1], case
+                    assert batch.bmd[0] == single.bmd[-1], case
+                    assert batch.a[0] == a_run[-1], case
+                    for got, ref in ((batch.A, big_a), (batch.int_theta, i_th),
+                                     (batch.int_theta_sq, i_th2)):
+                        assert got[0] == pytest.approx(ref[-1], rel=1e-12), case
 
 
 _STATS_FIELDS = ("theta", "bmd", "a", "A", "int_theta", "int_theta_sq")
@@ -577,8 +585,11 @@ def test_laplace_gbm_coupled_convention():
     a = laplace_mc_gbm(1.0, pc, 1.0, 2_000, seed=19, n_steps=100)
     b = laplace_mc_gbm(1.0, pg, 1.0, 2_000, seed=19, n_steps=100)
     assert a.mean == b.mean and a.stderr == b.stderr
-    with pytest.raises(DomainError):
-        laplace_mc_gbm(1.0, ModelParams(mu=0.0, beta=1.0, x0=2.0), 1.0, 100, seed=1)
+    # theta(x0, beta) = x0 theta(1, beta): any start is the start-1 route at lam x0
+    kw = dict(t=1.0, n=2_000, seed=19, n_steps=100)
+    c = laplace_mc_gbm(1.0, ModelParams(mu=0.0, beta=1.0, x0=2.0), **kw)
+    d = laplace_mc_gbm(2.0, ModelParams(mu=0.0, beta=1.0, x0=1.0), **kw)
+    assert c.mean == d.mean and c.stderr == d.stderr
 
 
 def test_laplace_thread_count_invariance():

@@ -170,7 +170,7 @@ def test_measure_change_domain():
     with pytest.raises(DomainError):
         measure_change_test(ModelParams(mu=0.0, beta=0.0, x0=2.0), 1.0, 1.0, 100, 0)
     with pytest.raises(DomainError):
-        measure_change_test(ModelParams.coupled_start(1.0), 1.0, 1.0, 100, 0)
+        measure_change_test(ModelParams.coupled_start(2.0), 1.0, 1.0, 100, 0)
     with pytest.raises(DomainError):
         measure_change_test(ModelParams(mu=0.0, beta=0.0, x0=1.0), -1.0, 1.0, 100, 0)
     with pytest.raises(DomainError):
