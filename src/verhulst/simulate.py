@@ -6,9 +6,10 @@ pathwise change-of-measure weight over a batch, and three independent
 Monte Carlo routes to the Laplace transform E e^{-lambda theta_t}.
 
 Reproducibility contract: replicates are organized in fixed blocks of
-BLOCK_PATHS paths; block b draws from Philox seeded with the pair
-(seed, b).  Estimates depend only on (seed, n), never on the number of
-worker threads.
+BLOCK_PATHS paths; block b draws from SFC64 seeded with the pair
+(seed, b), and the path samplers walk it step-major, so a path's values
+depend on its block's path count.  Estimates depend only on (seed, n),
+never on the number of worker threads.
 """
 
 import math
@@ -30,16 +31,15 @@ BLOCK_PATHS = 4096
 # in tests/test_simulate.py); at dt = 0.04 the gbm route's is significant
 _LAPLACE_DT = 1e-2
 
-# element budget of one (paths x steps) chunk buffer of the terminal
-# batch and the exp-time sampler: 2**17 doubles = 1 MiB, so a chunk's
-# two buffers fit a 2 MiB L2
+# element budget of one (steps x paths) tile buffer of the path samplers:
+# 2**17 doubles = 1 MiB, so a tile's two buffers fit a 2 MiB L2
 _BATCH_CHUNK_ELEMS = 2**17
+
+_ROW_ADD_WIDTH = 1024  # narrowest tile whose running sums add row by row
 
 
 def _block_rng(seed, block):
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((int(seed), int(block))))
-    )
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((int(seed), int(block)))))
 
 
 def _run_blocks(n, seed, fill, threads):
@@ -113,7 +113,7 @@ class PathSample:
 
     def running_integrals(self):
         """Running trapezoid series (int theta, int theta^2, a_t, A_t), 0 at
-        node 0; a_t at node S is the terminal batch's a of the same path."""
+        node 0; a_t at node S is the n = 1 terminal batch's a."""
         e = np.exp(self.bmd)
         return tuple(
             _trapezoid(np.append(0.0, np.cumsum(v[1:])), v, v[0], self.grid.dt)
@@ -161,115 +161,131 @@ def _trapezoid(total, last, first, dt, out=None):
     return out
 
 
+def _running_sum(x, carry, out):
+    """Rows of out become carry + x_0 + ... + x_i, added in sequence down
+    the step axis, and carry their last row; out may be x.  One np.add per
+    row from _ROW_ADD_WIDTH columns up, else np.cumsum: the same bits."""
+    np.add(carry, x[0], out=out[0])
+    if x.shape[1] >= _ROW_ADD_WIDTH:
+        for i in range(1, x.shape[0]):
+            np.add(out[i - 1], x[i], out=out[i])
+    else:
+        if out is not x:
+            out[1:] = x[1:]
+        np.cumsum(out, axis=0, out=out)
+    carry[...] = out[-1]
+
+
+def _walk_tiles(rng, plan, sqdt, mu_dt, bmd=None):
+    """Tile (j0, j1, a) of plan draws the stream's next (j1 - j0) x a
+    normals in C order, row i for step j0+1+i of the block's first a
+    paths; yields (j0, w, c, carry) with w = e^{B + mu t} at those nodes,
+    c its running sum and carry (B, running sum) at the tile's last node,
+    where the next tile goes on.  Sums add in sequence, so no value
+    depends on the tile heights.  bmd (a row per step) receives B + mu t."""
+    bufs = np.empty((2, max((j1 - j0) * a for j0, j1, a in plan)))
+    carry = np.zeros((2, plan[0][2]))
+    for j0, j1, a in plan:
+        w, c = (buf[: (j1 - j0) * a].reshape(j1 - j0, a) for buf in bufs)
+        rng.standard_normal(out=w)
+        w *= sqdt
+        _running_sum(w, carry[0, :a], w)  # now B at nodes j0+1..j1
+        w += mu_dt * np.arange(j0 + 1, j1 + 1)[:, None]
+        if bmd is not None:
+            bmd[j0:j1] = w
+        np.exp(w, out=w)
+        _running_sum(w, carry[1, :a], c)
+        yield j0, w, c, carry[:, :a]
+
+
+def _batch_plan(m, S):
+    """Terminal-batch tiles of m paths: max(1, budget // m) steps each."""
+    k = max(1, _BATCH_CHUNK_ELEMS // m)
+    return [(j0, min(S, j0 + k), m) for j0 in range(0, S, k)]
+
+
+def _theta(e, cum, beta, x0, dt):
+    """In place, e^{B + mu t} with running sums cum become theta =
+    x0 e^{B + mu t}/(1 + beta a_t), a_t the running trapezoid, skipping
+    a_t at beta = 0 and the product at x0 = 1; cum is spent."""
+    if beta != 0.0:
+        _trapezoid(cum, e, 1.0, dt, out=cum)  # the running a_t, a_0 = 0 folded in
+        cum *= beta
+        cum += 1.0
+        np.divide(e, cum, out=e)
+    if x0 != 1.0:
+        e *= x0
+
+
 def simulate_functional(params, grid, seed):
     """Exact-in-distribution path of the functional at the grid nodes.
 
     Gaussian increments are exact; only the running integrals carry
-    trapezoid bias.  Uses the stream of (seed, block 0) and runs the
-    terminal batch's path arithmetic on its one row, so theta, B + mu t
-    and a_t at node S are path 0 of a batch run with the same seed, bit
-    for bit.
+    trapezoid bias.  The one-path terminal batch, every node kept: theta,
+    B + mu t and a_t at node S equal an n = 1 batch run with the same seed
+    bit for bit (path 0 of a larger batch draws other normals).
     """
     S, dt = grid.n_steps, grid.dt
-    w = _block_rng(seed, 0).standard_normal((1, S))
-    cum = np.empty_like(w)
-    bmd = _path_kernel(w, cum, math.sqrt(dt), params.mu * dt * np.arange(1, S + 1), keep=0)
-    _theta_rows(w, cum, params.beta, params.x0, dt)
-    return PathSample(grid=grid, theta=np.append(params.x0, w[0]), bmd=np.append(0.0, bmd))
-
-
-def _walk(w, sqdt):
-    """In place, each row of w, S standard normals, becomes B at nodes
-    1..S of one path with steps of variance sqdt**2, a row's own
-    sequential sum: independent of the other rows and later nodes."""
-    w *= sqdt
-    np.cumsum(w, axis=1, out=w)
-
-
-def _path_kernel(w, cum, sqdt, drift, keep=(slice(None), -1)):
-    """In place, each row of w, S standard normals, becomes e^{B + mu t}
-    at nodes 1..S of one path (_walk) with drift mu t at the nodes, and
-    the same row of cum its running sum; returns B + mu t at w[keep]."""
-    _walk(w, sqdt)
-    w += drift  # now B + mu t at nodes 1..S
-    bmd = w[keep].copy()
-    np.exp(w, out=w)
-    np.cumsum(w, axis=1, out=cum)
-    return bmd
-
-
-def _theta_rows(w, cum, beta, x0, dt):
-    """In place, rows of w, e^{B + mu t} at nodes 1..S with running sums
-    in cum (_path_kernel), become theta = x0 e^{B + mu t}/(1 + beta a_t),
-    a_t the running trapezoid, skipping a_t at beta = 0 and the product
-    at x0 = 1; cum is spent."""
-    if beta != 0.0:
-        _trapezoid(cum, w, 1.0, dt, out=cum)  # the running a_t, a_0 = 0 folded in
-        cum *= beta
-        cum += 1.0
-        np.divide(w, cum, out=w)
-    if x0 != 1.0:
-        w *= x0
+    theta, bmd = np.empty((2, S + 1, 1))
+    theta[0], bmd[0] = params.x0, 0.0
+    rng = _block_rng(seed, 0)
+    for j0, w, c, _ in _walk_tiles(rng, _batch_plan(1, S), math.sqrt(dt), params.mu * dt, bmd[1:]):
+        _theta(w, c, params.beta, params.x0, dt)
+        theta[1 + j0 : 1 + j0 + len(w)] = w
+    return PathSample(grid=grid, theta=theta[:, 0], bmd=bmd[:, 0])
 
 
 def simulate_terminal_batch(params, grid, n, seed, threads=1):
     """Terminal summaries of n functional paths, block-parallel.
 
-    A block runs in chunks of max(2, 2**17 // n_steps) paths through two
-    reused (chunk x n_steps) buffers, so a worker holds about 3 MiB (the
-    buffers and one temporary; more once n_steps exceeds 2**16)
-    regardless of n.  The Generator fills its output in C order, so
-    consecutive chunks consume the block's Philox stream as one
-    (paths x n_steps) draw does, and every path's arithmetic runs along
-    its own row: the result is bit for bit that of the whole block at
-    once.  Only a one-path block runs a one-row chunk: beyond 8192 steps
-    numpy's einsum sums a lone row in a different order than rows of a
-    taller matrix.
+    A block of m paths walks step-major in tiles of max(1, 2**17 // m)
+    steps, normal j m + i for step j + 1 of path i, in about 3 MiB a
+    worker.  theta, B + mu t and a_T are sequential sums; A, int theta and
+    int theta^2 add tile sums, so their last bits follow m's tile heights.
 
     At beta = 0, theta is x0 e^{B + mu t}, so the running a_t is never
-    formed: a_T takes the full path's operations on the last column of
-    the running sum only.  This is bit for bit the full path wherever
+    formed: a_T takes the full path's operations on the last row of the
+    running sum only.  This is bit for bit the full path wherever
     e^{B + mu t} is finite; where it overflows theta reads inf, not NaN.
     """
     require_count("n", n, 1)
-    S = grid.n_steps
-    dt = grid.dt
-    sqdt = math.sqrt(dt)
+    S, dt = grid.n_steps, grid.dt
     mu, beta, x0 = params.mu, params.beta, params.x0
-    drift = mu * dt * np.arange(1, S + 1)
-    rows = max(2, _BATCH_CHUNK_ELEMS // S)
-
     out = TerminalStats(*(np.empty(n) for _ in range(6)))
 
     def fill(lo, m, rng):
-        ends = list(range(rows, m, rows))
-        if ends and ends[-1] == m - 1:
-            ends.pop()  # a lone last path joins the chunk before it
-        w_buf = np.empty((min(m, rows + 1), S))
-        cum_buf = np.empty_like(w_buf)
-        for c0, c1 in zip([0] + ends, ends + [m]):
-            w, cum = w_buf[: c1 - c0], cum_buf[: c1 - c0]
-            rng.standard_normal(out=w)
-            bmd_T = _path_kernel(w, cum, sqdt, drift)
-            e_T = w[:, -1].copy()
-            ee_sum = np.einsum("ij,ij->i", w, w)
-            a_T = _trapezoid(cum[:, -1], e_T, 1.0, dt)
-            _theta_rows(w, cum, beta, x0, dt)
-            th_T = w[:, -1].copy()  # w is now theta at nodes 1..S
-            th_sum = w.sum(axis=1)
+        sums = np.zeros((3, m))  # e^{2(B + mu t)}, theta and theta^2 at nodes 1..S
+        for _, w, c, carry in _walk_tiles(rng, _batch_plan(m, S), math.sqrt(dt), mu * dt):
+            e_T = w[-1].copy()
+            ee = np.einsum("ij,ij->j", w, w)
+            sums[0] += ee
+            _theta(w, c, beta, x0, dt)
+            sums[1] += w.sum(axis=0)
             # at beta = 0 and x0 = 1, theta is e^{B + mu t} itself
-            thth_sum = ee_sum if beta == 0.0 and x0 == 1.0 else np.einsum("ij,ij->i", w, w)
-
-            sl = slice(lo + c0, lo + c1)
-            out.theta[sl] = th_T
-            out.bmd[sl] = bmd_T
-            out.a[sl] = a_T
-            out.A[sl] = _trapezoid(ee_sum, e_T * e_T, 1.0, dt)
-            out.int_theta[sl] = _trapezoid(th_sum, th_T, x0, dt)
-            out.int_theta_sq[sl] = _trapezoid(thth_sum, th_T * th_T, x0 * x0, dt)
+            sums[2] += ee if beta == 0.0 and x0 == 1.0 else np.einsum("ij,ij->j", w, w)
+        th_T = w[-1]
+        sl = slice(lo, lo + m)
+        out.theta[sl] = th_T
+        out.bmd[sl] = carry[0] + mu * dt * S  # B + mu t at node S, as the last tile formed it
+        out.a[sl] = _trapezoid(carry[1], e_T, 1.0, dt)
+        out.A[sl] = _trapezoid(sums[0], e_T * e_T, 1.0, dt)
+        out.int_theta[sl] = _trapezoid(sums[1], th_T, x0, dt)
+        out.int_theta_sq[sl] = _trapezoid(sums[2], th_T * th_T, x0 * x0, dt)
 
     _run_blocks(n, seed, fill, threads)
     return out
+
+
+def _exp_plan(ns):
+    """Exp-time tiles for one block's decreasing step counts ns: the a
+    paths still running, up to the element budget or the step count
+    ceil(a/10)-th from the shortest, so under a tenth end inside a tile."""
+    plan, j0, a = [], 0, ns.size
+    while a:
+        j1 = min(j0 + max(1, _BATCH_CHUNK_ELEMS // a), int(ns[a - (a + 9) // 10]))
+        plan.append((j0, j1, a))
+        j0, a = j1, int(np.searchsorted(-ns, -j1))  # paths with more than j1 steps
+    return plan
 
 
 def simulate_exp_terminal(params, rate, dt, n, seed, threads=1):
@@ -277,19 +293,15 @@ def simulate_exp_terminal(params, rate, dt, n, seed, threads=1):
 
     Horizons are rounded to the step grid (at least one step); a rounded
     horizon beyond int64 raises DomainError.  Within a block, paths run
-    in decreasing order of horizon (stable) and each takes the next n_k
-    normals of the block's stream for its n_k steps, so results depend
-    on neither the thread count nor the chunk budget.  Chunks of
-    max(2, 2**17 // S) paths, S the longest horizon among them, run as
-    zero-padded rows of the terminal batch's path kernel, and theta is
-    read at each path's own last node: work is about the sum of the
-    horizons.  A worker holds two buffers of max(2**17, 2 S_max) doubles,
-    S_max the block's longest horizon in steps.
+    in decreasing order of horizon (stable) on the step-major tiles of
+    _exp_plan, and theta is read at each path's own last node.  The
+    normals drawn past a horizon inside a tile add under 6% to the sum
+    of the horizons at rate 1.  Results follow the tile plan, never the
+    thread count; a worker holds two buffers of about 2**17 doubles.
     """
     require_positive("rate", rate)
     require_positive("dt", dt)
     require_count("n", n, 1)
-    sqdt = math.sqrt(dt)
     mu, beta, x0 = params.mu, params.beta, params.x0
     out = np.empty(n)
 
@@ -297,28 +309,16 @@ def simulate_exp_terminal(params, rate, dt, n, seed, threads=1):
         horizons = sample_exp_time(rate, rng, m)
         steps = np.rint(horizons / dt)
         if not np.all(steps < 2.0**63):
-            raise DomainError(
-                f"horizon of {np.max(horizons):.3g} at dt={dt:g} exceeds int64 steps"
-            )
+            raise DomainError(f"horizon of {np.max(horizons):.3g} at dt={dt:g} exceeds int64 steps")
         n_steps = np.maximum(1, steps.astype(np.int64))
         order = np.argsort(-n_steps, kind="stable")
         ns = n_steps[order]
-        drift = mu * dt * np.arange(1, int(ns[0]) + 1)
-        w_buf, cum_buf = np.empty((2, max(_BATCH_CHUNK_ELEMS, 2 * int(ns[0]))))
-        c0 = 0
-        while c0 < m:
-            S = int(ns[c0])
-            k = ns[c0 : c0 + max(2, _BATCH_CHUNK_ELEMS // S)]
-            w = w_buf[: k.size * S].reshape(k.size, S)
-            cum = cum_buf[: w.size].reshape(w.shape)
-            w.fill(0.0)
-            w[np.arange(S) < k[:, None]] = rng.standard_normal(int(k.sum()))
-            _path_kernel(w, cum, sqdt, drift[:S])
-            rows = np.arange(k.size)
-            e = w[rows, k - 1]
-            a = _trapezoid(cum[rows, k - 1], e, 1.0, dt)
-            out[lo + order[c0 : c0 + k.size]] = x0 * e / (1.0 + beta * a)
-            c0 += k.size
+        for j0, w, c, _ in _walk_tiles(rng, _exp_plan(ns), math.sqrt(dt), mu * dt):
+            ended = np.arange(np.searchsorted(-ns, -(j0 + len(w))), w.shape[1])  # end here
+            rows = ns[ended] - 1 - j0
+            e, cum = w[rows, ended], c[rows, ended]
+            _theta(e, cum, beta, x0, dt)
+            out[lo + order[ended]] = e
 
     _run_blocks(n, seed, fill, threads)
     return out
@@ -332,8 +332,8 @@ def simulate_bridge_integrals(grid, xs, n, seed, reduce, threads=1):
     Brownian bridge, whatever mu (Glasserman, Monte Carlo Methods in
     Financial Engineering, 2003, sec. 3.1).  So with E = e^Z at nodes
     j = 1..S-1, one matrix product dt/2 (1 + x) + E . (dt x^{j/S}) serves
-    every x.  Z is the terminal batch's walk, on its block streams and
-    row chunks, less j/S times its last node.  Each block's (m x xs.size)
+    every x.  Z is a walk drawn path-major in row chunks (B_S comes
+    first), less j/S times its last node.  Each block's (m x xs.size)
     integrals go to reduce on the thread that drew them; returns
     reduce's results in block order.
     """
@@ -354,7 +354,8 @@ def simulate_bridge_integrals(grid, xs, n, seed, reduce, threads=1):
             c = min(rows, m - c0)
             w, e = w_buf[:c], e_buf[:c]
             rng.standard_normal(out=w)
-            _walk(w, sqdt)
+            w *= sqdt
+            np.cumsum(w, axis=1, out=w)  # B at nodes 1..S, row by row
             np.multiply(w[:, -1:], frac, out=e)
             np.subtract(w[:, :-1], e, out=e)  # the bridge at nodes 1..S-1
             np.exp(e, out=e)
@@ -420,13 +421,12 @@ def laplace_mc_besq(lam, params, t, n, seed, threads=1):
     The representation is stated for e^{2W}, and B_s = 2 W_{s/4} turns
     e^{B} on [0, t] into it on the horizon h = t/4.  Draws a terminal
     Gaussian G ~ N(2 mu h, h) with doubled drift, an exact dimension-0
-    squared Bessel value started at lambda e^{2G} run to time 1/2, and
-    averages the arcosh kernel at (x=G, z=draw/(4 beta)) with time h.
+    squared Bessel value started at lambda x0 e^{2G} run to time 1/2 (theta
+    is x0 theta(1, beta)), and averages the arcosh kernel at (x=G,
+    z=draw/(4 beta)) with time h.
     """
     if params.beta <= 0:
         raise DomainError("squared-Bessel route needs beta > 0")
-    if params.x0 != 1.0:
-        raise DomainError("squared-Bessel route is stated for x0 = 1")
     # lam = 0 is the absorbed boundary: the Bessel draw is identically
     # 0 and the kernel identically 1, matching E e^{-0 theta} = 1
     require_nonnegative("lam", lam)
@@ -438,7 +438,7 @@ def laplace_mc_besq(lam, params, t, n, seed, threads=1):
 
     def fill(lo, m, rng):
         gauss = rng.standard_normal(m) * sqh + 2.0 * params.mu * h
-        r_draw = sample_besq0(lam * np.exp(2.0 * gauss), 0.5, rng)
+        r_draw = sample_besq0(lam * params.x0 * np.exp(2.0 * gauss), 0.5, rng)
         vals[lo : lo + m] = laplace_kernel_F(gauss, r_draw / (4.0 * params.beta), h)
 
     _run_blocks(n, seed, fill, threads)

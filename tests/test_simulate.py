@@ -9,6 +9,7 @@ bitwise.
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from verhulst.simulate import (
     simulate_functional,
     simulate_terminal_batch,
 )
-from verhulst.simulate import _BATCH_CHUNK_ELEMS, _block_rng, _run_blocks
+from verhulst.simulate import _BATCH_CHUNK_ELEMS, _ROW_ADD_WIDTH, _block_rng, _run_blocks
 from verhulst.validate import _CERTIFIED_DT, _MART_CELLS, _MOMENT_CELLS
 
 
@@ -178,8 +179,9 @@ def test_gbm_terminal_mean():
 
 
 def test_batch_path_zero_matches_single_path():
-    # one path arithmetic: theta, B + mu t and a_T are path 0 of the batch
-    # bit for bit; the other integrals differ only in summation order
+    # one path arithmetic: theta, B + mu t and a_T of an n = 1 batch are the
+    # functional's bit for bit; the other integrals differ only in summation
+    # order.  A larger block walks in other tiles, so its path 0 differs.
     params_sets = (
         ModelParams(mu=0.2, beta=0.8),
         ModelParams.coupled_start(2.0),
@@ -190,17 +192,16 @@ def test_batch_path_zero_matches_single_path():
         for n_steps in (1, 7, 250, 1000):
             g = TimeGrid(1.0, n_steps)
             for seed in range(200):
+                case = (params, n_steps, seed)
                 single = simulate_functional(params, g, seed=seed)
                 i_th, i_th2, a_run, big_a = single.running_integrals()
-                for n in (1, 5):
-                    case = (params, n_steps, seed, n)
-                    batch = simulate_terminal_batch(params, g, n, seed=seed)
-                    assert batch.theta[0] == single.theta[-1], case
-                    assert batch.bmd[0] == single.bmd[-1], case
-                    assert batch.a[0] == a_run[-1], case
-                    for got, ref in ((batch.A, big_a), (batch.int_theta, i_th),
-                                     (batch.int_theta_sq, i_th2)):
-                        assert got[0] == pytest.approx(ref[-1], rel=1e-12), case
+                batch = simulate_terminal_batch(params, g, 1, seed=seed)
+                assert batch.theta[0] == single.theta[-1], case
+                assert batch.bmd[0] == single.bmd[-1], case
+                assert batch.a[0] == a_run[-1], case
+                for got, ref in ((batch.A, big_a), (batch.int_theta, i_th),
+                                 (batch.int_theta_sq, i_th2)):
+                    assert got[0] == pytest.approx(ref[-1], rel=1e-12), case
 
 
 _STATS_FIELDS = ("theta", "bmd", "a", "A", "int_theta", "int_theta_sq")
@@ -216,45 +217,47 @@ def test_batch_thread_count_invariance():
 
 
 def _terminal_batch_whole_block(params, grid, n, seed):
-    """Reference: the batch sampler with each block's (paths x steps)
-    matrices built whole, and the full path at every beta: each pass of
-    the running a_t, then the divide."""
+    """Reference: the batch sampler with each block's (steps x paths)
+    matrices built whole, normal j m + i feeding step j + 1 of path i, and
+    the full path at every beta and x0: each pass of the running a_t, then
+    the divide and the product.  B, the running sum of e^{B + mu t} and
+    theta are sequential sums down the step axis, so they do not depend
+    on the sampler's tile heights; A, int theta and int theta^2 add the
+    per-tile sums, so this replays the tile plan: max(1, budget // m)
+    steps a tile, at the budget in force when it is called."""
     S, dt = grid.n_steps, grid.dt
     sqdt = math.sqrt(dt)
     mu, beta, x0 = params.mu, params.beta, params.x0
-    drift = mu * dt * np.arange(1, S + 1)
     out = TerminalStats(*(np.empty(n) for _ in range(6)))
     for b in range((n + BLOCK_PATHS - 1) // BLOCK_PATHS):
         lo = b * BLOCK_PATHS
         m = min(BLOCK_PATHS, n - lo)
-        rng = _block_rng(seed, b)
-        w = rng.standard_normal((m, S))
+        w = _block_rng(seed, b).standard_normal((S, m))
         w *= sqdt
-        np.cumsum(w, axis=1, out=w)
-        w += drift
-        bmd_T = w[:, -1].copy()
+        np.cumsum(w, axis=0, out=w)
+        w += mu * dt * np.arange(1, S + 1)[:, None]
+        bmd_T = w[-1].copy()
         np.exp(w, out=w)
-        e_T = w[:, -1].copy()
-        ee_sum = np.einsum("ij,ij->i", w, w)
-        cum = np.cumsum(w, axis=1)
+        e_T = w[-1].copy()
+        cum = np.cumsum(w, axis=0)
         cum -= 0.5 * w
         cum += 0.5
         cum *= dt
-        a_T = cum[:, -1].copy()
-        cum *= beta
-        cum += 1.0
-        np.divide(w, cum, out=w)
-        w *= x0
-        th_T = w[:, -1].copy()
-        th_sum = w.sum(axis=1)
-        thth_sum = np.einsum("ij,ij->i", w, w)
+        a_T = cum[-1].copy()
+        th = w / (cum * beta + 1.0) * x0
+        k = max(1, simulate._BATCH_CHUNK_ELEMS // m)
+        sums = np.zeros((3, m))
+        for j0 in range(0, S, k):
+            e, t = w[j0 : j0 + k], th[j0 : j0 + k]
+            sums += (np.einsum("ij,ij->j", e, e), t.sum(axis=0), np.einsum("ij,ij->j", t, t))
+        th_T = th[-1]
         sl = slice(lo, lo + m)
         out.theta[sl] = th_T
         out.bmd[sl] = bmd_T
         out.a[sl] = a_T
-        out.A[sl] = dt * (ee_sum - 0.5 * e_T * e_T + 0.5)
-        out.int_theta[sl] = dt * (th_sum - 0.5 * th_T + 0.5 * x0)
-        out.int_theta_sq[sl] = dt * (thth_sum - 0.5 * th_T * th_T + 0.5 * x0 * x0)
+        out.A[sl] = dt * (sums[0] - 0.5 * e_T * e_T + 0.5)
+        out.int_theta[sl] = dt * (sums[1] - 0.5 * th_T + 0.5 * x0)
+        out.int_theta_sq[sl] = dt * (sums[2] - 0.5 * th_T * th_T + 0.5 * x0 * x0)
     return out
 
 
@@ -269,20 +272,31 @@ def _terminal_batch_whole_block(params, grid, n, seed):
 ])
 @pytest.mark.parametrize("n_steps, n", [
     *((s, n) for s in (1, 7, 1000) for n in (1, 5, 2 * BLOCK_PATHS + 3)),
-    # two chunks, the second with the block's lone last path
+    # a block narrower than _ROW_ADD_WIDTH (np.cumsum down the step axis) in
+    # two tiles, and the narrowest block that adds row by row
     (300, 2 * (_BATCH_CHUNK_ELEMS // 300) + 1),
-    # one path per element budget: a lone path's row sums would differ
-    # from the whole block's, so the sampler must never run one alone
+    (300, _ROW_ADD_WIDTH),
+    # more steps than the element budget: even a one-path block runs in tiles
+    (_BATCH_CHUNK_ELEMS + 1, 1),
     (_BATCH_CHUNK_ELEMS + 1, 3),
     (_BATCH_CHUNK_ELEMS + 1, 5),
 ])
-def test_batch_row_chunks_match_whole_block(params, n_steps, n):
+def test_batch_row_chunks_match_whole_block(params, n_steps, n, monkeypatch):
     grid = TimeGrid(1.0, n_steps)
     ref = _terminal_batch_whole_block(params, grid, n, seed=23)
     for threads in (1, 3):
         got = simulate_terminal_batch(params, grid, n, seed=23, threads=threads)
         for f in _STATS_FIELDS:
             assert np.array_equal(getattr(got, f), getattr(ref, f)), f
+    # one-row tiles at full width: the sequential sums keep every bit, and
+    # the tile sums follow the plan
+    monkeypatch.setattr(simulate, "_BATCH_CHUNK_ELEMS", 2**9)
+    small = _terminal_batch_whole_block(params, grid, n, seed=23)
+    got = simulate_terminal_batch(params, grid, n, seed=23)
+    for f in _STATS_FIELDS:
+        assert np.array_equal(getattr(got, f), getattr(small, f)), f
+    for f in ("theta", "bmd", "a"):
+        assert np.array_equal(getattr(got, f), getattr(ref, f)), f
 
 
 @pytest.mark.parametrize("params", [
@@ -462,20 +476,37 @@ def test_exp_terminal_sampler():
 
 
 def _exp_terminal_pathwise(params, rate, dt, n, seed):
-    """Reference: the exp-time sampler one path at a time, in decreasing
-    order of horizon within each block."""
+    """Reference: the exp-time sampler replayed one step at a time.  Within
+    each block, paths run in decreasing order of horizon on the tiles of
+    _exp_plan; a tile (j0, j1, a) draws its (j1 - j0) x a normals in C
+    order, one row per step for the first a paths, and a path's theta is
+    read at its own last step."""
     mu, beta, x0 = params.mu, params.beta, params.x0
     out = np.empty(n)
     for b in range((n + BLOCK_PATHS - 1) // BLOCK_PATHS):
+        lo = b * BLOCK_PATHS
         rng = _block_rng(seed, b)
-        horizons = -np.log1p(-rng.random(min(BLOCK_PATHS, n - b * BLOCK_PATHS))) / rate
+        horizons = -np.log1p(-rng.random(min(BLOCK_PATHS, n - lo))) / rate
         n_steps = np.maximum(1, np.rint(horizons / dt).astype(np.int64))
-        for i in np.argsort(-n_steps, kind="stable"):
-            k = int(n_steps[i])
-            bmd = np.cumsum(rng.standard_normal(k) * math.sqrt(dt)) + mu * dt * np.arange(1, k + 1)
-            e = np.exp(bmd)
-            a = (np.cumsum(e)[-1] - 0.5 * e[-1] + 0.5) * dt
-            out[b * BLOCK_PATHS + i] = x0 * e[-1] / (1.0 + beta * a)
+        order = np.argsort(-n_steps, kind="stable")
+        ns = n_steps[order]
+        walk, run = np.zeros((2, ns.size))
+        last = ns.size  # paths last..ns.size-1 have ended
+        for j0, j1, a in simulate._exp_plan(ns):
+            z = rng.standard_normal((j1 - j0, a)) * math.sqrt(dt)
+            walk_a, run_a = walk[:a], run[:a]
+            for j in range(j0 + 1, j1 + 1):
+                walk_a += z[j - j0 - 1]
+                e = np.exp(walk_a + mu * dt * j)
+                run_a += e
+                ended = last
+                while ended and ns[ended - 1] == j:
+                    ended -= 1
+                if ended < last:
+                    k = slice(ended, last)
+                    a_t = (run_a[k] - 0.5 * e[k] + 0.5) * dt
+                    out[lo + order[k]] = e[k] / (a_t * beta + 1.0) * x0
+                    last = ended
     return out
 
 
@@ -489,7 +520,7 @@ def _exp_terminal_pathwise(params, rate, dt, n, seed):
         (ModelParams.coupled_start(1.0), 1.0, 1e3, 5_000),  # every horizon is 1 step
         (ModelParams(mu=0.3, beta=2.0, x0=0.7), 0.5, 2e-3, 5_000),
         (ModelParams.coupled_start(1.0), 0.1, 1e-3, 300),  # tens of thousands of steps
-        (ModelParams.coupled_start(1.0), 0.05, 1e-4, 5),  # longest beyond the chunk budget
+        (ModelParams.coupled_start(1.0), 0.05, 1e-4, 5),  # longest beyond the element budget
     ],
 )
 def test_exp_terminal_chunks_match_pathwise(params, rate, dt, n, monkeypatch):
@@ -497,8 +528,54 @@ def test_exp_terminal_chunks_match_pathwise(params, rate, dt, n, monkeypatch):
     for threads in (1, 3):
         got = simulate_exp_terminal(params, rate, dt, n, seed=21, threads=threads)
         assert np.array_equal(got, ref)
+    # the element budget shapes the tile plan, and with it the draws
     monkeypatch.setattr(simulate, "_BATCH_CHUNK_ELEMS", 2**9)
+    ref = _exp_terminal_pathwise(params, rate, dt, n, seed=21)
     assert np.array_equal(simulate_exp_terminal(params, rate, dt, n, seed=21), ref)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 2e-3, 5e-3])
+def test_exp_plan_pads_little(dt):
+    # the tiles of 5 blocks of rate-1 horizons: each covers the next steps
+    # of the paths still running, within the element budget, and fewer
+    # than a tenth of its paths end inside it; the normals they draw past
+    # their horizons stay under 6% of the path-steps
+    drawn = needed = 0
+    for b in range(5):
+        horizons = sample_exp_time(1.0, _block_rng(71, b), BLOCK_PATHS)
+        ns = np.sort(np.maximum(1, np.rint(horizons / dt).astype(np.int64)))[::-1]
+        j_end = 0
+        for j0, j1, a in simulate._exp_plan(ns):
+            assert j0 == j_end < j1 and a == np.sum(ns > j0)
+            assert (j1 - j0) * a <= max(_BATCH_CHUNK_ELEMS, a)
+            assert 10 * np.sum(ns[:a] < j1) < a
+            drawn += (j1 - j0) * a
+            j_end = j1
+        assert j_end == ns[0]
+        needed += int(ns.sum())
+    assert (drawn - needed) / needed <= 0.06
+
+
+def _traced_peak_mib(call):
+    """Peak memory numpy and Python allocate during call, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampler_working_memory():
+    # two reused 1 MiB tile buffers, one tile-sized temporary and the
+    # outputs, whatever n: a tile-sized temporary more per tile shows here
+    # before it shows in a process's peak RSS
+    batch = _traced_peak_mib(lambda: simulate_terminal_batch(
+        ModelParams(mu=0.0, beta=1.0), TimeGrid(1.0, 1000), 8192, seed=1))
+    assert batch <= 4.5
+    exp_time = _traced_peak_mib(lambda: simulate_exp_terminal(
+        ModelParams.coupled_start(1.0), 1.0, 1e-3, 8192, seed=1))
+    assert exp_time <= 3.6
 
 
 def test_exp_terminal_horizon_overflow_refused():
@@ -535,9 +612,19 @@ def test_laplace_besq_domain():
     with pytest.raises(DomainError):
         laplace_mc_besq(1.0, ModelParams(mu=0.0, beta=0.0, x0=1.0), 1.0, 100, seed=1)
     with pytest.raises(DomainError):
-        laplace_mc_besq(1.0, ModelParams(mu=0.0, beta=1.0, x0=2.0), 1.0, 100, seed=1)
-    with pytest.raises(DomainError):
         laplace_mc_besq(-1.0, ok, 1.0, 100, seed=1)
+
+
+def test_laplace_besq_any_start():
+    # theta(x0, beta) = x0 theta(1, beta): any start is the start-1 route at lam x0
+    kw = dict(t=1.0, n=2_000, seed=25)
+    a = laplace_mc_besq(1.0, ModelParams(mu=0.0, beta=1.0, x0=2.0), **kw)
+    b = laplace_mc_besq(2.0, ModelParams(mu=0.0, beta=1.0, x0=1.0), **kw)
+    assert a.mean == b.mean and a.stderr == b.stderr
+    p = ModelParams(mu=0.3, beta=0.7, x0=2.0)
+    besq = laplace_mc_besq(1.0, p, 1.0, 30_000, seed=26)
+    direct = laplace_mc_direct(1.0, p, 1.0, 30_000, seed=27, n_steps=500)
+    assert abs(besq.mean - direct.mean) < 3.0 * math.hypot(besq.stderr, direct.stderr)
 
 
 def test_laplace_direct_monotone_in_lambda():
@@ -656,18 +743,19 @@ def _trapezoid_terminals(g, dt, params):
 
 def _paired_batches(params, t, n, seed, group):
     """(fine, coarse) TerminalStats of the same n paths over [0, t].  The
-    fine paths step at dt = 1e-3 on the library's block streams, as
-    simulate_terminal_batch draws them; the coarse paths sum their
-    increments in groups of `group`."""
+    fine paths step at dt = 1e-3 on the library's block streams, drawn
+    step-major as simulate_terminal_batch draws them; the coarse paths
+    sum their increments in groups of `group`."""
     grid = TimeGrid.with_step(t, _FINE_DT)
     S, dt = grid.n_steps, grid.dt
     assert S % group == 0
     fine, coarse = (TerminalStats(*(np.empty(n) for _ in _STATS_FIELDS)) for _ in range(2))
 
     def fill(lo, m, rng):
+        z = rng.standard_normal((S, m)).T  # row i: the normals of path i
         for c0 in range(0, m, 256):
             c = min(256, m - c0)
-            g = rng.standard_normal((c, S)) * math.sqrt(dt)
+            g = z[c0 : c0 + c] * math.sqrt(dt)
             coarse_g = g.reshape(c, S // group, group).sum(axis=2)
             sl = slice(lo + c0, lo + c0 + c)
             for out, got in ((fine, _trapezoid_terminals(g, dt, params)),
