@@ -35,7 +35,11 @@ _LAPLACE_DT = 1e-2
 # 2**17 doubles = 1 MiB, so a tile's two buffers fit a 2 MiB L2
 _BATCH_CHUNK_ELEMS = 2**17
 
-_ROW_ADD_WIDTH = 1024  # narrowest tile whose running sums add row by row
+# narrowest tile whose running sums add row by row: on 2**17-element tiles
+# one np.add per row takes 4.8 ns per element at 512 columns against 6.7
+# for np.cumsum down the steps, and 6.1 against 5.2 at 384 (2-vCPU Xeon
+# VM, numpy 2.4.6); both give the same bits
+_ROW_ADD_WIDTH = 512
 
 
 def _block_rng(seed, block):

@@ -1,7 +1,8 @@
 """Special functions behind the exact Verhulst-process formulas.
 
 Modified Bessel functions of real order, the Hartman-Watson function
-Theta(r,t), and the arcosh-based Laplace kernel.  Everything is plain
+Theta(r,t), the K_1 mixture of Theta behind the drift -1/2 density, and
+the arcosh-based Laplace kernel.  Everything is plain
 numpy; no external special-function library.
 """
 
@@ -165,16 +166,51 @@ def bessel_product_F(nu, x, y):
     return bessel_i(nu, lo) * bessel_k(nu, hi)
 
 
-def _theta_breaks(r, t, r_cap=None):
-    """Panel breakpoints for the Theta integrand.
+def _half_period_breaks(t, damp, log_cut, width, z_peak):
+    """Panel breakpoints for an integrand e^{-z^2/(2t)} sinh(z) sin(pi z/t)
+    times a positive factor bounded by e^{-damp(z)}, with damp convex,
+    increasing and damp(0) = 0.
 
-    Half-period panels of sin(pi z/t), with panel width additionally capped
-    at min(1.5, 3.5/sqrt(r_cap)) so both the cosh envelope at large t and
-    the near-Gaussian e^{-r z^2/2} envelope at large r stay resolved by a
-    16-node rule.  Truncated where the envelope e^{-z^2/(2t) - r(cosh z -
-    1) + z} times the e^{pi^2/(2t)} prefactor drops below ABS_TOL *
-    _Z_CUT_FACTOR, i.e. the cut is on the e^{r} scale of the value; past
-    the envelope peak the panel-start value bounds the remainder scale.
+    Half-period panels of sin(pi z/t), at most `width` wide.  The log
+    envelope -z^2/(2t) - damp(z) + z (sinh z < e^z) is concave, so past
+    its peak, which the caller bounds by z_peak, it decreases and the
+    panel-start value bounds the remainder scale: the node set ends at the
+    first break past z_peak where the log envelope is below log_cut.
+    ConvergenceError past _MAX_PANELS panels;
+    DomainError where a break would pass ln(DBL_MAX), beyond which cosh
+    and sinh of the nodes overflow and an integrand value is inf * 0.
+    """
+    breaks = [0.0]
+    k = 1
+    while True:
+        z = breaks[-1]
+        if z > z_peak and -z * z / (2.0 * t) - damp(z) + z < log_cut:
+            break
+        if len(breaks) > _MAX_PANELS:
+            raise ConvergenceError(f"quadrature at t={t:g} exceeded {_MAX_PANELS} panels")
+        while k * t <= z + 1e-15:
+            k += 1
+        nxt = min(k * t, z + width)
+        if nxt > _LOG_DBL_MAX:
+            raise DomainError(
+                f"quadrature at t={t:g} is cut past z={_LOG_DBL_MAX:.6g}, "
+                f"where cosh(z) overflows"
+            )
+        breaks.append(nxt)
+    return np.array(breaks)
+
+
+def _theta_breaks(r, t, r_cap=None):
+    """_half_period_breaks for the Theta integrand, damping
+    e^{-r(cosh z - 1)}.
+
+    The panel width is capped at min(1.5, 3.5/sqrt(r_cap)) so both the
+    cosh envelope at large t and the near-Gaussian e^{-r z^2/2} envelope
+    at large r stay resolved by a 16-node rule.  The cut is at ABS_TOL *
+    _Z_CUT_FACTOR on the e^{r} scale of the value (prefactor r/sqrt(2
+    pi^3 t) e^{pi^2/(2t)}), and
+    the envelope peak solves 1 - z/t - r sinh z = 0, so z* <= min(t,
+    asinh(1/r)).
 
     Grid callers pass r = smallest element (weakest damping, so the range
     covers every element) and r_cap = largest (finest width requirement
@@ -183,22 +219,27 @@ def _theta_breaks(r, t, r_cap=None):
     """
     rc = r_cap if r_cap is not None else r
     log_pref = math.pi**2 / (2.0 * t) + math.log(rc / math.sqrt(2.0 * math.pi**3 * t))
-    log_cut = math.log(ABS_TOL * _Z_CUT_FACTOR) - log_pref
-    width = min(1.5, 3.5 / math.sqrt(rc))
-    # envelope peak z* solves 1 - z/t - r sinh z = 0, so z* <= min(t, asinh(1/r))
-    z_peak = min(t, math.asinh(1.0 / r))
-    breaks = [0.0]
-    k = 1
-    while True:
-        z = breaks[-1]
-        if z > z_peak and -z * z / (2.0 * t) - r * (math.cosh(z) - 1.0) + z < log_cut:
-            break
-        if len(breaks) > _MAX_PANELS:
-            raise ConvergenceError(f"theta quadrature at t={t:g} exceeded {_MAX_PANELS} panels")
-        while k * t <= z + 1e-15:
-            k += 1
-        breaks.append(min(k * t, z + width))
-    return np.array(breaks)
+    return _half_period_breaks(
+        t,
+        lambda z: r * (math.cosh(z) - 1.0),
+        math.log(ABS_TOL * _Z_CUT_FACTOR) - log_pref,
+        min(1.5, 3.5 / math.sqrt(rc)),
+        min(t, math.asinh(1.0 / r)),
+    )
+
+
+def _sign_rule(vals, unsigned, t, what):
+    """Values of a sin(pi z/t) quadrature, with `unsigned` the same sum of
+    absolute terms, under one sign rule: with the error floor (8 eps +
+    REL_TOL) * unsigned, a value below -max(ABS_TOL * _Z_CUT_FACTOR,
+    floor) raises ConvergenceError, and smaller negatives, which the cut
+    depth or the floor allow, are clamped to 0."""
+    guard = np.maximum(ABS_TOL * _Z_CUT_FACTOR, (8.0 * _EPS + REL_TOL) * unsigned)
+    if (vals < -guard).any():
+        raise ConvergenceError(
+            f"{what} at t={t:g} negative beyond quadrature floor: {float(np.min(vals)):g}"
+        )
+    return np.where(vals < 0.0, 0.0, vals)
 
 
 def hartman_watson_theta(r, t):
@@ -218,11 +259,10 @@ def hartman_watson_theta(r, t):
     Gauss-Legendre 16 on panels aligned with the sign changes of
     sin(pi z/t), evaluated as e^{-r} times hartman_watson_theta_grid of
     the one r; the density integrands consume that grid's e^{r}-scaled
-    value directly (their own exponentials absorb the e^{-r}).  Sign
-    rule, on the e^{r} scale like the quadrature cut: with the error
-    floor (8 eps + REL_TOL) * prefactor * unsigned mass, a scaled value
-    below -max(ABS_TOL, floor) raises ConvergenceError and smaller
-    negatives are clamped to 0.
+    value directly (their own exponentials absorb the e^{-r}).  The sign
+    rule is _sign_rule's on the e^{r} scale, the scale of the quadrature
+    cut, whose depth ABS_TOL * _Z_CUT_FACTOR it allows: at r = 1e-8 and
+    t = 4 the scaled value is -1.1e-10, honest truncation noise.
     """
     return float(hartman_watson_theta_grid(np.array([float(r)]), t)[0]) * math.exp(-r)
 
@@ -261,26 +301,136 @@ def hartman_watson_theta_grid(rs, t, with_floor=False):
         raise DomainError(f"theta t must be finite and >= {T_MIN_THETA:g}, got t={t:g}")
     z, w = _panels(_theta_breaks(r_min, t, r_cap=r_max))
     base = np.exp(-z * z / (2.0 * t)) * np.sinh(z) * np.sin(np.pi * z / t) * w
-    # in place: at 240 r x 300 z, allocating a fresh matrix for each
-    # step doubled the time of the step (0.83 against 0.41 ms)
-    damp = rs.reshape(-1, 1) * (np.cosh(z) - 1.0)
-    np.negative(damp, out=damp)
-    with np.errstate(under="ignore"):
-        np.exp(damp, out=damp)
+    abs_base = np.abs(base)
+    cz = np.cosh(z) - 1.0
+    sums = np.empty((2, rs.size))
+    # rows of r in 256 KiB blocks: every entry and row sum is the same
+    # whatever the block, and density_general_quad's 2084 r x 576 z no
+    # longer hold 9.6 MB at once
+    rows = max(1, 2**15 // z.size)
+    for i in range(0, rs.size, rows):
+        # in place: at 240 r x 300 z, allocating a fresh matrix for each
+        # step doubled the time of the step (0.83 against 0.41 ms)
+        damp = np.multiply.outer(rs[i : i + rows], cz)
+        np.negative(damp, out=damp)
+        with np.errstate(under="ignore"):
+            np.exp(damp, out=damp)
+        # one dot product per r: a matrix product (BLAS gemv) accumulates
+        # in an order that depends on the number of rows
+        sums[0, i : i + rows] = np.vecdot(damp, base)
+        sums[1, i : i + rows] = np.vecdot(damp, abs_base)
     pref = rs / math.sqrt(2.0 * math.pi**3 * t) * math.exp(math.pi**2 / (2.0 * t))
-    # one dot product per r: a matrix product (BLAS gemv) accumulates in
-    # an order that depends on the number of rows
-    vals = pref * np.vecdot(damp, base)
-    unsigned = pref * np.vecdot(damp, np.abs(base))
-    guard = np.maximum(ABS_TOL, (8.0 * _EPS + REL_TOL) * unsigned)
-    if np.any(vals < -guard):
-        raise ConvergenceError(
-            f"theta at t={t:g} negative beyond quadrature floor: {float(vals.min()):g}"
-        )
-    vals = np.where(vals < 0.0, 0.0, vals)
+    vals = pref * sums[0]
+    unsigned = pref * sums[1]
+    vals = _sign_rule(vals, unsigned, t, "theta")
     if with_floor:
         return vals, vals > 30.0 * (8.0 * _EPS * unsigned)
     return vals
+
+
+def _k1_nodes(rho0):
+    """Nodes s^2 and weights of the trapezoid rule behind _k1_scaled for
+    arguments rho >= rho0 > 0.
+
+    e^{rho} K_1(rho) = sqrt(2/rho) integral_0^inf e^{-s^2} (1 + s^2/rho)
+    / sqrt(1 + s^2/(2 rho)) ds (the Gamma-type integral of K_1, with u =
+    s^2, integrated by parts), mapped by s = c sinh v, c = min(sqrt(2
+    rho0), 1), and summed at step 1/8 in v from 0 (half weight) to the
+    first node past asinh(6.3/c), where e^{-s^2} < 6e-18.  The integrand
+    is even in v, so this is the trapezoid rule on the whole line, which
+    converges exponentially in 1/step (Trefethen and Weideman, SIAM Rev.
+    56, 2014): the branch points s = +-i sqrt(2 rho) of the square root
+    sit at Im v = pi/2 or farther for every rho >= rho0.  22 nodes from
+    rho0 = 1/2 up, 93 at rho0 = 1e-8.
+    """
+    c = min(math.sqrt(2.0 * rho0), 1.0)
+    v = 0.125 * np.arange(math.ceil(8.0 * math.asinh(6.3 / c)) + 1)
+    s = c * np.sinh(v)
+    wts = 0.125 * c * np.cosh(v) * np.exp(-s * s)
+    wts[0] *= 0.5
+    return s * s, wts
+
+
+def _k1_scaled(rho, nodes):
+    """e^{rho} K_1(rho) along a 1-d array rho on _k1_nodes(rho0), rho >=
+    rho0: within 4.7e-16 relative of mpmath for rho0 in [1e-8, 1e4] and
+    rho up to 1e8 rho0."""
+    s2, wts = nodes
+    q = np.multiply.outer(1.0 / rho, s2)
+    f = 1.0 + q
+    q *= 0.5
+    q += 1.0
+    np.sqrt(q, out=q)
+    f /= q
+    return np.sqrt(2.0 / rho) * (f @ wts)
+
+
+def theta_k1_log_integral(x, w, t):
+    """ln H(x, w, t), the Theta mixture behind the drift -1/2 density,
+
+        H = e^{x+w}/(2xw) integral_0^inf e^{-z/2 - (x^2+w^2)/(2z)}
+            Theta(xw/z, t) dz/z,
+
+    as one integral in Theta's own variable zeta.  With the Theta integral
+    inside, the z integral is closed, integral_0^inf z^{-2} e^{-z/2 -
+    rho^2/(2z)} dz = 2 K_1(rho)/rho (Gradshteyn-Ryzhik 3.471.9), so
+
+        H = e^{pi^2/(2t)}/sqrt(2 pi^3 t) integral_0^inf e^{-zeta^2/(2t)}
+            sinh(zeta) sin(pi zeta/t) e^{rho0 - rho} S(rho)/rho dzeta,
+
+    rho = sqrt(x^2 + w^2 + 2xw cosh zeta), rho0 = x + w, S(rho) =
+    e^{rho} K_1(rho) by _k1_scaled on one node set for every zeta.
+
+    The zeta rule is _half_period_breaks with damping rho - rho0 =
+    a^2/(rho + rho0), a = 2 sqrt(xw) sinh(zeta/2), which never cancels;
+    the factor S(rho) rho0/(rho S(rho0)) <= 1 (S(rho)/rho decreases) is
+    left out of the envelope.  rho - rho0 is convex and ~ (xw/rho0)
+    zeta^2/2 near 0, so the panel width is capped at min(1.5, 3.5/sqrt(xw
+    /rho0)), Theta's at r = xw/rho0; S(rho)/rho varies on a scale of
+    rho0/sqrt(xw) >= 2 in zeta.  Since rho <= rho0 cosh(zeta/2), the
+    damping's slope is at least 2 (xw/rho0) sinh(zeta/2), so the envelope
+    peaks below min(t, 2 asinh(rho0/(2xw))).  The cut is where the
+    envelope, relative to the integrand's amplitude S(rho0)/rho0 at zeta =
+    0, falls below eps: e^{pi^2/(2t)} amplifies the dropped tail and the
+    rounding of the sum alike, so the tail stays at the level of the sum's
+    own rounding floor, 8 eps times its absolute terms, at every t.  That
+    is 64-320 nodes near the bulk at x = 1 for t from 0.2 to 4 (131 on
+    average over t in [0.25, 4]), times the 22-93 nodes of S.  The sign
+    rule is _sign_rule's on the amplitude's scale; a value it clamps gives
+    -inf.  Where the cut would pass ln(DBL_MAX), which takes both a large
+    t and a tiny xw (t = 1e6 at x = w = 1e-200), DomainError.  Needs t >=
+    T_MIN_THETA.
+    """
+    require_positive("x", x)
+    require_positive("w", w)
+    if not (math.isfinite(t) and t >= T_MIN_THETA):
+        raise DomainError(f"theta t must be finite and >= {T_MIN_THETA:g}, got t={t:g}")
+    x, w, t = float(x), float(w), float(t)
+    rho0 = x + w
+    if rho0 == math.inf:
+        raise DomainError(f"theta_k1_log_integral: x + w overflows at x={x:g}, w={w:g}")
+    sxw = math.sqrt(x) * math.sqrt(w)  # xw itself may underflow
+
+    def gap(z):
+        a = 2.0 * sxw * math.sinh(0.5 * z)
+        return a * (a / (math.hypot(rho0, a) + rho0))
+
+    z, gw = _panels(_half_period_breaks(
+        t, gap, math.log(_EPS),
+        min(1.5, 3.5 * math.sqrt(rho0) / sxw),
+        min(t, 2.0 * math.asinh(0.5 * rho0 / sxw / sxw)),
+    ))
+    a = 2.0 * sxw * np.sinh(0.5 * z)
+    rho = np.hypot(rho0, a)
+    k1 = _k1_scaled(np.concatenate(([rho0], rho)), _k1_nodes(rho0))
+    with np.errstate(under="ignore"):
+        terms = np.exp(-z * z / (2.0 * t) - a * (a / (rho + rho0)))
+    terms *= gw * np.sinh(z) * np.sin(np.pi * z / t)
+    terms *= k1[1:] / k1[0] * (rho0 / rho)
+    pref = math.exp(math.pi**2 / (2.0 * t)) / math.sqrt(2.0 * math.pi**3 * t)
+    val = float(_sign_rule(pref * terms.sum(), pref * np.abs(terms).sum(), t,
+                           "theta_k1_log_integral"))
+    return math.log(val) + math.log(k1[0]) - math.log(rho0) if val > 0.0 else -math.inf
 
 
 def phi_arcosh(x, y):
@@ -339,21 +489,25 @@ def _anchor_completion(rates, anchors, s, tau):
     E = np.exp(-np.outer(rates, grid))
     target = np.exp(-s * grid)
     k = len(rates)
-    idx = np.array(list(itertools.combinations(range(grid.size), k)))
-    A = E[:, idx].transpose(1, 0, 2)
-    det = np.linalg.det(A)
-    ok = np.abs(det) > 1e-13
-    feas = np.zeros(0, dtype=bool)
-    if np.any(ok):
+    supports = itertools.combinations(range(grid.size), k)
+    lo, hi = math.inf, -math.inf
+    # 1024 supports at a time: each support's solve and value are the same
+    # in any batch, and the 10,660 supports no longer hold 2.4 MB at once
+    while (idx := np.array(list(itertools.islice(supports, 1024)))).size:
+        A = E[:, idx].transpose(1, 0, 2)
+        ok = np.abs(np.linalg.det(A)) > 1e-13
+        if not ok.any():
+            continue
         b = np.ascontiguousarray(
             np.broadcast_to(np.reshape(c, (1, k, 1)), (int(ok.sum()), k, 1))
         )
         w = np.linalg.solve(A[ok], b)[:, :, 0]
         feas = np.all(w >= -1e-11 * max(c[0], 1e-300), axis=1)
-    if not np.any(feas):
+        if feas.any():
+            vals = np.einsum("ij,ij->i", w[feas], target[idx[ok][feas]])
+            lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
+    if lo > hi:  # no support fits
         return 0.5 * c[0], 0.5 * c[0]
-    vals = np.einsum("ij,ij->i", w[feas], target[idx[ok][feas]])
-    lo, hi = float(vals.min()), float(vals.max())
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 

@@ -120,6 +120,16 @@ def test_density_exact_half_mass(tmp_path, capsys):
     assert abs(mass - 1.0) < 1e-3
 
 
+def test_density_exact_half_mass_at_large_start(tmp_path, capsys):
+    # a fixed log-z window once returned 0 everywhere from x + w >= 58
+    out = tmp_path / "fixed.csv"
+    rc = main(["density", "--kind", "exact-half", "--x", "60", "--t", "1",
+               "--output", str(out)])
+    assert rc == 0
+    mass = float(capsys.readouterr().out.strip().split("=")[1])
+    assert abs(mass - 1.0) < 1e-3
+
+
 def test_density_exact_half_default_points_at_t4(tmp_path, capsys):
     out = tmp_path / "fixed.csv"
     rc = main(["density", "--kind", "exact-half", "--x", "1", "--t", "4",

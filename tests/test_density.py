@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from verhulst import density, specfun
 from verhulst.density import (
     GENERAL_MC_STEPS,
     DensityCurve,
@@ -51,6 +52,39 @@ from verhulst.specfun import _panels, hartman_watson_theta_grid
 # nu = sqrt(2 lam + 1/4).
 P_EXP_1_1_2 = 0.013736729166550635
 P_EXP_1_HALF_HALF = 0.63395044561728636
+
+# Frozen from mpmath at dps=40: the K_1 form of the drift -1/2 density,
+# e^{-t/8} e^{x-w} sqrt(x/w^3) 2xw e^{pi^2/(2t)}/sqrt(2 pi^3 t) integral_0^inf
+# e^{-z^2/(2t)} sinh z sin(pi z/t) K_1(rho)/rho dz, rho^2 = x^2 + w^2 + 2xw
+# cosh z, split at the zeros of the sine, and again with each half-period
+# split in four (the two agree to 20 digits).  At (1, 1, 1) and (3, 2, 1.5) the
+# double integral of the kernel e^{-z/2 - (x^2+w^2)/(2z)} times mpmath's
+# Theta(xw/z, t) over dz/z, which does not use the K_1 identity, agrees
+# to 15 digits (dps=20): 0.189894968698255 and 0.0227910200557556.
+EXACT_HALF_PINS = [  # (x, t, w, density)
+    (1.0, 1.0, 1.0, 0.1898949686982546863),
+    (1.0, 1.0, 0.3, 1.6342472133546384317),
+    (1.0, 1.0, 3.0, 0.00079191428285108523996),
+    (1.0, 0.25, 1.0, 0.67559703749166349636),
+    (1.0, 0.25, 0.6, 1.3533552154787261691),
+    (1.0, 0.2, 1.0, 0.78211678840527939562),
+    (1.0, 0.2, 0.5, 1.152283342313479742),
+    (1.0, 4.0, 0.2, 0.8591225132590166463),
+    (1.0, 4.0, 3.0, 0.000043051346082930612286),
+    (0.3, 0.5, 0.2, 2.9883138972344588701),
+    (3.0, 2.0, 1.5, 0.022791020055755565284),
+    # starts past the old fixed log-z window, which returned 0 here; the
+    # reference integrates e^{x+w} K_1(rho), as mpmath's error control is
+    # absolute and K_1 alone is e^{-200} small (dps=30)
+    (60.0, 1.0, 0.5, 1.036302939232306588128),
+    (200.0, 1.0, 0.8, 0.8143202027063999671638),
+]
+# Relative tolerance per t, applied as stated.  Below t = 0.5 rounding
+# amplified by e^{pi^2/(2t)} sets the error: at most 6.1e-8 at t = 0.2 and
+# 1.1e-10 at 0.25, against a floor (8 eps times the absolute zeta sum) of
+# 2.3e-6 and 1e-8.  The Theta-window route missed by 1.6e-6, 6e-8, 3.2e-11
+# and 2.6e-12 at t = 0.2, 0.25, 0.5 and from 1 on.
+EXACT_HALF_REL_TOL = {0.2: 2e-7, 0.25: 1e-9, 0.5: 1e-12, 1.0: 1e-14, 2.0: 1e-14, 4.0: 1e-14}
 
 # Frozen from mpmath quadrature of the scaled kernel (dps=30):
 # psi(mu=0, t=1, v=1, x=0) = e^{-8}/2 * e^{4} Theta(4, 1/4).
@@ -182,6 +216,29 @@ def test_exact_half_mass():
 def test_exact_half_default_curve_mass(t):
     # the default grid's trapezoid mass sits inside the suite's 1e-3 gate
     assert abs(curve_exact_half(1.0, t).total_mass - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("x,t,w,ref", EXACT_HALF_PINS)
+def test_exact_half_mpmath_pins(x, t, w, ref):
+    assert abs(density_exact_half(x, t, w) / ref - 1.0) <= EXACT_HALF_REL_TOL[t]
+
+
+@pytest.mark.parametrize("x", [20.0, 30.0, 60.0, 200.0])
+def test_exact_half_mass_at_large_start(x):
+    # a fixed log-z window [log(q/58), log 58] missed the kernel's peak at
+    # z = x + w: mass 1.0001 at x = 20, 0.9995 at 30, 0.97 at 40, 0 from 58
+    assert abs(curve_exact_half(x, 1.0).total_mass - 1.0) < 1e-3
+
+
+def test_exact_half_calls_no_theta(monkeypatch):
+    # one zeta integral: no Theta node set and no log-z panels per point
+    def refuse(*args, **kwargs):
+        raise AssertionError("density_exact_half evaluated Theta or log panels")
+
+    monkeypatch.setattr(density, "hartman_watson_theta_grid", refuse)
+    monkeypatch.setattr(specfun, "hartman_watson_theta_grid", refuse)
+    monkeypatch.setattr(specfun, "log_panels", refuse)
+    assert density_exact_half(1.0, 1.0, 1.0) > 0.0
 
 
 def test_exact_half_positive_and_small_t_refusal():

@@ -272,10 +272,12 @@ def _terminal_batch_whole_block(params, grid, n, seed):
 ])
 @pytest.mark.parametrize("n_steps, n", [
     *((s, n) for s in (1, 7, 1000) for n in (1, 5, 2 * BLOCK_PATHS + 3)),
-    # a block narrower than _ROW_ADD_WIDTH (np.cumsum down the step axis) in
-    # two tiles, and the narrowest block that adds row by row
-    (300, 2 * (_BATCH_CHUNK_ELEMS // 300) + 1),
+    # the widest block that takes np.cumsum down the step axis and the
+    # narrowest that adds row by row, each in two tiles, and two wider ones
+    (300, _ROW_ADD_WIDTH - 1),
     (300, _ROW_ADD_WIDTH),
+    (300, 2 * (_BATCH_CHUNK_ELEMS // 300) + 1),
+    (300, 1024),
     # more steps than the element budget: even a one-path block runs in tiles
     (_BATCH_CHUNK_ELEMS + 1, 1),
     (_BATCH_CHUNK_ELEMS + 1, 3),

@@ -21,6 +21,9 @@ from verhulst.specfun import (
     REL_TOL,
     T_MIN_THETA,
     BesselOrder,
+    _k1_nodes,
+    _k1_scaled,
+    _panels,
     _theta_breaks,
     bessel_i,
     bessel_k,
@@ -29,6 +32,7 @@ from verhulst.specfun import (
     hartman_watson_theta_grid,
     laplace_kernel_F,
     phi_arcosh,
+    theta_k1_log_integral,
     theta_time_laplace,
 )
 
@@ -232,6 +236,18 @@ def test_theta_grid_rows_independent_of_batch():
             assert np.array_equal(hartman_watson_theta_grid(rs[perm], ti), row[perm])
 
 
+def test_theta_grid_blocks_keep_bits():
+    # 5000 r x 640 z run in blocks of 51 rows; the whole matrix at once is
+    # the reference, entry for entry and row for row
+    rs, t = np.geomspace(1e-3, 300.0, 5000), 0.25
+    z, w = _panels(_theta_breaks(rs.min(), t, r_cap=rs.max()))
+    base = np.exp(-z * z / (2.0 * t)) * np.sinh(z) * np.sin(np.pi * z / t) * w
+    damp = np.exp(-np.multiply.outer(rs, np.cosh(z) - 1.0))
+    pref = rs / math.sqrt(2.0 * math.pi**3 * t) * math.exp(math.pi**2 / (2.0 * t))
+    ref = np.maximum(pref * np.vecdot(damp, base), 0.0)
+    assert np.array_equal(hartman_watson_theta_grid(rs, t), ref)
+
+
 def test_theta_grid_t_shapes_and_domain(monkeypatch):
     assert hartman_watson_theta_grid([1.0, 2.0], 1.0).shape == (2,)
     for t in ([1.0], np.empty(0), np.ones((2, 2))):
@@ -246,9 +262,11 @@ def test_theta_grid_t_shapes_and_domain(monkeypatch):
                 hartman_watson_theta_grid(rs, t)
     with pytest.raises(DomainError, match="r > 0"):
         hartman_watson_theta(math.nan, 1.0)
-    # a cut 1e12 times too shallow leaves t = 0.7 and 1 negative at r = 0.1
+    # a node set cut after two panels, far above the depth the sign guard
+    # allows, leaves t = 0.7 and 1 negative at r = 0.1
+    breaks = specfun._theta_breaks
     with monkeypatch.context() as m:
-        m.setattr(specfun, "_Z_CUT_FACTOR", 1e12)
+        m.setattr(specfun, "_theta_breaks", lambda r, t, r_cap=None: breaks(r, t, r_cap)[:3])
         assert hartman_watson_theta_grid([0.1], 4.0)[0] > 0.0
         for t in (0.7, 1.0):
             with pytest.raises(ConvergenceError, match=f"t={t:g} negative"):
@@ -270,6 +288,39 @@ def test_theta_nonnegative():
 def test_theta_vanishes_with_r():
     # linear prefactor r drives the value to 0
     assert 0.0 <= hartman_watson_theta(1e-8, 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("t", [0.2, 0.5, 1.0, 2.0, 4.0, 10.0, 50.0])
+def test_theta_small_r_within_cut_depth(t):
+    # the e^{r}-scale value of a vanishing Theta is truncation noise down
+    # to the cut depth ABS_TOL * _Z_CUT_FACTOR; a sign guard at ABS_TOL
+    # raised on it (-1.1e-10 at r = 1e-8, t = 4, and at r = 3.2e-9)
+    for r in [*np.geomspace(1e-10, 1e-2, 17), 3.2e-9]:
+        assert hartman_watson_theta(float(r), t) >= 0.0
+
+
+def test_theta_refuses_cosh_overflow():
+    # a tiny r at a large t cuts past ln(DBL_MAX), where cosh overflows
+    with pytest.raises(DomainError, match="cosh"):
+        hartman_watson_theta(1e-310, 1e4)
+    with pytest.raises(DomainError, match="cosh"):
+        theta_k1_log_integral(1e-200, 1e-200, 1e6)
+
+
+def test_k1_scaled_mpmath_grid():
+    # e^{rho} K_1(rho) on one node set per rho0, for rho from rho0 to 1e8 rho0
+    counts = {}
+    for rho0 in np.geomspace(1e-8, 1e4, 13):
+        nodes = _k1_nodes(rho0)
+        counts[f"{rho0:.0e}"] = nodes[1].size
+        rho = rho0 * np.geomspace(1.0, 1e8, 17)
+        ref = np.array([float(mpmath.besselk(1, r) * mpmath.exp(r)) for r in rho])
+        assert np.max(np.abs(_k1_scaled(rho, nodes) / ref - 1.0)) <= 1e-15
+    assert counts == {
+        "1e-08": 93, "1e-07": 83, "1e-06": 74, "1e-05": 65, "1e-04": 56, "1e-03": 47,
+        "1e-02": 37, "1e-01": 28, "1e+00": 22, "1e+01": 22, "1e+02": 22, "1e+03": 22,
+        "1e+04": 22,
+    }
 
 
 def test_theta_domain():
