@@ -127,12 +127,12 @@ def density_exact_half(x_start, t, w):
 
 
 def curve_exact_half(x_start, t, n_points=600):
-    """Fixed-time density curve on a log grid sized from the lognormal
-    envelope exp(ln x0 - t/2 +- 8 sqrt(t))."""
+    """Fixed-time density curve on the log grid exp(ln(x0/(1 + x0 t)) - t/2
+    +- 8 sqrt(t)): theta_t = x0 e^{B_t - t/2}/(1 + x0 a_t) forgets a large x0."""
     require_positive("x_start", x_start)
     _require_t(t, T_MIN_THETA)
     require_count("n_points", n_points, 2)
-    center = math.log(x_start) - 0.5 * t
+    center = math.log(x_start / (1.0 + x_start * t)) - 0.5 * t
     grid = np.exp(np.linspace(center - 8.0 * math.sqrt(t), center + 8.0 * math.sqrt(t), n_points))
     vals = np.array([density_exact_half(x_start, t, w) for w in grid])
     return DensityCurve(grid, vals, kind="exact_half", params=f"x={x_start:g} t={t:g}")
@@ -335,6 +335,9 @@ def moment_exp_int_theta(params, t):
 
 # rates whose Bessel orders sqrt(2*rate + 1/4) are 0.6, 3, 5
 _MIX_ANCHOR_RATES = (0.055, 4.375, 12.375)
+# anchor noise, of the first closed form: 2 against 4 log-t panels per unit
+# move the quadrature at the anchor rates by <= 1.1e-9 of it (x = 1, w in [0.05, 8])
+_MIX_ANCHOR_NOISE = 1e-8
 
 
 def density_exp_time_mixture(x_start, lam, w):
@@ -345,7 +348,7 @@ def density_exp_time_mixture(x_start, lam, w):
     closed forms of three other rates; the mass it completes below
     T_MIN_THETA dominates when w is near x_start, where p_t grows a
     small-t peak.  Returns (value, bound), bound = bracket halfwidth +
-    anchor noise (1e-6 of the first anchor's closed form) + quadrature tail.
+    anchor noise (1e-8 of the first anchor's closed form) + quadrature tail.
     """
     require_positive("x_start", x_start)
     require_positive("w", w)
@@ -357,7 +360,8 @@ def density_exp_time_mixture(x_start, lam, w):
     t_hi = 45.0 / (rates[0] + 0.125)
     closed = [density_exp_time(x, rate, w) / rate for rate in rates]
     value, bound, dens = anchored_time_laplace(
-        lambda t: density_exact_half(x, t, w), t_hi, lam, rates, closed, 1e-6 * closed[0]
+        lambda t: density_exact_half(x, t, w), t_hi, lam, rates, closed,
+        _MIX_ANCHOR_NOISE * closed[0],
     )
     tail = math.exp(-45.0) * float(dens.max()) * t_hi
     return lam * value, lam * (bound + tail)

@@ -6,7 +6,6 @@ the arcosh-based Laplace kernel.  Everything is plain
 numpy; no external special-function library.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -471,44 +470,41 @@ _T_LAPLACE_HI = 400.0
 
 
 def _anchor_completion(rates, anchors, s, tau):
-    """Completion (mid, half) of a Laplace transform at rate s from the
-    mass on [0, tau] that quadrature cannot reach.
+    """Completion (mid, half) at rate s of the mass on [0, tau] that
+    quadrature cannot reach: the sharp bracket of integral e^{-s T} d mu
+    over positive mu on [0, tau] with transforms `anchors` at the three
+    increasing rates (clamped at 0, made nonincreasing in the rate).
 
-    anchors[j] is that mass's transform at rates[j] (increasing rates),
-    measured as a closed form minus the quadrature.  The anchors are
-    clamped at 0 and made nonincreasing in the rate, as any transform of
-    a positive measure is.  mid and half are the midpoint and halfwidth
-    of the sharp two-sided bracket of integral e^{-s T} d mu(T) over
-    positive measures mu on [0, tau] with those anchor values.  Extremal
-    measures put mass on at most len(rates) atoms; all atom supports on
-    a grid are scanned.  When no support fits, (c_0/2, c_0/2) with c_0
-    the first anchor: the transform lies in [0, c_0] for s >= rates[0].
+    Exponentials of distinct rates form a Chebyshev system, so its ends
+    are the anchors' principal representations, atoms at {0, xi} and at
+    {xi', tau} (Markov-Krein; Karlin and Studden, Tchebycheff Systems,
+    1966, ch. III-IV).  Each reads v_j = a + b e^{-rates_j x}, v = c/c_0
+    (x = xi) or c e^{(rates_j - rates_0) tau}/c_0 (x = xi' - tau, read at
+    s times e^{-(s - rates_0) tau}); x solves a ratio equation monotone
+    in x by bisection to adjacent floats, and a, b are linear.  Anchors
+    that no positive measure fits give (c_0/2, c_0/2): the transform lies
+    in [0, c_0] for s >= rates[0].
     """
+    r0, r1, r2 = (float(r) for r in rates)
+
+    def ratio(x):  # (E_0 - E_1)/(E_1 - E_2), E_j = e^{-r_j x}: increasing, (r1 - r0)/(r2 - r1) at 0
+        return math.exp((r1 - r0) * x) * math.expm1((r0 - r1) * x) / math.expm1((r1 - r2) * x)
+
     c = np.minimum.accumulate(np.maximum(np.asarray(anchors, dtype=float), 0.0))
-    grid = np.linspace(0.0, tau, 41)
-    E = np.exp(-np.outer(rates, grid))
-    target = np.exp(-s * grid)
-    k = len(rates)
-    supports = itertools.combinations(range(grid.size), k)
-    lo, hi = math.inf, -math.inf
-    # 1024 supports at a time: each support's solve and value are the same
-    # in any batch, and the 10,660 supports no longer hold 2.4 MB at once
-    while (idx := np.array(list(itertools.islice(supports, 1024)))).size:
-        A = E[:, idx].transpose(1, 0, 2)
-        ok = np.abs(np.linalg.det(A)) > 1e-13
-        if not ok.any():
-            continue
-        b = np.ascontiguousarray(
-            np.broadcast_to(np.reshape(c, (1, k, 1)), (int(ok.sum()), k, 1))
-        )
-        w = np.linalg.solve(A[ok], b)[:, :, 0]
-        feas = np.all(w >= -1e-11 * max(c[0], 1e-300), axis=1)
-        if feas.any():
-            vals = np.einsum("ij,ij->i", w[feas], target[idx[ok][feas]])
-            lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
-    if lo > hi:  # no support fits
-        return 0.5 * c[0], 0.5 * c[0]
-    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+    ends = []
+    for sign, shift in ((1.0, 0.0), (-1.0, tau)):
+        v = (c / c[0] * np.exp((np.asarray(rates) - r0) * shift)).tolist()
+        target = (v[0] - v[1]) / (v[1] - v[2]) if v[1] != v[2] else math.inf
+        lo, hi = sorted((0.0, sign * tau))
+        while lo < (x := 0.5 * (lo + hi)) < hi:
+            lo, hi = (x, hi) if ratio(x) < target else (lo, x)
+        x = max(lo, hi, key=abs)  # x = 0 is no atom
+        b = (v[0] - v[1]) / (math.exp(-r0 * x) - math.exp(-r1 * x))
+        a = v[0] - b * math.exp(-r0 * x)
+        if (ratio(sign * tau) < target) == ((r1 - r0) / (r2 - r1) < target) or min(a, b) < 0.0:
+            return 0.5 * c[0], 0.5 * c[0]
+        ends.append(c[0] * math.exp((r0 - s) * shift) * (a + b * math.exp(-s * x)))
+    return 0.5 * (ends[0] + ends[1]), 0.5 * abs(ends[1] - ends[0])
 
 
 def anchored_time_laplace(f, t_hi, s, rates, closed, noise):
@@ -555,16 +551,15 @@ def theta_time_laplace(r, s):
     0.045 the tail outgrows the bound (at s = 1e-3, r = 0.5 the value
     misses by 9.2e-3 relative against a bound of 7.1e-9): DomainError.
 
-    The bound is honest but not uniformly tight.  At s = 0.5 it exceeds
-    1e-4 relative from about r = 6 (1.13e-4 at r = 6, 1.32e-4 at r = 10;
-    8.3e-5 at r = 12), past the suite's 1e-4 gate, which samples r <= 3.
-    From r ~ 101-105 on no anchor support fits: the result is the
-    fallback I_1(r)/2 +- I_1(r)/2.
+    The bound, the sharp bracket of three anchors (_anchor_completion),
+    is honest but only as tight as three anchors allow.  At s = 0.5 it
+    exceeds 1e-4 relative from about r = 6 (1.15e-4 at r = 6, 1.34e-4 at
+    r = 10), past the suite's 1e-4 gate, which samples r <= 3, and falls
+    as the head narrows to t ~ 1/r: 1.4e-7 at r = 105, 7.4e-9 at r = 355.
 
     Quadrature, anchors and bracket live on the e^{r} scale, so nothing
-    underflows at large r; the results are scaled back at the end.  Where
-    that scale overflows, e^{r} I_{0.3}(r) not finite (from r ~ 357 on),
-    DomainError.
+    underflows at large r; where e^{r} I_{0.3}(r) overflows (from r ~ 357
+    on), DomainError.
     """
     s_anchors = np.array([0.5 * a * a for a in _ANCHOR_ORDERS])
     if not s_anchors[0] <= s <= s_anchors[-1]:

@@ -223,11 +223,19 @@ def test_exact_half_mpmath_pins(x, t, w, ref):
     assert abs(density_exact_half(x, t, w) / ref - 1.0) <= EXACT_HALF_REL_TOL[t]
 
 
-@pytest.mark.parametrize("x", [20.0, 30.0, 60.0, 200.0])
-def test_exact_half_mass_at_large_start(x):
+LARGE_STARTS = [(20.0, 1.0), (30.0, 1.0), (60.0, 1.0), (200.0, 1.0),
+                (200.0, 0.25), (1000.0, 0.5), (1e4, 0.2)]
+
+
+@pytest.mark.parametrize(
+    "x,t", LARGE_STARTS, ids=[f"{x}" if t == 1.0 else f"{x}-{t}" for x, t in LARGE_STARTS]
+)
+def test_exact_half_mass_at_large_start(x, t):
     # a fixed log-z window [log(q/58), log 58] missed the kernel's peak at
-    # z = x + w: mass 1.0001 at x = 20, 0.9995 at 30, 0.97 at 40, 0 from 58
-    assert abs(curve_exact_half(x, 1.0).total_mass - 1.0) < 1e-3
+    # z = x + w: mass 1.0001 at x = 20, 0.9995 at 30, 0.97 at 40, 0 from 58;
+    # a grid centred on ln x - t/2 missed theta_t ~ x/(1 + x t): mass 0.65
+    # at (200, 0.25), 0.13 at (1000, 0.5)
+    assert abs(curve_exact_half(x, t).total_mass - 1.0) < 1e-3
 
 
 def test_exact_half_calls_no_theta(monkeypatch):
@@ -351,6 +359,27 @@ def test_mixture_bound_is_honest():
         closed = density_exp_time(1.0, 1.0, w)
         value, bound = density_exp_time_mixture(1.0, 1.0, w)
         assert abs(value - closed) <= bound, w
+
+
+def test_mixture_anchor_noise():
+    # the noise the mixture adds to its bound covers the anchors' own
+    # quadrature error: halving the log-t panels (2 against 4 per unit)
+    # moves the quadrature at every anchor rate by at most noise/5 across
+    # the honesty grid, and at w = 0.1, where the missing head is within
+    # noise and no completion is added, the value holds to 1e-9
+    rates = np.array(density._MIX_ANCHOR_RATES)
+    t_hi = 45.0 / (rates[0] + 0.125)
+    for w in [0.1, *np.geomspace(0.05, 8.0, 12)]:
+        noise = density._MIX_ANCHOR_NOISE * density_exp_time(1.0, rates[0], w) / rates[0]
+        qs = []
+        for per_unit in (2.0, 4.0):
+            t, wts = specfun.log_panels(math.log(specfun.T_MIN_THETA), math.log(t_hi), per_unit, 2)
+            f = np.array([density_exact_half(1.0, ti, w) for ti in t])
+            qs.append(np.array([np.dot(wts * t * np.exp(-rate * t), f) for rate in rates]))
+        assert np.max(np.abs(qs[0] - qs[1])) <= 0.2 * noise, w
+    closed = density_exp_time(1.0, 1.0, 0.1)
+    value, _ = density_exp_time_mixture(1.0, 1.0, 0.1)
+    assert abs(value - closed) <= 1e-9 * closed
 
 
 def test_mixture_rate_domain():

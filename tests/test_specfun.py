@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from verhulst import specfun
+from verhulst import density, specfun
 from verhulst.errors import ConvergenceError, DomainError
 from verhulst.specfun import (
     BESSEL_I_MAX_X,
@@ -463,12 +463,73 @@ def test_theta_time_laplace_identity(r, nu):
 
 
 def test_theta_time_laplace_large_r():
-    # just below the overflow of e^r I_0.3(r): no anchor fits, and the
-    # fallback bracket [0, c_0] is wide but finite and honest
-    val, bound = theta_time_laplace(355.0, 0.5)
-    ref = float(mpmath.besseli(1.0, 355.0))
-    assert math.isfinite(val) and math.isfinite(bound)
-    assert abs(val - ref) <= bound
+    # up to just below the overflow of e^r I_0.3(r): the head narrows to
+    # t ~ 1/r, and the principal representations bracket it tightly
+    # (bound 1.4e-7, 4.5e-8 and 7.4e-9 relative; a grid scan of three-atom
+    # supports fitted none and fell back to I_nu(r)/2 +- I_nu(r)/2)
+    for r, nu in [(105.0, 1.0), (200.0, 2.0), (355.0, 1.0)]:
+        val, bound = theta_time_laplace(r, 0.5 * nu * nu)
+        ref = float(mpmath.besseli(nu, r))
+        assert math.isfinite(val) and math.isfinite(bound)
+        assert abs(val - ref) <= bound, r
+        assert bound <= 1e-6 * ref, r
+
+
+# both anchor-rate sets: theta_time_laplace's and the mixture's
+ANCHOR_RATE_SETS = [
+    np.array([0.5 * a * a for a in specfun._ANCHOR_ORDERS]),
+    np.array(density._MIX_ANCHOR_RATES),
+]
+
+
+def _atomic_transform(masses, atoms, rate):
+    return float(np.dot(masses, np.exp(-rate * atoms)))
+
+
+def _completion_of(rates, masses, atoms, s):
+    anchors = [_atomic_transform(masses, atoms, rate) for rate in rates]
+    mid, half = specfun._anchor_completion(rates, anchors, s, T_MIN_THETA)
+    return mid, half, _atomic_transform(masses, atoms, s), anchors[0]
+
+
+@pytest.mark.parametrize("rates", ANCHOR_RATE_SETS, ids=["theta", "mixture"])
+def test_anchor_completion_contains_truth(rates):
+    # 2 to 6 atoms on [0, T_MIN_THETA] with masses over 600 decades, at s
+    # anywhere in (0, rates[-1]]: the bracket is the moment problem's own,
+    # so it holds the truth with no slack
+    rng = np.random.default_rng(20)
+    for _ in range(1500):
+        atoms = rng.uniform(0.0, T_MIN_THETA, rng.integers(2, 7))
+        masses = rng.exponential(1.0, atoms.size) * 10.0 ** rng.uniform(-300, 300)
+        s = rng.uniform(0.0, rates[-1])
+        mid, half, truth, c0 = _completion_of(rates, masses, atoms, s)
+        assert half < 0.5 * c0  # never the fallback
+        assert abs(truth - mid) <= half, (atoms, masses, s)
+
+
+@pytest.mark.parametrize("rates", ANCHOR_RATE_SETS, ids=["theta", "mixture"])
+def test_anchor_completion_is_sharp(rates):
+    # a measure that is itself a principal representation, atoms at {0, xi}
+    # or at {xi, T_MIN_THETA}, sits on one end of the bracket
+    rng = np.random.default_rng(21)
+    for k in range(1000):
+        xi = rng.uniform(0.0, T_MIN_THETA)
+        atoms = np.array([0.0, xi] if k % 2 else [xi, T_MIN_THETA])
+        masses = rng.exponential(1.0, 2) * 10.0 ** rng.uniform(-300, 300)
+        s = rng.uniform(0.0, rates[-1])
+        mid, half, truth, c0 = _completion_of(rates, masses, atoms, s)
+        assert min(abs(truth - mid + half), abs(truth - mid - half)) <= 1e-12 * c0
+
+
+@pytest.mark.parametrize("rates", ANCHOR_RATE_SETS, ids=["theta", "mixture"])
+@pytest.mark.parametrize("atom", [0.0, 0.05, 0.1, 0.15, T_MIN_THETA])
+def test_anchor_completion_one_atom(rates, atom):
+    # one atom is the boundary of the moment cone: its bracket is a single
+    # point up to rounding, or the fallback [0, c_0] where rounding puts
+    # the anchors outside the cone; either holds the truth for s >= rates[0]
+    for s in [rates[0], 0.5, rates[1], rates[-1]]:
+        mid, half, truth, c0 = _completion_of(rates, np.array([3.0]), np.array([atom]), s)
+        assert abs(truth - mid) <= half + 1e-12 * c0, s
 
 
 def test_theta_time_laplace_domain():
