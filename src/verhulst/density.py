@@ -265,19 +265,18 @@ def _coth_remainder(s):
     return out
 
 
-def conditional_laplace(lam, t, v, log_theta, r_rel):
+def conditional_laplace(lam, t, v, x, log_theta, r_rel):
     """The conditional Laplace transform E[exp(-(lam^2/2) A_t) | a_t = v,
     e^{B_t + mu t} = x] in log form, with A_t the time integral of
     e^{2(B_s + mu s)}; given the endpoint the law does not depend on mu.
 
-    Returns at(x) -> log transform.  x is the endpoint itself, not its
-    log as in myor_psi_profile: a scalar, or an array that broadcasts
-    against v, such as a row of endpoints against a 2-d v whose column k
-    holds draws given x[k]; a scalar gives the bits of the same x in an
-    array.  log_theta maps log r to log Theta~(r, t/4), Theta~ = e^{r}
-    Theta as hartman_watson_theta_grid returns it; r_rel is its trust
-    edge, 0 for an exact Theta.  The factors of s = lam v/2 are formed
-    here once.
+    x is the endpoint itself, not its log as in myor_psi_profile: a
+    scalar, or an array that broadcasts against v, such as a row of
+    endpoints against a 2-d v whose column k holds draws given x[k]; a
+    scalar gives the bits of the same x in an array.  log_theta maps
+    log r to log Theta~(r, t/4), Theta~ = e^{r} Theta as
+    hartman_watson_theta_grid returns it; r_rel is its trust edge, 0 for
+    an exact Theta.
 
     Grouped so the only exponential is exp(r0 - phi - lam (1+x) (coth s
     - 1/s)) with r0 = 4 sqrt(x)/v and phi = r0 s/sinh s, which is <= 0
@@ -296,31 +295,27 @@ def conditional_laplace(lam, t, v, log_theta, r_rel):
     v = np.asarray(v, dtype=float)
     if not np.all((v > 0) & (v < math.inf)):
         raise DomainError("v must be finite and > 0")
+    x = np.asarray(x, dtype=float)
+    if not np.all((x > 0) & (x < math.inf)):
+        raise DomainError("x must be finite and > 0")
     tau = 0.25 * t
     s = 0.5 * lam * v
     ssr = _sinh_ratio(s)
     rem = _coth_remainder(s)
     lssr = np.log(ssr)
-
-    def at(x):
-        x = np.asarray(x, dtype=float)
-        if not np.all((x > 0) & (x < math.inf)):
-            raise DomainError("x must be finite and > 0")
-        r0 = 4.0 * np.sqrt(x) / v
-        phi = r0 * ssr
-        lr0 = np.log(r0)
-        delta = log_theta(np.log(phi)) - log_theta(lr0)
-        if r_rel > 0.0:
-            lphi = lr0 + lssr
-            paired = r0 < min(r_rel, 0.9)
-            delta = np.where(paired, (lr0 * lr0 - lphi * lphi) / (2.0 * tau), delta)
-        # a conditional Laplace transform at lam > 0 cannot exceed one
-        log_cond = np.minimum(lssr + (r0 - phi) - lam * (1.0 + x) * rem + delta, 0.0)
-        if r_rel > 0.0:
-            log_cond = np.where(~paired & ((r0 < r_rel) | (phi < r_rel)), -np.inf, log_cond)
-        return log_cond
-
-    return at
+    r0 = 4.0 * np.sqrt(x) / v
+    phi = r0 * ssr
+    lr0 = np.log(r0)
+    delta = log_theta(np.log(phi)) - log_theta(lr0)
+    if r_rel > 0.0:
+        lphi = lr0 + lssr
+        paired = r0 < min(r_rel, 0.9)
+        delta = np.where(paired, (lr0 * lr0 - lphi * lphi) / (2.0 * tau), delta)
+    # a conditional Laplace transform at lam > 0 cannot exceed one
+    log_cond = np.minimum(lssr + (r0 - phi) - lam * (1.0 + x) * rem + delta, 0.0)
+    if r_rel > 0.0:
+        log_cond = np.where(~paired & ((r0 < r_rel) | (phi < r_rel)), -np.inf, log_cond)
+    return log_cond
 
 
 def moment_exp_int_theta(params, t):
@@ -435,7 +430,7 @@ def _tilt_kernel(gamma, mu, t, xs, v):
     rows = max(1, _KERNEL_CHUNK_ELEMS // xs.size)
     for c0 in range(0, v.shape[0], rows):
         vc = v[c0 : c0 + rows]
-        log_cond = conditional_laplace(gamma, t, vc, interp, r_rel)(xs)
+        log_cond = conditional_laplace(gamma, t, vc, xs, interp, r_rel)
         zeroed += np.count_nonzero(log_cond == -np.inf, axis=0)
         vc *= gamma * (mu + 0.5)
         vc += log_cond

@@ -482,8 +482,9 @@ def _anchor_completion(rates, anchors, s, tau):
     (x = xi) or c e^{(rates_j - rates_0) tau}/c_0 (x = xi' - tau, read at
     s times e^{-(s - rates_0) tau}); x solves a ratio equation monotone
     in x by bisection to adjacent floats, and a, b are linear.  Anchors
-    that no positive measure fits give (c_0/2, c_0/2): the transform lies
-    in [0, c_0] for s >= rates[0].
+    that no positive measure fits give the middle of [0, c_0 e^{(rates_0
+    - s)^+ tau}], where the transform lies: e^{-s T} <= e^{(rates_0 -
+    s) tau} e^{-rates_0 T} on [0, tau] when s < rates_0.
     """
     r0, r1, r2 = (float(r) for r in rates)
 
@@ -502,7 +503,8 @@ def _anchor_completion(rates, anchors, s, tau):
         b = (v[0] - v[1]) / (math.exp(-r0 * x) - math.exp(-r1 * x))
         a = v[0] - b * math.exp(-r0 * x)
         if (ratio(sign * tau) < target) == ((r1 - r0) / (r2 - r1) < target) or min(a, b) < 0.0:
-            return 0.5 * c[0], 0.5 * c[0]
+            half = 0.5 * c[0] * math.exp(max(r0 - s, 0.0) * tau)
+            return half, half
         ends.append(c[0] * math.exp((r0 - s) * shift) * (a + b * math.exp(-s * x)))
     return 0.5 * (ends[0] + ends[1]), 0.5 * abs(ends[1] - ends[0])
 

@@ -13,7 +13,6 @@ detail to be read without re-running anything.
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -447,7 +446,6 @@ _BUDGETS = {
         n=20_000,
         dt=2e-3,
         ks_fixed_n=20_000,
-        ks_exp_n=20_000,
         hist_n=100_000,
         hist_half=0.05,
         cells="corners",
@@ -457,7 +455,6 @@ _BUDGETS = {
         n=100_000,
         dt=1e-3,
         ks_fixed_n=1_000_000,
-        ks_exp_n=100_000,
         hist_n=1_000_000,
         hist_half=0.02,
         cells="all",
@@ -574,7 +571,7 @@ def _check_exp_time(config, knobs, seed):
         n_or_tolerance="quad",
         details=f"x=1 lam=1; mass={mass_val:.9f}",
     )
-    n = knobs["ks_exp_n"]
+    n = knobs["n"]
     samples = simulate_exp_terminal(
         ModelParams.coupled_start(1.0), 1.0, _CERTIFIED_DT, n, seed, threads=config.threads
     )
@@ -809,21 +806,16 @@ def run_suite(config, registry=None):
     """Execute the registered checks and return their reports.
 
     Filtering: a group runs when any `config.only` token is a substring
-    of its registry key; empty means everything.  Groups are independent
-    and run on config.threads workers; reports always come back in
-    registration order, and every statistic is reproducible because each
-    group owns a seed derived from registration index alone.
+    of its registry key; empty means everything.  Groups run one after
+    another on the calling thread, in registration order, which is the
+    report order; config.threads is the block-worker count of every
+    sampler call inside a group.  Every statistic is reproducible
+    because each group owns a seed derived from registration index alone.
     """
-    reg = SUITE_REGISTRY if registry is None else tuple(registry)
+    reg = SUITE_REGISTRY if registry is None else registry
     knobs = _BUDGETS[config.budget]
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        futures = [
-            pool.submit(_run_one, key, fn, config, knobs, config.seed + 101 * i)
-            for i, (key, fn) in enumerate(reg)
-            if not config.only or any(tok in key for tok in config.only)
-        ]
-        try:
-            return [report for f in futures for report in f.result()]
-        finally:
-            # an interrupt waits for the running groups only, not the queued ones
-            pool.shutdown(cancel_futures=True)
+    reports = []
+    for i, (key, fn) in enumerate(reg):
+        if not config.only or any(tok in key for tok in config.only):
+            reports += _run_one(key, fn, config, knobs, config.seed + 101 * i)
+    return reports

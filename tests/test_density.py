@@ -99,10 +99,9 @@ def exact_cond(lam, t, v, x):
     """The conditional Laplace transform at endpoint x (not its log) by
     conditional_laplace on exact Theta with no trust edge: the formula the
     engine runs, without its interpolant."""
-    at = conditional_laplace(
-        lam, t, v, lambda L: np.log(hartman_watson_theta_grid(np.exp(L), t / 4)), 0.0
-    )
-    return np.exp(at(x))
+    return np.exp(conditional_laplace(
+        lam, t, v, x, lambda L: np.log(hartman_watson_theta_grid(np.exp(L), t / 4)), 0.0
+    ))
 
 
 def ks_stat(samples, cdf_vals):
@@ -449,11 +448,11 @@ def test_psi_domain():
 
 def test_myor_eval_validation():
     with pytest.raises(DomainError):
-        conditional_laplace(1.0, 0.0, [1.0], np.log, 0.0)
+        conditional_laplace(1.0, 0.0, [1.0], 1.0, np.log, 0.0)
     with pytest.raises(DomainError):
-        conditional_laplace(1.0, 1.0, [-1.0], np.log, 0.0)
+        conditional_laplace(1.0, 1.0, [-1.0], 1.0, np.log, 0.0)
     with pytest.raises(DomainError):
-        conditional_laplace(0.0, 1.0, [1.0], np.log, 0.0)
+        conditional_laplace(0.0, 1.0, [1.0], 1.0, np.log, 0.0)
 
 
 def test_conditional_frozen_value():
@@ -501,7 +500,7 @@ def test_h_kernel_increasing_in_y_at_small_gamma():
 
 def test_h_kernel_domain():
     with pytest.raises(DomainError):
-        conditional_laplace(1.0, 1.0, [1.0], np.log, 0.0)(-2.0)
+        conditional_laplace(1.0, 1.0, [1.0], -2.0, np.log, 0.0)
 
 
 # --- general-drift density -----------------------------------------------------
@@ -613,13 +612,13 @@ _NON_FINITE = {
     "curve_lognormal mu=nan": lambda: curve_lognormal(_NAN, 1.0),
     "moment t=nan": lambda: moment_exp_int_theta(ModelParams(mu=0.0, beta=1.0), _NAN),
     "moment t=inf": lambda: moment_exp_int_theta(ModelParams(mu=0.0, beta=1.0), _INF),
-    "myor v=nan": lambda: conditional_laplace(1.0, 1.0, [1.0, _NAN], np.log, 0.0),
-    "myor lam=nan": lambda: conditional_laplace(_NAN, 1.0, [1.0], np.log, 0.0),
+    "myor v=nan": lambda: conditional_laplace(1.0, 1.0, [1.0, _NAN], 1.0, np.log, 0.0),
+    "myor lam=nan": lambda: conditional_laplace(_NAN, 1.0, [1.0], 1.0, np.log, 0.0),
     "psi t=nan": lambda: myor_psi_profile(0.0, _NAN, [1.0], 0.0),
     "psi v=nan": lambda: myor_psi_profile(0.0, 1.0, [1.0, _NAN], 0.0),
     "psi mu=nan": lambda: myor_psi_profile(_NAN, 1.0, [1.0], 0.0),
     "psi x=nan": lambda: myor_psi_profile(0.0, 1.0, [1.0], _NAN),
-    "h_kernel x=nan": lambda: conditional_laplace(1.0, 1.0, [1.0], np.log, 0.0)(_NAN),
+    "h_kernel x=nan": lambda: conditional_laplace(1.0, 1.0, [1.0], _NAN, np.log, 0.0),
 }
 
 

@@ -41,6 +41,25 @@ def test_no_private_name_imported_across_modules():
     assert imported == []
 
 
+def test_only_simulate_starts_threads():
+    # simulate._run_blocks is the one thread pool; every other module runs
+    # on its caller's thread
+    imports = []
+    for path in sorted(Path(verhulst.__file__).parent.glob("*.py")):
+        if path.name == "simulate.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno} {m}" for m in modules
+                        if m.split(".")[0] in ("concurrent", "threading")]
+    assert imports == []
+
+
 def test_no_unused_import():
     # the package's __init__ imports only to re-export
     unused = []

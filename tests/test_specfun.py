@@ -525,9 +525,11 @@ def test_anchor_completion_is_sharp(rates):
 @pytest.mark.parametrize("atom", [0.0, 0.05, 0.1, 0.15, T_MIN_THETA])
 def test_anchor_completion_one_atom(rates, atom):
     # one atom is the boundary of the moment cone: its bracket is a single
-    # point up to rounding, or the fallback [0, c_0] where rounding puts
-    # the anchors outside the cone; either holds the truth for s >= rates[0]
-    for s in [rates[0], 0.5, rates[1], rates[-1]]:
+    # point up to rounding, or the fallback [0, c_0 e^{(rates[0] - s)^+ tau}]
+    # where rounding puts the anchors outside the cone; either holds the
+    # truth, below the first rate too
+    for s in [1e-6, 0.1 * rates[0], 0.5 * rates[0], 0.9 * rates[0], rates[0], 0.5, rates[1],
+              rates[-1]]:
         mid, half, truth, c0 = _completion_of(rates, np.array([3.0]), np.array([atom]), s)
         assert abs(truth - mid) <= half + 1e-12 * c0, s
 

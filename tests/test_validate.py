@@ -12,6 +12,7 @@ through run_suite at the full budget.
 import csv
 import io
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -370,6 +371,20 @@ def test_suite_group_threads_give_identical_reports():
     )
     assert len(one) == 2
     assert one == two
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_suite_groups_run_on_the_calling_thread(threads):
+    # config.threads is the block-worker count of each sampler call; the
+    # groups themselves run one after another on the caller's thread
+    ran = []
+
+    def record(config, knobs, seed):
+        ran.append(threading.get_ident())
+        return [TestReport("here", 0.0, 0.0, "exact")]
+
+    run_suite(SuiteConfig(threads=threads), registry=[(f"g{i}", record) for i in range(4)])
+    assert ran == [threading.get_ident()] * 4
 
 
 def test_suite_rerun_and_thread_invariance():
