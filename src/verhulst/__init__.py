@@ -16,7 +16,6 @@ from .density import (
     exp_time_total_mass,
     lognormal_density,
     moment_exp_int_theta,
-    myor_psi_profile,
     write_density_csv,
 )
 from .errors import ConvergenceError, DomainError

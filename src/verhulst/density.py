@@ -1,11 +1,11 @@
 """One-dimensional distributions of the Verhulst process.
 
-Closed forms for the fixed-time density (one integral in Theta's variable),
-the independent-exponential-time density (Bessel product), the joint law of
-(integrated GBM, terminal log) behind them, and the conditional Laplace
-transform that turns the drift-free density into the general-drift one via
-a Monte Carlo average.  Everything that involves Theta(r, t) is evaluated
-on the e^{r} scale so exponentials stay in range across the whole support.
+Closed forms for the fixed-time densities at drift -1/2 and any drift
+(one integral in Theta's variable each), the independent-exponential-time
+density (Bessel product), and the conditional Laplace transform that turns
+the drift-free density into the general-drift one via a Monte Carlo
+average.  Everything that involves Theta(r, t) is evaluated on the e^{r}
+scale so exponentials stay in range across the whole support.
 """
 
 import math
@@ -25,6 +25,7 @@ from .specfun import (
     hartman_watson_theta_grid,
     log_panel_integral,
     theta_k1_log_integral,
+    theta_yor_integral,
 )
 
 
@@ -105,16 +106,10 @@ def density_exact_half(x_start, t, w):
     Ryzhik 3.471.9 for the z integral): one oscillatory integral on
     Theta's half-period panels, 64-320 nodes near the bulk at x = 1 for t
     from 0.2 to 4, each node's e^{rho} K_1(rho) a 22-93 node trapezoid
-    sum.  Formed in logs, so it holds at any start.  Relative error
-    against 40-digit mpmath (the pins of tests/test_density.py):
-
-        t = 0.2      2.8e-8 to 6.1e-8
-        t = 0.25     3.6e-11 to 1.1e-10
-        t = 0.5      4.8e-14
-        t = 1 to 4   at most 1.3e-15
-
-    Below t = 0.5 that is rounding amplified by e^{pi^2/(2t)}.  Needs
-    t >= T_MIN_THETA.
+    sum.  Formed in logs, so it holds at any start.  Against the 40-digit
+    mpmath pins of tests/test_density.py (tabled in the README) it is at
+    most 6.1e-8 off relative at t = 0.2 and 1.3e-15 from t = 1 on: below
+    t = 0.5, rounding amplified by e^{pi^2/(2t)}.  Needs t >= T_MIN_THETA.
     """
     x = float(x_start)
     w = float(w)
@@ -197,45 +192,6 @@ def exp_time_total_mass(x_start, lam):
     return log_panel_integral(lambda zi: density_exp_time(x, lam, zi), lo, hi, x)
 
 
-def myor_psi_profile(mu, t, vs, x):
-    """Joint density at (v, x) of the time-t integrated drift-mu GBM and its
-    terminal log, along an array of v at fixed x.
-
-    Stable grouping: the Gaussian-in-1/v factor exp(-2(1+e^{x/2})^2/v)
-    absorbs Theta's e^{-r} at r = 4 e^{x/2}/v, leaving the e^{r}-scaled
-    Theta(r, t/4), which grows only algebraically in r.  The whole array
-    shares one Theta node set.  Where that is a point's own node set, the
-    value equals the one-point profile at that v exactly; otherwise the
-    shared set only adds tail panels past the point's own cut, below the
-    Theta quadrature's cut on the e^{r} scale, or refines the panels when
-    a small v (large r) needs a width below the half-period t/4.  Needs
-    t >= 4 T_MIN_THETA.
-    """
-    vs = np.asarray(vs, dtype=float)
-    if not np.all((vs > 0) & (vs < math.inf)):
-        raise DomainError("v must be finite and > 0")
-    require_finite("mu", mu)
-    require_finite("x", x)
-    _require_t(t, 4.0 * T_MIN_THETA)
-    return _psi(mu, t, vs, x)[0]
-
-
-def _psi(mu, t, vs, b):
-    """psi(v, b) along vs, grouped as myor_psi_profile states, with b a
-    scalar or an array like vs, and the mask of entries whose Theta factor
-    is trusted; entries whose exponent is below -700 are 0 and trusted."""
-    q = np.exp(0.5 * b)
-    expo = mu * b - 0.5 * mu * mu * t - 2.0 * (1.0 + q) ** 2 / vs
-    out = np.zeros_like(vs)
-    trusted = np.ones(vs.shape, dtype=bool)
-    live = expo > -700.0
-    if np.any(live):
-        tt, ok = hartman_watson_theta_grid((4.0 * q / vs)[live], 0.25 * t, with_floor=True)
-        out[live] = 0.5 * np.exp(expo[live]) / vs[live] * tt
-        trusted[live] = ok
-    return out, trusted
-
-
 def _sinh_ratio(s):
     """s / sinh(s) on arrays, stable at both ends."""
     s = np.asarray(s, dtype=float)
@@ -270,13 +226,12 @@ def conditional_laplace(lam, t, v, x, log_theta, r_rel):
     e^{B_t + mu t} = x] in log form, with A_t the time integral of
     e^{2(B_s + mu s)}; given the endpoint the law does not depend on mu.
 
-    x is the endpoint itself, not its log as in myor_psi_profile: a
-    scalar, or an array that broadcasts against v, such as a row of
-    endpoints against a 2-d v whose column k holds draws given x[k]; a
-    scalar gives the bits of the same x in an array.  log_theta maps
-    log r to log Theta~(r, t/4), Theta~ = e^{r} Theta as
-    hartman_watson_theta_grid returns it; r_rel is its trust edge, 0 for
-    an exact Theta.
+    x is the endpoint itself, not its log: a scalar, or an array that
+    broadcasts against v, such as a row of endpoints against a 2-d v
+    whose column k holds draws given x[k]; a scalar gives the bits of the
+    same x in an array.  log_theta maps log r to log Theta~(r, t/4),
+    Theta~ = e^{r} Theta as hartman_watson_theta_grid returns it; r_rel is
+    its trust edge, 0 for an exact Theta.
 
     Grouped so the only exponential is exp(r0 - phi - lam (1+x) (coth s
     - 1/s)) with r0 = 4 sqrt(x)/v and phi = r0 s/sinh s, which is <= 0
@@ -386,13 +341,8 @@ def _theta_log_interp(r_lo, r_hi, tau, n=2000):
     slopes = np.append((logs[1:] - logs[:-1]) / (lg[1:] - lg[:-1]), 0.0)
     lg_next = np.append(lg[1:], math.inf)
     h = (lg[-1] - lg[0]) / (n - 1)
-    if trusted.all():
-        r_reliable = 0.0
-    elif trusted.any():
-        last_bad = int(np.nonzero(~trusted)[0].max())
-        r_reliable = float(grid[last_bad + 1]) if last_bad + 1 < n else math.inf
-    else:
-        r_reliable = math.inf
+    bad = np.nonzero(~trusted)[0]  # r_reliable is the node after the last one
+    r_reliable = float(np.append(grid, math.inf)[bad[-1] + 1]) if bad.size else 0.0
 
     def interp(L):
         # clipped, no inf enters the arithmetic; fmin sends a NaN L to
@@ -438,24 +388,19 @@ def _tilt_kernel(gamma, mu, t, xs, v):
     return zeroed
 
 
-def density_general_quad(gamma, mu, t, x, n=4000):
+def density_general_quad(gamma, mu, t, x):
     """General-drift density at x by direct substitution quadrature.
 
-    theta_t = e^b/(1 + gamma a) maps {theta = x} to b = ln x + ln(1+gamma v)
-    at a = v, so the density is (1/x) int psi(v, ln x + ln(1+gamma v)) dv.
-    No Monte Carlo and no tilt kernel: an independent route against the
-    sampling estimators.  Integrand entries whose Theta evaluation falls
-    below the trust floor are dropped; out there the true psi has already
-    decayed beyond all orders in 1/v.
+    theta_t = e^b/(1 + gamma a) maps {theta = x} to b = ln x + ln(1 +
+    gamma v) at a = v, so the density is (1/x) integral psi(v, ln x + ln(1
+    + gamma v)) dv, psi Yor's joint law of (a_t, B_t + mu t): e^{-mu^2
+    t/2}/x theta_yor_integral(x, gamma, mu, t/4) without its bound.  No
+    Monte Carlo and no tilt kernel: an independent route against the
+    sampling estimators.  Needs t >= 4 T_MIN_THETA and mu < 1.
     """
-    require_positive("gamma", gamma)
-    require_positive("x", x)
     _require_t(t, 4.0 * T_MIN_THETA)
-    require_finite("mu", mu)
-    require_count("n", n, 2)
-    vs = np.geomspace(1e-6, 400.0, n)
-    ys, trusted = _psi(mu, t, vs, math.log(x) + np.log1p(gamma * vs))
-    return float(np.trapezoid(np.where(trusted, ys, 0.0), vs)) / x
+    value, _ = theta_yor_integral(x, gamma, mu, 0.25 * t)
+    return math.exp(-0.5 * mu * mu * t) / x * value
 
 
 def curve_general_mc(gamma, mu, t, x_grid, n, seed, threads=1):

@@ -158,8 +158,15 @@ class TerminalStats:
 def _trapezoid(total, last, first, dt, out=None):
     """dt (total - last/2 + first/2): the trapezoid integral over nodes
     0..k of v with step dt, from total = v_1 + ... + v_k, last = v_k and
-    first = v_0.  Elementwise over arrays; in place with out=total."""
-    out = np.subtract(total, 0.5 * last, out=out)
+    first = v_0.  Elementwise over C-contiguous arrays of one shape; in
+    place with out=total.  last/2 passes through one reused 64 KiB
+    buffer, so a 1 MiB tile forms no temporary its own size."""
+    out = np.array(total) if out is None else out
+    flat, last = out.reshape(-1), last.reshape(-1)
+    half = np.empty(min(flat.size, 2**13))
+    for k in range(0, flat.size, 2**13):
+        h = np.multiply(last[k : k + 2**13], 0.5, out=half[: flat.size - k])
+        flat[k : k + h.size] -= h
     out += 0.5 * first
     out *= dt
     return out

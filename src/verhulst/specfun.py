@@ -167,8 +167,8 @@ def bessel_product_F(nu, x, y):
 
 def _half_period_breaks(t, damp, log_cut, width, z_peak):
     """Panel breakpoints for an integrand e^{-z^2/(2t)} sinh(z) sin(pi z/t)
-    times a positive factor bounded by e^{-damp(z)}, with damp convex,
-    increasing and damp(0) = 0.
+    times a factor bounded by e^{-damp(z)}, with damp convex and damp(0)
+    = 0 (a negative damp is growth).
 
     Half-period panels of sin(pi z/t), at most `width` wide.  The log
     envelope -z^2/(2t) - damp(z) + z (sinh z < e^z) is concave, so past
@@ -206,10 +206,9 @@ def _theta_breaks(r, t, r_cap=None):
     The panel width is capped at min(1.5, 3.5/sqrt(r_cap)) so both the
     cosh envelope at large t and the near-Gaussian e^{-r z^2/2} envelope
     at large r stay resolved by a 16-node rule.  The cut is at ABS_TOL *
-    _Z_CUT_FACTOR on the e^{r} scale of the value (prefactor r/sqrt(2
-    pi^3 t) e^{pi^2/(2t)}), and
-    the envelope peak solves 1 - z/t - r sinh z = 0, so z* <= min(t,
-    asinh(1/r)).
+    _Z_CUT_FACTOR on the e^{r} scale of the value (prefactor r/sqrt(2 pi^3
+    t) e^{pi^2/(2t)}), and the envelope peak solves 1 - z/t - r sinh z =
+    0, so z* <= min(t, asinh(1/r)).
 
     Grid callers pass r = smallest element (weakest damping, so the range
     covers every element) and r_cap = largest (finest width requirement
@@ -243,25 +242,21 @@ def _sign_rule(vals, unsigned, t, what):
 
 def hartman_watson_theta(r, t):
     """Hartman-Watson function Theta(r,t), the kernel whose Laplace
-    transform in nu^2/2 is I_nu(r).
+    transform in nu^2/2 is I_nu(r),
 
-    Theta(r,t) = r/sqrt(2 pi^3 t) * e^{pi^2/(2t)} *
-                 integral_0^inf e^{-z^2/(2t)} e^{-r cosh z} sinh(z)
-                 sin(pi z / t) dz
+        Theta(r,t) = r/sqrt(2 pi^3 t) e^{pi^2/(2t)} integral_0^inf
+                     e^{-z^2/(2t)} e^{-r cosh z} sinh(z) sin(pi z/t) dz,
 
-    Parameters
-    ----------
-    r, t : finite floats, r > 0 and t >= T_MIN_THETA.  Below T_MIN_THETA
-        the e^{pi^2/(2t)} prefactor amplifies roundoff past any tolerance
-        (DomainError; no small-t scheme is attempted).
-
-    Gauss-Legendre 16 on panels aligned with the sign changes of
-    sin(pi z/t), evaluated as e^{-r} times hartman_watson_theta_grid of
-    the one r; the density integrands consume that grid's e^{r}-scaled
-    value directly (their own exponentials absorb the e^{-r}).  The sign
-    rule is _sign_rule's on the e^{r} scale, the scale of the quadrature
-    cut, whose depth ABS_TOL * _Z_CUT_FACTOR it allows: at r = 1e-8 and
-    t = 4 the scaled value is -1.1e-10, honest truncation noise.
+    for finite r > 0 and t >= T_MIN_THETA (below it the e^{pi^2/(2t)}
+    prefactor amplifies roundoff past any tolerance: DomainError).  It is
+    e^{-r} times hartman_watson_theta_grid of the one r, Gauss-Legendre 16
+    on the half periods of sin(pi z/t).  No library code calls it (the
+    conditional Laplace kernel reads the grid's e^{r} scale, the densities
+    take Theta's integral inside theirs); it stays public as the paper's
+    unscaled Theta(r, t), the reference the tests hold the grid to.  The
+    sign rule is _sign_rule's on the e^{r} scale, that of the quadrature
+    cut, whose depth ABS_TOL * _Z_CUT_FACTOR it allows: at r = 1e-8 and t
+    = 4 the scaled value is -1.1e-10, honest truncation noise.
     """
     return float(hartman_watson_theta_grid(np.array([float(r)]), t)[0]) * math.exp(-r)
 
@@ -279,13 +274,9 @@ def hartman_watson_theta_grid(rs, t, with_floor=False):
     below ABS_TOL * _Z_CUT_FACTOR on the e^{r} scale, or, when the largest
     r narrows the panel width below the half-period t, finer panels.
 
-    with_floor additionally returns the mask `trusted`: values above 30
-    times the *realistic* cancellation floor 8 eps * prefactor * unsigned
-    mass.  At small r the true value sinks below that floor (Theta
-    vanishes faster than any power of r) and an untrusted output is
-    positive noise a caller must discount.  The raise guard keeps the
-    larger REL_TOL-based floor so that an honest tiny negative never
-    trips it.
+    with_floor also returns the mask `trusted` of values above 30 times the
+    floor 8 eps * prefactor * unsigned mass; below it a vanishing Theta is
+    positive noise (the raise guard keeps the larger REL_TOL-based floor).
     """
     rs = np.asarray(rs, dtype=float)
     if rs.ndim != 1 or rs.size == 0:
@@ -304,8 +295,8 @@ def hartman_watson_theta_grid(rs, t, with_floor=False):
     cz = np.cosh(z) - 1.0
     sums = np.empty((2, rs.size))
     # rows of r in 256 KiB blocks: every entry and row sum is the same
-    # whatever the block, and density_general_quad's 2084 r x 576 z no
-    # longer hold 9.6 MB at once
+    # whatever the block, and a table of thousands of r (the bridge
+    # curve's interpolant) never holds its whole r x z matrix at once
     rows = max(1, 2**15 // z.size)
     for i in range(0, rs.size, rows):
         # in place: at 240 r x 300 z, allocating a fresh matrix for each
@@ -430,6 +421,61 @@ def theta_k1_log_integral(x, w, t):
     val = float(_sign_rule(pref * terms.sum(), pref * np.abs(terms).sum(), t,
                            "theta_k1_log_integral"))
     return math.log(val) + math.log(k1[0]) - math.log(rho0) if val > 0.0 else -math.inf
+
+
+def theta_yor_integral(x, gamma, mu, t):
+    """(value, bound) of the Theta mixture behind the general-drift density:
+    Yor's joint law along e^b = x (1 + gamma a), with Theta(r, t)'s own
+    integral inside, e^{-r cosh zeta} (r = 4q/v) joining e^{-2(1+q)^2/v} e^r:
+
+        I = e^{pi^2/(2t)}/sqrt(2 pi^3 t) integral_0^inf e^{-zeta^2/(2t)}
+            sinh(zeta) sin(pi zeta/t) D(zeta) dzeta,   c = cosh(zeta) - 1,
+        D = integral_0^inf 2 q^{2mu+1} v^{-2} e^{-2(1+q)^2/v} [e^{-c r} - 1
+            + c r] dv,   q^2 = x (1 + gamma v).
+
+    No Theta value is formed.  -1 + c r change nothing: the zeta kernel
+    times any power of cosh(zeta) integrates to 0 (Theta(r)/r vanishes to
+    every order at r = 0).  They leave a v-tail ~ v^{mu-5/2}; c r's
+    coefficient diverges from mu = 1 on (DomainError, as for t <
+    T_MIN_THETA).  zeta: _half_period_breaks, damping -zeta for D ~ c, cut
+    at eps.  v: the trapezoid in ln v at a step <= 1/10, from where
+    e^{-2(1+q)^2/v}/v is 1e-17 of its peak to 10 deviations past the law's
+    own mass, in ln v a Gaussian of deviation 2 sqrt(t) centred below ln(4
+    x gamma) + 4 mu t.  The bound adds the zeta sum's floor (8 eps times
+    its absolute terms), the v rule's halving difference (the even nodes'
+    trapezoid, no extra evaluation) and eps times each v exponent.
+    """
+    require_positive("x", x)
+    require_positive("gamma", gamma)
+    if not (mu < 1.0 and math.isfinite(mu) and math.isfinite(t) and t >= T_MIN_THETA):
+        raise DomainError(f"mu must be finite and < 1, t >= {T_MIN_THETA:g}: mu={mu:g}, t={t:g}")
+    u_lo = math.log(2.0 * (1.0 + math.sqrt(x)) ** 2 / 45.0)
+    u_hi = max(30.0, math.log(16.0 * x * (1.0 + gamma)) + 4.0 * max(mu, 0.0) * t + 20.0 * t**0.5)
+    if not u_hi + math.log1p(gamma) + max(math.log(x), 0.0) < _LOG_DBL_MAX:
+        raise DomainError(f"theta_yor_integral: v overflows at x={x:g}, gamma={gamma:g}")
+    u = np.linspace(u_lo, u_hi, 2 * math.ceil(5.0 * (u_hi - u_lo)) + 1)
+    lq = 0.5 * (math.log(x) + np.log1p(gamma * np.exp(u)))
+    expo = (2.0 * mu + 1.0) * lq - u - 2.0 * (1.0 + np.exp(lq)) ** 2 * np.exp(-u)
+    z, gw = _panels(_half_period_breaks(t, lambda z: -z, math.log(_EPS), 1.5, 2.0 * t))
+    with np.errstate(under="ignore"):
+        f = 2.0 * (u[1] - u[0]) * np.exp(expo)
+        kern = np.exp(-z * z / (2.0 * t)) * np.sinh(z) * np.sin(np.pi * z / t) * gw
+    f[[0, -1]] *= 0.5
+    halving = np.where(np.arange(u.size) % 2 == 1, -f, f)  # the even nodes' rule less f's
+    sums = np.zeros((2, u.size))  # at each v node, the zeta sum and that of its absolute terms
+    rows = max(1, 2**15 // u.size)  # zeta in 256 KiB blocks
+    taylor = [1.0 / math.factorial(k) for k in range(18, 1, -1)]  # (e^y - 1 - y)/y^2
+    for i in range(0, z.size, rows):
+        cr = np.multiply.outer(2.0 * np.sinh(0.5 * z[i : i + rows]) ** 2, 4.0 * np.exp(lq - u))
+        bracket = np.expm1(-cr) + cr
+        near = cr < 1.0  # where that cancels, Taylor to degree 18: within 1e-17
+        bracket[near] = np.polyval(taylor, -cr[near]) * cr[near] ** 2
+        sums += np.stack((kern[i : i + rows], np.abs(kern[i : i + rows]))) @ bracket
+    pref = math.exp(math.pi**2 / (2.0 * t)) / math.sqrt(2.0 * math.pi**3 * t)
+    unsigned = pref * float(sums[1] @ f)
+    val = float(_sign_rule(pref * float(sums[0] @ f), unsigned, t, "theta_yor_integral"))
+    bound = 8.0 * _EPS * unsigned + pref * abs(float(sums[0] @ halving))
+    return val, bound + _EPS * pref * float(np.abs(expo * f) @ np.abs(sums[0]))
 
 
 def phi_arcosh(x, y):

@@ -35,7 +35,6 @@ from verhulst.density import (
     exp_time_total_mass,
     lognormal_density,
     moment_exp_int_theta,
-    myor_psi_profile,
     write_density_csv,
 )
 from verhulst.errors import DomainError
@@ -86,9 +85,102 @@ EXACT_HALF_PINS = [  # (x, t, w, density)
 # and 2.6e-12 at t = 0.2, 0.25, 0.5 and from 1 on.
 EXACT_HALF_REL_TOL = {0.2: 2e-7, 0.25: 1e-9, 0.5: 1e-12, 1.0: 1e-14, 2.0: 1e-14, 4.0: 1e-14}
 
-# Frozen from mpmath quadrature of the scaled kernel (dps=30):
-# psi(mu=0, t=1, v=1, x=0) = e^{-8}/2 * e^{4} Theta(4, 1/4).
-PSI_0_1_1_0 = 0.54938143689263459
+# Frozen from mpmath at dps=40: the zeta-v double integral of the
+# general-drift density at gamma = 1, tau = t/4, q^2 = x (1 + v),
+# e^{-mu^2 t/2} e^{pi^2/(2 tau)}/(x sqrt(2 pi^3 tau)) integral_0^inf
+# e^{-z^2/(2 tau)} sinh z sin(pi z/tau) [G(z) - G(0)] dz, with G(z) - G(0) =
+# integral_0^inf 2 q^{2mu+1} v^{-2} e^{-2(1+q)^2/v} expm1(-(4q/v)(cosh z - 1)) dv:
+# z split at the zeros of the sine out to an envelope of 1e-56, ln v on
+# panels of width 2 up to 40, Gauss-Legendre 24 on every panel.  Halving both
+# panel widths agrees to 21 digits at (t, mu, x) = (0.8, 0.9, 0.01); 48 nodes
+# a panel with v taken to e^{50} agree to 29 at (4, -0.5, 20).  At (1, 0, 1)
+# and (0.8, 0.3, 0.1) the double integral of Yor's joint law psi(v, ln x +
+# ln(1 + v))/x over v, with mpmath's Theta(4q/v, t/4) from its defining
+# integral split at the sine's zeros, agrees to 22 and 19 digits (dps=40):
+# 0.3541294290772711690183182 and 0.2264794840371005329199806.
+GENERAL_QUAD_PINS = [  # (t, mu, x, density)
+    (0.8, -0.5, 0.01, 0.001810449849344602704),
+    (0.8, -0.5, 0.1, 1.0284804242833853785),
+    (0.8, -0.5, 1, 0.2486054862432419646),
+    (0.8, -0.5, 8, 8.6580102701422625531e-9),
+    (0.8, -0.5, 20, 5.599356756930695796e-20),
+    (0.8, 0, 0.01, 2.1900179001531249208e-4),
+    (0.8, 0, 0.1, 0.42392839799265933344),
+    (0.8, 0, 1, 0.41176803317362084196),
+    (0.8, 0, 8, 7.410228254274668073e-8),
+    (0.8, 0, 20, 1.1197093387435373348e-18),
+    (0.8, 0.3, 0.01, 5.603313228609144012e-5),
+    (0.8, 0.3, 0.1, 0.22647948403710053289),
+    (0.8, 0.3, 1, 0.50882079095559771322),
+    (0.8, 0.3, 8, 2.4802109186456375063e-7),
+    (0.8, 0.3, 20, 6.2597473655574499168e-18),
+    (0.8, 0.9, 0.01, 2.9569520153816728667e-6),
+    (0.8, 0.9, 0.1, 0.052186706248123617735),
+    (0.8, 0.9, 1, 0.63348568762130911828),
+    (0.8, 0.9, 8, 2.3270417146595779783e-6),
+    (0.8, 0.9, 20, 1.6530267324257353496e-16),
+    (1, -0.5, 0.01, 0.022050384816993806539),
+    (1, -0.5, 0.1, 1.6855086291136769223),
+    (1, -0.5, 1, 0.1898949686982546863),
+    (1, -0.5, 8, 6.6058156645367938085e-9),
+    (1, -0.5, 20, 4.4128643975330378334e-20),
+    (1, 0, 0.01, 0.0028009512404591102976),
+    (1, 0, 0.1, 0.74383465425510476111),
+    (1, 0, 1, 0.35412942907727116902),
+    (1, 0, 8, 6.7317354026582754955e-8),
+    (1, 0, 20, 1.0623528837407914677e-18),
+    (1, 0.3, 0.01, 7.2062976688188365145e-4),
+    (1, 0.3, 0.1, 0.40452906823176207783),
+    (1, 0.3, 1, 0.46047486003305680372),
+    (1, 0.3, 8, 2.4595955015529101809e-7),
+    (1, 0.3, 20, 6.5280326995125532717e-18),
+    (1, 0.9, 0.01, 3.6450374643154818888e-5),
+    (1, 0.9, 0.1, 0.091707784217622013887),
+    (1, 0.9, 1, 0.60739538291262154749),
+    (1, 0.9, 8, 2.652376645513760795e-6),
+    (1, 0.9, 20, 2.0096286401565649446e-16),
+    (2, -0.5, 0.01, 2.5323194373666248755),
+    (2, -0.5, 0.1, 3.2817367835116492245),
+    (2, -0.5, 1, 0.065234345816144990468),
+    (2, -0.5, 8, 1.6630941810667091172e-9),
+    (2, -0.5, 20, 1.0898988375036948519e-20),
+    (2, 0, 0.01, 0.41299445593205380855),
+    (2, 0, 0.1, 2.0343027580725698557),
+    (2, 0, 1, 0.20267300652010108291),
+    (2, 0, 8, 3.2082152496403781327e-8),
+    (2, 0, 20, 5.0769336944931353e-19),
+    (2, 0.3, 0.01, 0.10987237902949081022),
+    (2, 0.3, 0.1, 1.2168224535285987596),
+    (2, 0.3, 1, 0.32714658704287202242),
+    (2, 0.3, 8, 1.5855791512088352375e-7),
+    (2, 0.3, 20, 4.27757671014599094e-18),
+    (2, 0.9, 0.01, 0.0045775361989068829106),
+    (2, 0.9, 0.1, 0.26291015288510448247),
+    (2, 0.9, 1, 0.55290839663301255774),
+    (2, 0.9, 8, 2.6565260921825703148e-6),
+    (2, 0.9, 20, 2.1025726775871011399e-16),
+    (4, -0.5, 0.01, 15.858717086402955826),
+    (4, -0.5, 0.1, 2.3619466333477007881),
+    (4, -0.5, 1, 0.016203508818391109604),
+    (4, -0.5, 8, 3.0643554542684022265e-10),
+    (4, -0.5, 20, 1.9348840852124088996e-21),
+    (4, 0, 0.01, 4.2545477817684170541),
+    (4, 0, 0.1, 2.6959295309969179223),
+    (4, 0, 1, 0.10647683167819795776),
+    (4, 0, 8, 1.346592971090282138e-8),
+    (4, 0, 20, 2.0774187934176547935e-19),
+    (4, 0.3, 0.01, 1.2303960636926798369),
+    (4, 0.3, 0.1, 1.9255910758563357348),
+    (4, 0.3, 1, 0.22946318617526443981),
+    (4, 0.3, 8, 9.3539668245829942962e-8),
+    (4, 0.3, 20, 2.4780299966453903953e-18),
+    (4, 0.9, 0.01, 0.038337643836342636976),
+    (4, 0.9, 0.1, 0.41259183174524018869),
+    (4, 0.9, 1, 0.52047519334372160009),
+    (4, 0.9, 8, 2.3486590597123699499e-6),
+    (4, 0.9, 20, 1.8502341459425842745e-16),
+]
+
 # Conditional Laplace transform at (mu=0, t=1, v=1, log endpoint 0, lam=1).
 COND_0_1_1_0_1 = 0.58677258519288161
 # Tilt kernel at (gamma=1, mu=0, t=1, v=1, endpoint 1) = e^{1/2} * the value above.
@@ -388,61 +480,6 @@ def test_mixture_rate_domain():
         density_exp_time_mixture(1.0, 20.0, 1.0)  # beyond the anchor range
 
 
-# --- joint density of (a_t, B_t + mu t) --------------------------------------
-
-
-def test_psi_frozen_value():
-    psi = myor_psi_profile(0.0, 1.0, [1.0], 0.0)[0]
-    assert psi == pytest.approx(PSI_0_1_1_0, rel=1e-6)
-
-
-def test_psi_profile_matches_scalar():
-    vs = np.array([0.3, 1.0, 2.5])
-    prof = myor_psi_profile(0.2, 1.0, vs, 0.5)
-    for v, p in zip(vs, prof):
-        assert p == pytest.approx(myor_psi_profile(0.2, 1.0, [v], 0.5)[0], rel=1e-12)
-
-
-def test_psi_double_normalization():
-    xs = np.linspace(-6.0, 6.0, 121)
-    vs = np.geomspace(1e-3, 80.0, 500)
-    marg = np.array([np.trapezoid(myor_psi_profile(0.0, 1.0, vs, x), vs) for x in xs])
-    mass = float(np.trapezoid(marg, xs))
-    assert abs(mass - 1.0) < 5e-3
-
-
-@pytest.mark.parametrize("x", [-1.0, 0.0, 1.0])
-def test_psi_x_marginal_is_gaussian(x):
-    vs = np.geomspace(1e-3, 120.0, 800)
-    marg = float(np.trapezoid(myor_psi_profile(0.0, 1.0, vs, x), vs))
-    target = math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
-    assert abs(marg - target) / target < 5e-3
-
-
-def test_psi_v_marginal_ks():
-    # v-marginal CDF by quadrature of the profile over x, vs simulated a_t
-    stats = simulate_terminal_batch(
-        ModelParams(mu=0.0, beta=0.0, x0=1.0), TimeGrid(1.0, 1000), 100_000, seed=17
-    )
-    a = np.sort(stats.a)
-    vs = np.geomspace(5e-3, 60.0, 900)
-    xs = np.linspace(-7.0, 7.0, 141)
-    dens = np.zeros_like(vs)
-    for i, x in enumerate(xs):
-        row = myor_psi_profile(0.0, 1.0, vs, x)
-        dens += row * (xs[1] - xs[0]) * (0.5 if i in (0, len(xs) - 1) else 1.0)
-    vcdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(vs))])
-    ks = ks_stat(a, np.interp(a, vs, vcdf))
-    assert ks < 1e-2
-
-
-def test_psi_domain():
-    with pytest.raises(DomainError):
-        myor_psi_profile(0.0, 0.5, [1.0], 0.0)  # t below 4*t_min_theta
-    with pytest.raises(DomainError):
-        myor_psi_profile(0.0, 1.0, [-1.0], 0.0)
-
-
 # --- conditional Laplace transform -------------------------------------------
 
 
@@ -509,7 +546,7 @@ def test_h_kernel_domain():
 def test_general_quad_matches_small_gamma_lognormal():
     for x in (0.5, 1.0, 2.0):
         q = density_general_quad(1e-8, 0.3, 1.0, x)
-        assert q == pytest.approx(lognormal_density(0.3, 1.0, x), rel=1e-4)
+        assert q == pytest.approx(lognormal_density(0.3, 1.0, x), rel=1e-7)
 
 
 def test_general_quad_normalization():
@@ -518,10 +555,37 @@ def test_general_quad_normalization():
     assert abs(float(np.trapezoid(ys, xg)) - 1.0) < 5e-3
 
 
-def test_general_quad_resolution_stable():
-    a = density_general_quad(1.0, 0.0, 1.0, 1.0, n=2000)
-    b = density_general_quad(1.0, 0.0, 1.0, 1.0, n=8000)
-    assert a == pytest.approx(b, rel=1e-4)
+@pytest.mark.parametrize(
+    "t,mu,x,ref", GENERAL_QUAD_PINS,
+    ids=[f"t={t:g},mu={mu:g},x={x:g}" for t, mu, x, _ in GENERAL_QUAD_PINS],
+)
+def test_general_quad_mpmath_pins(t, mu, x, ref):
+    # no slack: the bound covers the miss at every pin, and from t = 1 on
+    # it is within 1e-7 relative on x in [0.1, 8]
+    value, bound = specfun.theta_yor_integral(x, 1.0, mu, t / 4)
+    scale = math.exp(-0.5 * mu * mu * t) / x
+    assert density_general_quad(1.0, mu, t, x) == scale * value
+    assert abs(scale * value - ref) <= scale * bound
+    if t >= 1.0 and 0.1 <= x <= 8.0:
+        assert bound <= 1e-7 * value
+
+
+def test_general_quad_calls_no_theta(monkeypatch):
+    # one zeta integral: no Theta node set per point
+    def refuse(*args, **kwargs):
+        raise AssertionError("density_general_quad evaluated Theta")
+
+    monkeypatch.setattr(density, "hartman_watson_theta_grid", refuse)
+    monkeypatch.setattr(specfun, "hartman_watson_theta_grid", refuse)
+    assert density_general_quad(1.0, 0.0, 1.0, 1.0) > 0.0
+
+
+def test_general_quad_refuses_mu_from_one():
+    # the degree-1 coefficient of the v integral diverges from mu = 1 on
+    assert density_general_quad(1.0, 0.99, 1.0, 1.0) > 0.0
+    for mu in (1.0, 1.5):
+        with pytest.raises(DomainError, match="mu must be finite and < 1"):
+            density_general_quad(1.0, mu, 1.0, 1.0)
 
 
 def test_general_mc_small_gamma_is_lognormal():
@@ -614,10 +678,6 @@ _NON_FINITE = {
     "moment t=inf": lambda: moment_exp_int_theta(ModelParams(mu=0.0, beta=1.0), _INF),
     "myor v=nan": lambda: conditional_laplace(1.0, 1.0, [1.0, _NAN], 1.0, np.log, 0.0),
     "myor lam=nan": lambda: conditional_laplace(_NAN, 1.0, [1.0], 1.0, np.log, 0.0),
-    "psi t=nan": lambda: myor_psi_profile(0.0, _NAN, [1.0], 0.0),
-    "psi v=nan": lambda: myor_psi_profile(0.0, 1.0, [1.0, _NAN], 0.0),
-    "psi mu=nan": lambda: myor_psi_profile(_NAN, 1.0, [1.0], 0.0),
-    "psi x=nan": lambda: myor_psi_profile(0.0, 1.0, [1.0], _NAN),
     "h_kernel x=nan": lambda: conditional_laplace(1.0, 1.0, [1.0], _NAN, np.log, 0.0),
 }
 
@@ -633,7 +693,6 @@ _NON_INTEGRAL = {
     ),
     "curve_exp_time n_points=nan": ("n_points", lambda: curve_exp_time(1.0, 1.0, n_points=_NAN)),
     "curve_lognormal n_points=nan": ("n_points", lambda: curve_lognormal(0.0, 1.0, n_points=_NAN)),
-    "quad n=nan": ("n", lambda: density_general_quad(1.0, 0.0, 1.0, 1.0, n=_NAN)),
 }
 _REFUSALS = {
     **{key: ("must be finite", call) for key, call in _NON_FINITE.items()},

@@ -569,8 +569,9 @@ def _traced_peak_mib(call):
 
 
 def test_sampler_working_memory():
-    # two reused 1 MiB tile buffers, one tile-sized temporary and the
-    # outputs, whatever n: a tile-sized temporary more per tile shows here
+    # two reused 1 MiB tile buffers and the outputs, whatever n (3.4 MiB;
+    # 4.3 with a tile-sized temporary for the running trapezoid's halves):
+    # a tile-sized temporary more per tile shows here
     # before it shows in a process's peak RSS
     batch = _traced_peak_mib(lambda: simulate_terminal_batch(
         ModelParams(mu=0.0, beta=1.0), TimeGrid(1.0, 1000), 8192, seed=1))

@@ -34,6 +34,7 @@ from verhulst.specfun import (
     phi_arcosh,
     theta_k1_log_integral,
     theta_time_laplace,
+    theta_yor_integral,
 )
 
 mpmath.mp.dps = 30
@@ -305,6 +306,21 @@ def test_theta_refuses_cosh_overflow():
         hartman_watson_theta(1e-310, 1e4)
     with pytest.raises(DomainError, match="cosh"):
         theta_k1_log_integral(1e-200, 1e-200, 1e6)
+
+
+def test_theta_yor_integral_domain():
+    # its degree-1 coefficient diverges from mu = 1 on; a v node of e^{u_hi}
+    # times x (1 + gamma) past DBL_MAX is refused, not turned into NaN
+    with pytest.raises(DomainError, match="mu must be finite and < 1"):
+        theta_yor_integral(1.0, 1.0, 1.0, 0.25)
+    with pytest.raises(DomainError, match="must be finite"):
+        theta_yor_integral(1.0, 1.0, math.nan, 0.25)
+    with pytest.raises(DomainError, match=">= 0.2"):
+        theta_yor_integral(1.0, 1.0, 0.0, 0.19)
+    with pytest.raises(DomainError, match="overflows"):
+        theta_yor_integral(1e300, 1.0, 0.0, 0.25)
+    value, bound = theta_yor_integral(1.0, 1.0, 0.0, T_MIN_THETA)
+    assert 0.0 < bound < 1e-6 * value
 
 
 def test_k1_scaled_mpmath_grid():
