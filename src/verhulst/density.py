@@ -96,41 +96,40 @@ def density_exact_half(x_start, t, w):
 
     p_t(w) = e^{-t/8} e^{x-w} sqrt(x/w^3) integral_0^inf
     e^{-z/2 - (x+w)^2/(2z)} e^{xw/z} Theta(xw/z, t) dz/z with x = x_start.
-    The z integral is closed (specfun.theta_k1_log_integral), which leaves
-
-        p_t(w) = e^{-t/8 - 2w} 2 x^{3/2} w^{-1/2} H(x, w, t),
-        H = e^{pi^2/(2t)}/sqrt(2 pi^3 t) integral_0^inf e^{-zeta^2/(2t)}
-            sinh(zeta) sin(pi zeta/t) e^{rho0-rho} e^{rho} K_1(rho)/rho dzeta,
-
-    rho = sqrt(x^2 + w^2 + 2xw cosh zeta), rho0 = x + w (Gradshteyn-
-    Ryzhik 3.471.9 for the z integral): one oscillatory integral on
-    Theta's half-period panels, 64-320 nodes near the bulk at x = 1 for t
-    from 0.2 to 4, each node's e^{rho} K_1(rho) a 22-93 node trapezoid
-    sum.  Formed in logs, so it holds at any start.  Against the 40-digit
-    mpmath pins of tests/test_density.py (tabled in the README) it is at
-    most 6.1e-8 off relative at t = 0.2 and 1.3e-15 from t = 1 on: below
-    t = 0.5, rounding amplified by e^{pi^2/(2t)}.  Needs t >= T_MIN_THETA.
+    The z integral is closed (Gradshteyn-Ryzhik 3.471.9), which leaves
+    p_t(w) = e^{-t/8 - 2w} 2 x^{3/2} w^{-1/2} H(x, w, t), H the one zeta
+    integral of specfun.theta_k1_log_integral.  Formed in logs, so no start
+    overflows it.  Near the bulk it is at most 3.3e-8 off relative at t =
+    0.2 and 1.1e-15 from t = 1 on, against the 40-digit mpmath pins of
+    tests/test_density.py (tabled in the README): below t = 0.5, rounding
+    amplified by e^{pi^2/(2t)}.  In the left tail at small t that rounding
+    is the value (1.20e-8 against 3.65e-11 at (x, t, w) = (1, 0.25, 0.02));
+    its bound, H's relative floor, comes back from _exact_half, and
+    curve_exact_half reports the largest.  Needs t >= T_MIN_THETA.
     """
-    x = float(x_start)
-    w = float(w)
-    _require_t(t, T_MIN_THETA)
-    require_positive("x_start", x)
-    require_positive("w", w)
-    log_h = theta_k1_log_integral(x, w, t)
+    return _exact_half(x_start, t, w)[0]
+
+
+def _exact_half(x, t, w):
+    """(density_exact_half, relative floor of theta_k1_log_integral)."""
+    log_h, rel_floor = theta_k1_log_integral(x, w, t)
     log_pref = -0.125 * t - 2.0 * w + math.log(2.0) + 1.5 * math.log(x) - 0.5 * math.log(w)
-    return math.exp(log_pref + log_h)
+    return math.exp(log_pref + log_h), rel_floor
 
 
 def curve_exact_half(x_start, t, n_points=600):
     """Fixed-time density curve on the log grid exp(ln(x0/(1 + x0 t)) - t/2
-    +- 8 sqrt(t)): theta_t = x0 e^{B_t - t/2}/(1 + x0 a_t) forgets a large x0."""
+    +- 8 sqrt(t)): theta_t = x0 e^{B_t - t/2}/(1 + x0 a_t) forgets a large x0.
+    params end with the largest relative floor of a point, with its w."""
     require_positive("x_start", x_start)
     _require_t(t, T_MIN_THETA)
     require_count("n_points", n_points, 2)
     center = math.log(x_start / (1.0 + x_start * t)) - 0.5 * t
     grid = np.exp(np.linspace(center - 8.0 * math.sqrt(t), center + 8.0 * math.sqrt(t), n_points))
-    vals = np.array([density_exact_half(x_start, t, w) for w in grid])
-    return DensityCurve(grid, vals, kind="exact_half", params=f"x={x_start:g} t={t:g}")
+    vals, floors = np.array([_exact_half(x_start, t, w) for w in grid]).T
+    k = int(np.argmax(floors))
+    params = f"x={x_start:g} t={t:g} floor_max={floors[k]:.3g}@w={grid[k]:.4g}"
+    return DensityCurve(grid, vals, kind="exact_half", params=params)
 
 
 def density_exp_time(x_start, lam, z):
@@ -230,7 +229,7 @@ def conditional_laplace(lam, t, v, x, log_theta, r_rel):
     broadcasts against v, such as a row of endpoints against a 2-d v
     whose column k holds draws given x[k]; a scalar gives the bits of the
     same x in an array.  log_theta maps log r to log Theta~(r, t/4),
-    Theta~ = e^{r} Theta as hartman_watson_theta_grid returns it; r_rel is
+    Theta~ = e^{r} Theta, the values of hartman_watson_theta_grid; r_rel is
     its trust edge, 0 for an exact Theta.
 
     Grouped so the only exponential is exp(r0 - phi - lam (1+x) (coth s
@@ -334,7 +333,8 @@ def _theta_log_interp(r_lo, r_hi, tau, n=2000):
     the lookup equals np.interp bit for bit, its end clamps included.
     """
     grid = np.geomspace(r_lo, r_hi, n)
-    vals, trusted = hartman_watson_theta_grid(grid, tau, with_floor=True)
+    vals, floor = hartman_watson_theta_grid(grid, tau)
+    trusted = vals > 30.0 * floor  # below it a vanishing Theta is positive noise
     logs = np.log(np.maximum(vals, 1e-300))
     lg = np.log(grid)
     # padded so that node n-1 is a panel of slope 0 that no L passes

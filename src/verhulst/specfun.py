@@ -226,18 +226,28 @@ def _theta_breaks(r, t, r_cap=None):
     )
 
 
-def _sign_rule(vals, unsigned, t, what):
-    """Values of a sin(pi z/t) quadrature, with `unsigned` the same sum of
-    absolute terms, under one sign rule: with the error floor (8 eps +
-    REL_TOL) * unsigned, a value below -max(ABS_TOL * _Z_CUT_FACTOR,
-    floor) raises ConvergenceError, and smaller negatives, which the cut
-    depth or the floor allow, are clamped to 0."""
+def _zeta_nodes(breaks, t):
+    """Gauss-Legendre 16 nodes z on `breaks`, and their weights times the
+    kernel e^{-z^2/(2t)} sinh(z) sin(pi z/t) of Theta and its mixtures."""
+    z, w = _panels(breaks)
+    return z, np.exp(-z * z / (2.0 * t)) * np.sinh(z) * np.sin(np.pi * z / t) * w
+
+
+def _zeta_value(signed, unsigned, t, what, scale=1.0):
+    """(value, floor 8 eps pref unsigned) of a _zeta_nodes sum `signed` times
+    pref = scale/sqrt(2 pi^3 t) e^{pi^2/(2t)}, `unsigned` its sum of absolute
+    terms.  A value below -max(ABS_TOL * _Z_CUT_FACTOR, (8 eps + REL_TOL)
+    pref unsigned) raises ConvergenceError; smaller negatives, which the
+    cut depth or the floor allow, are clamped to 0."""
+    pref = scale / math.sqrt(2.0 * math.pi**3 * t) * math.exp(math.pi**2 / (2.0 * t))
+    vals = pref * signed
+    unsigned = pref * unsigned
     guard = np.maximum(ABS_TOL * _Z_CUT_FACTOR, (8.0 * _EPS + REL_TOL) * unsigned)
     if (vals < -guard).any():
         raise ConvergenceError(
             f"{what} at t={t:g} negative beyond quadrature floor: {float(np.min(vals)):g}"
         )
-    return np.where(vals < 0.0, 0.0, vals)
+    return np.maximum(vals, 0.0), 8.0 * _EPS * unsigned
 
 
 def hartman_watson_theta(r, t):
@@ -254,17 +264,18 @@ def hartman_watson_theta(r, t):
     conditional Laplace kernel reads the grid's e^{r} scale, the densities
     take Theta's integral inside theirs); it stays public as the paper's
     unscaled Theta(r, t), the reference the tests hold the grid to.  The
-    sign rule is _sign_rule's on the e^{r} scale, that of the quadrature
+    sign rule is _zeta_value's on the e^{r} scale, that of the quadrature
     cut, whose depth ABS_TOL * _Z_CUT_FACTOR it allows: at r = 1e-8 and t
     = 4 the scaled value is -1.1e-10, honest truncation noise.
     """
-    return float(hartman_watson_theta_grid(np.array([float(r)]), t)[0]) * math.exp(-r)
+    return float(hartman_watson_theta_grid(np.array([float(r)]), t)[0][0]) * math.exp(-r)
 
 
-def hartman_watson_theta_grid(rs, t, with_floor=False):
-    """e^{r} Theta(r,t) for a 1-d array of r values at one scalar t: the
-    kernel behind hartman_watson_theta (quadrature and sign rule stated
-    there).
+def hartman_watson_theta_grid(rs, t):
+    """(values, floor) for a 1-d array of r at one scalar t: e^{r}
+    Theta(r,t), the kernel behind hartman_watson_theta (quadrature and sign
+    rule stated there), and per r its rounding floor, _zeta_value's 8 eps *
+    prefactor * unsigned mass, on the same scale.
 
     The call builds one node set from the smallest r (range) and the
     largest r (panel width, cut depth), and reduces each r on its own, so
@@ -273,10 +284,6 @@ def hartman_watson_theta_grid(rs, t, with_floor=False):
     only adds tail panels past that r's own cut, where its integrand is
     below ABS_TOL * _Z_CUT_FACTOR on the e^{r} scale, or, when the largest
     r narrows the panel width below the half-period t, finer panels.
-
-    with_floor also returns the mask `trusted` of values above 30 times the
-    floor 8 eps * prefactor * unsigned mass; below it a vanishing Theta is
-    positive noise (the raise guard keeps the larger REL_TOL-based floor).
     """
     rs = np.asarray(rs, dtype=float)
     if rs.ndim != 1 or rs.size == 0:
@@ -289,8 +296,7 @@ def hartman_watson_theta_grid(rs, t, with_floor=False):
         raise DomainError("theta needs finite r > 0")
     if not (math.isfinite(t) and t >= T_MIN_THETA):
         raise DomainError(f"theta t must be finite and >= {T_MIN_THETA:g}, got t={t:g}")
-    z, w = _panels(_theta_breaks(r_min, t, r_cap=r_max))
-    base = np.exp(-z * z / (2.0 * t)) * np.sinh(z) * np.sin(np.pi * z / t) * w
+    z, base = _zeta_nodes(_theta_breaks(r_min, t, r_cap=r_max), t)
     abs_base = np.abs(base)
     cz = np.cosh(z) - 1.0
     sums = np.empty((2, rs.size))
@@ -309,13 +315,7 @@ def hartman_watson_theta_grid(rs, t, with_floor=False):
         # in an order that depends on the number of rows
         sums[0, i : i + rows] = np.vecdot(damp, base)
         sums[1, i : i + rows] = np.vecdot(damp, abs_base)
-    pref = rs / math.sqrt(2.0 * math.pi**3 * t) * math.exp(math.pi**2 / (2.0 * t))
-    vals = pref * sums[0]
-    unsigned = pref * sums[1]
-    vals = _sign_rule(vals, unsigned, t, "theta")
-    if with_floor:
-        return vals, vals > 30.0 * (8.0 * _EPS * unsigned)
-    return vals
+    return _zeta_value(sums[0], sums[1], t, "theta", scale=rs)
 
 
 def _k1_nodes(rho0):
@@ -356,7 +356,7 @@ def _k1_scaled(rho, nodes):
 
 
 def theta_k1_log_integral(x, w, t):
-    """ln H(x, w, t), the Theta mixture behind the drift -1/2 density,
+    """(ln H, relative floor) of the Theta mixture behind the drift -1/2 density
 
         H = e^{x+w}/(2xw) integral_0^inf e^{-z/2 - (x^2+w^2)/(2z)}
             Theta(xw/z, t) dz/z,
@@ -383,13 +383,13 @@ def theta_k1_log_integral(x, w, t):
     envelope, relative to the integrand's amplitude S(rho0)/rho0 at zeta =
     0, falls below eps: e^{pi^2/(2t)} amplifies the dropped tail and the
     rounding of the sum alike, so the tail stays at the level of the sum's
-    own rounding floor, 8 eps times its absolute terms, at every t.  That
-    is 64-320 nodes near the bulk at x = 1 for t from 0.2 to 4 (131 on
-    average over t in [0.25, 4]), times the 22-93 nodes of S.  The sign
-    rule is _sign_rule's on the amplitude's scale; a value it clamps gives
-    -inf.  Where the cut would pass ln(DBL_MAX), which takes both a large
-    t and a tiny xw (t = 1e6 at x = w = 1e-200), DomainError.  Needs t >=
-    T_MIN_THETA.
+    rounding floor at every t.  That is 64-320 nodes near the bulk at x =
+    1 for t from 0.2 to 4 (131 on average over t in [0.25, 4]), times the
+    22-93 nodes of S.  The sign rule and floor are _zeta_value's on the
+    amplitude's scale; the floor over the value bounds H's relative
+    rounding, and a clamped value gives (-inf, inf).  Where the cut would
+    pass ln(DBL_MAX), which takes both a large t and a tiny xw (t = 1e6 at
+    x = w = 1e-200), DomainError.  Needs t >= T_MIN_THETA.
     """
     require_positive("x", x)
     require_positive("w", w)
@@ -405,22 +405,20 @@ def theta_k1_log_integral(x, w, t):
         a = 2.0 * sxw * math.sinh(0.5 * z)
         return a * (a / (math.hypot(rho0, a) + rho0))
 
-    z, gw = _panels(_half_period_breaks(
+    z, terms = _zeta_nodes(_half_period_breaks(
         t, gap, math.log(_EPS),
         min(1.5, 3.5 * math.sqrt(rho0) / sxw),
         min(t, 2.0 * math.asinh(0.5 * rho0 / sxw / sxw)),
-    ))
+    ), t)
     a = 2.0 * sxw * np.sinh(0.5 * z)
     rho = np.hypot(rho0, a)
     k1 = _k1_scaled(np.concatenate(([rho0], rho)), _k1_nodes(rho0))
     with np.errstate(under="ignore"):
-        terms = np.exp(-z * z / (2.0 * t) - a * (a / (rho + rho0)))
-    terms *= gw * np.sinh(z) * np.sin(np.pi * z / t)
-    terms *= k1[1:] / k1[0] * (rho0 / rho)
-    pref = math.exp(math.pi**2 / (2.0 * t)) / math.sqrt(2.0 * math.pi**3 * t)
-    val = float(_sign_rule(pref * terms.sum(), pref * np.abs(terms).sum(), t,
-                           "theta_k1_log_integral"))
-    return math.log(val) + math.log(k1[0]) - math.log(rho0) if val > 0.0 else -math.inf
+        terms *= np.exp(-a * (a / (rho + rho0))) * k1[1:] * (rho0 / k1[0] / rho)
+    val, floor = _zeta_value(terms.sum(), np.abs(terms).sum(), t, "theta_k1_log_integral")
+    if val > 0.0:
+        return math.log(val) + math.log(k1[0]) - math.log(rho0), float(floor / val)
+    return -math.inf, math.inf
 
 
 def theta_yor_integral(x, gamma, mu, t):
@@ -456,10 +454,9 @@ def theta_yor_integral(x, gamma, mu, t):
     u = np.linspace(u_lo, u_hi, 2 * math.ceil(5.0 * (u_hi - u_lo)) + 1)
     lq = 0.5 * (math.log(x) + np.log1p(gamma * np.exp(u)))
     expo = (2.0 * mu + 1.0) * lq - u - 2.0 * (1.0 + np.exp(lq)) ** 2 * np.exp(-u)
-    z, gw = _panels(_half_period_breaks(t, lambda z: -z, math.log(_EPS), 1.5, 2.0 * t))
+    z, kern = _zeta_nodes(_half_period_breaks(t, lambda z: -z, math.log(_EPS), 1.5, 2.0 * t), t)
     with np.errstate(under="ignore"):
         f = 2.0 * (u[1] - u[0]) * np.exp(expo)
-        kern = np.exp(-z * z / (2.0 * t)) * np.sinh(z) * np.sin(np.pi * z / t) * gw
     f[[0, -1]] *= 0.5
     halving = np.where(np.arange(u.size) % 2 == 1, -f, f)  # the even nodes' rule less f's
     sums = np.zeros((2, u.size))  # at each v node, the zeta sum and that of its absolute terms
@@ -471,11 +468,11 @@ def theta_yor_integral(x, gamma, mu, t):
         near = cr < 1.0  # where that cancels, Taylor to degree 18: within 1e-17
         bracket[near] = np.polyval(taylor, -cr[near]) * cr[near] ** 2
         sums += np.stack((kern[i : i + rows], np.abs(kern[i : i + rows]))) @ bracket
-    pref = math.exp(math.pi**2 / (2.0 * t)) / math.sqrt(2.0 * math.pi**3 * t)
-    unsigned = pref * float(sums[1] @ f)
-    val = float(_sign_rule(pref * float(sums[0] @ f), unsigned, t, "theta_yor_integral"))
-    bound = 8.0 * _EPS * unsigned + pref * abs(float(sums[0] @ halving))
-    return val, bound + _EPS * pref * float(np.abs(expo * f) @ np.abs(sums[0]))
+    unsigned = float(sums[1] @ f)
+    val, floor = _zeta_value(float(sums[0] @ f), unsigned, t, "theta_yor_integral")
+    # floor / (8 eps unsigned) is pref; the halving and exponent terms vanish with `unsigned`
+    extra = abs(float(sums[0] @ halving)) + _EPS * float(np.abs(expo * f) @ np.abs(sums[0]))
+    return float(val), float(floor + floor / (8.0 * _EPS * unsigned) * extra if floor else 0.0)
 
 
 def phi_arcosh(x, y):
@@ -621,7 +618,7 @@ def theta_time_laplace(r, s):
     if not math.isfinite(closed[0]):
         raise DomainError(f"theta_time_laplace(r={r:g}): e^r I_0.3(r) overflows")
     value, bound, _ = anchored_time_laplace(
-        lambda ti: hartman_watson_theta_grid([r], ti)[0],
+        lambda ti: hartman_watson_theta_grid([r], ti)[0][0],
         _T_LAPLACE_HI, s, s_anchors, closed, 4e-9 * (er + closed[0]),
     )
     scale = math.exp(-r)

@@ -78,9 +78,17 @@ EXACT_HALF_PINS = [  # (x, t, w, density)
     (60.0, 1.0, 0.5, 1.036302939232306588128),
     (200.0, 1.0, 0.8, 0.8143202027063999671638),
 ]
+# Left-tail points at small t, where the zeta sum cancels below its
+# rounding floor and the value returned is that rounding: the same K_1 form
+# at dps=100 on Gauss-Legendre 40 a half period (dps=130 and 56 nodes agree
+# to 45 digits; the first table row reads 0.18989496869825468630).
+EXACT_HALF_TAIL_PINS = [  # (x, t, w, density)
+    (1.0, 0.25, 0.02, 3.650372043750611725884652196978774872706e-11),
+    (16.228, 0.2908, 0.02898, 4.074262497155708660502917687811600832496e-22),
+]
 # Relative tolerance per t, applied as stated.  Below t = 0.5 rounding
-# amplified by e^{pi^2/(2t)} sets the error: at most 6.1e-8 at t = 0.2 and
-# 1.1e-10 at 0.25, against a floor (8 eps times the absolute zeta sum) of
+# amplified by e^{pi^2/(2t)} sets the error: at most 3.3e-8 at t = 0.2 and
+# 1.0e-10 at 0.25, against a floor (8 eps times the absolute zeta sum) of
 # 2.3e-6 and 1e-8.  The Theta-window route missed by 1.6e-6, 6e-8, 3.2e-11
 # and 2.6e-12 at t = 0.2, 0.25, 0.5 and from 1 on.
 EXACT_HALF_REL_TOL = {0.2: 2e-7, 0.25: 1e-9, 0.5: 1e-12, 1.0: 1e-14, 2.0: 1e-14, 4.0: 1e-14}
@@ -192,7 +200,7 @@ def exact_cond(lam, t, v, x):
     conditional_laplace on exact Theta with no trust edge: the formula the
     engine runs, without its interpolant."""
     return np.exp(conditional_laplace(
-        lam, t, v, x, lambda L: np.log(hartman_watson_theta_grid(np.exp(L), t / 4)), 0.0
+        lam, t, v, x, lambda L: np.log(hartman_watson_theta_grid(np.exp(L), t / 4)[0]), 0.0
     ))
 
 
@@ -312,6 +320,28 @@ def test_exact_half_default_curve_mass(t):
 @pytest.mark.parametrize("x,t,w,ref", EXACT_HALF_PINS)
 def test_exact_half_mpmath_pins(x, t, w, ref):
     assert abs(density_exact_half(x, t, w) / ref - 1.0) <= EXACT_HALF_REL_TOL[t]
+
+
+@pytest.mark.parametrize("x,t,w,ref", EXACT_HALF_PINS + EXACT_HALF_TAIL_PINS)
+def test_exact_half_relative_floor_bounds_miss(x, t, w, ref):
+    # no slack: the worst miss at EXACT_HALF_PINS is 0.2 of the floor; a
+    # value clamped to 0 knows no digit, and its floor is infinite
+    value, rel_floor = density._exact_half(x, t, w)
+    assert value == density_exact_half(x, t, w)
+    if value == 0.0:
+        assert rel_floor == math.inf
+    else:
+        assert abs(value - ref) <= rel_floor * value
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0])
+def test_exact_half_curve_reports_largest_floor(t):
+    # the default curve's far left tail is rounding at t = 0.25 and at t = 1
+    curve = curve_exact_half(1.0, t, n_points=60)
+    floors = np.array([density._exact_half(1.0, t, w)[1] for w in curve.abscissae])
+    k = int(np.argmax(floors))
+    assert floors[k] > 1.0 and k < 10
+    assert curve.params == f"x=1 t={t:g} floor_max={floors[k]:.3g}@w={curve.abscissae[k]:.4g}"
 
 
 LARGE_STARTS = [(20.0, 1.0), (30.0, 1.0), (60.0, 1.0), (200.0, 1.0),
@@ -720,11 +750,11 @@ def test_theta_log_interp_equals_np_interp(table, monkeypatch):
     r_lo, r_hi, tau, n = 0.02, 300.0, 0.25, 2000
     grid = np.geomspace(r_lo, r_hi, n)
     if table == "theta":
-        vals, _ = hartman_watson_theta_grid(grid, tau, with_floor=True)
+        vals, _ = hartman_watson_theta_grid(grid, tau)
     else:
         vals = np.exp(3.0 * np.random.default_rng(0).standard_normal(n))
         monkeypatch.setattr("verhulst.density.hartman_watson_theta_grid",
-                            lambda *_, **__: (vals, np.ones(n, dtype=bool)))
+                            lambda *_, **__: (vals, np.zeros(n)))
     interp, _ = _theta_log_interp(r_lo, r_hi, tau, n)
     lg = np.log(grid)
     logs = np.log(np.maximum(vals, 1e-300))

@@ -59,6 +59,13 @@ THETA_TABLE = [
     (2.0, 4.0, 0.014913821105394402),
     (3.0, 0.25, 14.570625381910979),
 ]
+# Theta where e^{pi^2/(2t)} amplifies the rounding of the zeta sum to a
+# sizeable part of the value, frozen from the same integral at dps=100 on
+# Gauss-Legendre 40 a half period (dps=130 and 56 nodes agree to 45 digits)
+THETA_SMALL_T_PINS = [
+    (1.0, 0.2, 1.342425555075608479681250288201457902278e-6),
+    (0.5, 0.25, 1.239664492518768304035656746885138420506e-8),
+]
 
 
 # --- modified Bessel I ------------------------------------------------------
@@ -205,13 +212,13 @@ def test_theta_frozen_values(r, t, ref):
 def test_theta_scaled_flag():
     for r, t, _ in THETA_TABLE:
         plain = hartman_watson_theta(r, t)
-        scaled = hartman_watson_theta_grid([r], t)[0]
+        scaled = hartman_watson_theta_grid([r], t)[0][0]
         assert scaled == pytest.approx(math.exp(r) * plain, rel=1e-12)
 
 
 def test_theta_grid_matches_scalar():
     rs = np.array([0.5, 1.0, 2.0, 5.0, 20.0])
-    grid = hartman_watson_theta_grid(rs, 1.0)
+    grid = hartman_watson_theta_grid(rs, 1.0)[0]
     for r, g in zip(rs, grid):
         assert g == pytest.approx(math.exp(r) * hartman_watson_theta(r, 1.0), rel=1e-9)
 
@@ -219,22 +226,22 @@ def test_theta_grid_matches_scalar():
 def test_theta_grid_rows_independent_of_batch():
     t = 0.25
     for r in (0.5, 2.0544, 17.12):
-        one = hartman_watson_theta_grid([r], t)[0]
+        one = hartman_watson_theta_grid([r], t)[0][0]
         assert hartman_watson_theta(r, t) == one * math.exp(-r)
         # a 0-d array t is the scalar t
-        assert hartman_watson_theta_grid([r], np.array(t))[0] == one
+        assert hartman_watson_theta_grid([r], np.array(t))[0][0] == one
     # 2.0 and 2.5 alone build the batch's node set; 3.0 alone does not
     rs = np.array([2.0, 2.5, 3.0])
     batch_breaks = _theta_breaks(rs.min(), t, r_cap=rs.max())
-    grid = hartman_watson_theta_grid(rs, t)
+    grid = hartman_watson_theta_grid(rs, t)[0]
     for r, g in zip(rs[:2], grid[:2]):
         assert np.array_equal(_theta_breaks(r, t), batch_breaks)
-        assert g == hartman_watson_theta_grid([r], t)[0]
+        assert g == hartman_watson_theta_grid([r], t)[0][0]
     # at each t, a value does not depend on where its r sits in the batch
     for ti in (t, 1.0, 4.0):
-        row = hartman_watson_theta_grid(rs, ti)
+        row = hartman_watson_theta_grid(rs, ti)[0]
         for perm in ([2, 1, 0], [1, 2, 0]):
-            assert np.array_equal(hartman_watson_theta_grid(rs[perm], ti), row[perm])
+            assert np.array_equal(hartman_watson_theta_grid(rs[perm], ti)[0], row[perm])
 
 
 def test_theta_grid_blocks_keep_bits():
@@ -246,11 +253,39 @@ def test_theta_grid_blocks_keep_bits():
     damp = np.exp(-np.multiply.outer(rs, np.cosh(z) - 1.0))
     pref = rs / math.sqrt(2.0 * math.pi**3 * t) * math.exp(math.pi**2 / (2.0 * t))
     ref = np.maximum(pref * np.vecdot(damp, base), 0.0)
-    assert np.array_equal(hartman_watson_theta_grid(rs, t), ref)
+    assert np.array_equal(hartman_watson_theta_grid(rs, t)[0], ref)
+
+
+@pytest.mark.parametrize("r,t,ref", THETA_SMALL_T_PINS)
+def test_theta_grid_floor_bounds_small_t_miss(r, t, ref):
+    # no slack: the miss is 1.1% of the value at (1, 0.2) and 1.1e-3 at
+    # (0.5, 0.25), within the returned floor
+    vals, floor = hartman_watson_theta_grid([r], t)
+    assert abs(vals[0] - math.exp(r) * ref) <= floor[0]
+
+
+def test_one_zeta_rule(monkeypatch):
+    # Theta and both of its mixtures take their nodes, kernel, prefactor,
+    # sign rule and floor from the one zeta rule, once a call
+    calls = {}
+    for name in ("_zeta_nodes", "_zeta_value"):
+        def counted(*args, _real=getattr(specfun, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, name, counted)
+    for call in (
+        lambda: hartman_watson_theta_grid([0.5, 2.0], 1.0),
+        lambda: theta_k1_log_integral(1.0, 1.0, 1.0),
+        lambda: theta_yor_integral(1.0, 1.0, 0.0, 0.25),
+    ):
+        calls.update(_zeta_nodes=0, _zeta_value=0)
+        call()
+        assert calls == {"_zeta_nodes": 1, "_zeta_value": 1}
 
 
 def test_theta_grid_t_shapes_and_domain(monkeypatch):
-    assert hartman_watson_theta_grid([1.0, 2.0], 1.0).shape == (2,)
+    assert hartman_watson_theta_grid([1.0, 2.0], 1.0)[0].shape == (2,)
     for t in ([1.0], np.empty(0), np.ones((2, 2))):
         with pytest.raises(DomainError, match="one scalar t"):
             hartman_watson_theta_grid([1.0], t)
@@ -268,14 +303,14 @@ def test_theta_grid_t_shapes_and_domain(monkeypatch):
     breaks = specfun._theta_breaks
     with monkeypatch.context() as m:
         m.setattr(specfun, "_theta_breaks", lambda r, t, r_cap=None: breaks(r, t, r_cap)[:3])
-        assert hartman_watson_theta_grid([0.1], 4.0)[0] > 0.0
+        assert hartman_watson_theta_grid([0.1], 4.0)[0][0] > 0.0
         for t in (0.7, 1.0):
             with pytest.raises(ConvergenceError, match=f"t={t:g} negative"):
                 hartman_watson_theta_grid([0.1], t)
     # t = 400 needs 4 breaks at r = 1, t = 0.25 needs 16
     with monkeypatch.context() as m:
         m.setattr(specfun, "_MAX_PANELS", 8)
-        assert hartman_watson_theta_grid([1.0], 400.0)[0] > 0.0
+        assert hartman_watson_theta_grid([1.0], 400.0)[0][0] > 0.0
         with pytest.raises(ConvergenceError, match="t=0.25 exceeded"):
             hartman_watson_theta_grid([1.0], 0.25)
 
