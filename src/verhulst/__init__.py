@@ -31,6 +31,7 @@ from .simulate import (
     laplace_mc_direct,
     laplace_mc_gbm,
     simulate_bridge_integrals,
+    simulate_bridge_window,
     simulate_exp_terminal,
     simulate_functional,
     simulate_terminal_batch,

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DomainError, require_count, require_finite, require_nonnegative, require_positive
+    ConvergenceError, DomainError, require_count, require_finite, require_nonnegative,
+    require_positive,
 )
 from .specfun import laplace_kernel_F
 
@@ -335,6 +336,37 @@ def simulate_exp_terminal(params, rate, dt, n, seed, threads=1):
     return out
 
 
+def _bridge_tiles(grid, m, rng):
+    """Row chunks of a block's m standard Brownian bridges Z on grid, in
+    the tile budget: yields (c0, e), e = e^Z at nodes 1..S-1 of bridges
+    c0..c0+len(e)-1.  Z is a walk drawn path-major (B_S comes with each
+    row), less j/S times its last node."""
+    S = grid.n_steps
+    sqdt = math.sqrt(grid.dt)
+    frac = np.arange(1, S) / S
+    rows = max(2, _BATCH_CHUNK_ELEMS // S)
+    w_buf = np.empty((min(m, rows), S))
+    e_buf = np.empty((w_buf.shape[0], S - 1))
+    for c0 in range(0, m, rows):
+        c = min(rows, m - c0)
+        w, e = w_buf[:c], e_buf[:c]
+        rng.standard_normal(out=w)
+        w *= sqdt
+        np.cumsum(w, axis=1, out=w)  # B at nodes 1..S, row by row
+        np.multiply(w[:, -1:], frac, out=e)
+        np.subtract(w[:, :-1], e, out=e)  # the bridge at nodes 1..S-1
+        np.exp(e, out=e)
+        yield c0, e
+
+
+def _walk_bridges(grid, n, seed, consume, threads):
+    """consume(m, tiles) for each block of n bridges, on the thread that
+    draws them, tiles its _bridge_tiles; returns the results in block
+    order."""
+    require_count("n", n, 1)
+    return _run_blocks(n, seed, lambda lo, m, rng: consume(m, _bridge_tiles(grid, m, rng)), threads)
+
+
 def simulate_bridge_integrals(grid, xs, n, seed, reduce, threads=1):
     """Trapezoid integrals over grid of e^{B_s + mu s} given its endpoint
     e^{B_t + mu t} = x, for each x in xs, on n paths, block-parallel.
@@ -343,38 +375,102 @@ def simulate_bridge_integrals(grid, xs, n, seed, reduce, threads=1):
     Brownian bridge, whatever mu (Glasserman, Monte Carlo Methods in
     Financial Engineering, 2003, sec. 3.1).  So with E = e^Z at nodes
     j = 1..S-1, one matrix product dt/2 (1 + x) + E . (dt x^{j/S}) serves
-    every x.  Z is a walk drawn path-major in row chunks (B_S comes
-    first), less j/S times its last node.  Each block's (m x xs.size)
-    integrals go to reduce on the thread that drew them; returns
-    reduce's results in block order.
+    every x.  Each block's (m x xs.size) integrals go to reduce on the
+    thread that drew them; returns reduce's results in block order.
     """
-    require_count("n", n, 1)
     xs = np.asarray(xs, dtype=float)
     S, dt = grid.n_steps, grid.dt
-    sqdt = math.sqrt(dt)
-    frac = np.arange(1, S) / S
-    weights = dt * np.exp(np.outer(frac, np.log(xs)))  # dt x^{j/S}
+    weights = dt * np.exp(np.outer(np.arange(1, S) / S, np.log(xs)))  # dt x^{j/S}
     ends = 0.5 * dt * (1.0 + xs)
-    rows = max(2, _BATCH_CHUNK_ELEMS // S)
 
-    def fill(lo, m, rng):
+    def consume(m, tiles):
         v = np.empty((m, xs.size))
-        w_buf = np.empty((min(m, rows), S))
-        e_buf = np.empty((w_buf.shape[0], S - 1))
-        for c0 in range(0, m, rows):
-            c = min(rows, m - c0)
-            w, e = w_buf[:c], e_buf[:c]
-            rng.standard_normal(out=w)
-            w *= sqdt
-            np.cumsum(w, axis=1, out=w)  # B at nodes 1..S, row by row
-            np.multiply(w[:, -1:], frac, out=e)
-            np.subtract(w[:, :-1], e, out=e)  # the bridge at nodes 1..S-1
-            np.exp(e, out=e)
-            np.matmul(e, weights, out=v[c0 : c0 + c])
+        for c0, e in tiles:
+            np.matmul(e, weights, out=v[c0 : c0 + len(e)])
         v += ends
         return reduce(v)
 
-    return _run_blocks(n, seed, fill, threads)
+    return _walk_bridges(grid, n, seed, consume, threads)
+
+
+# Newton steps of _bridge_level before it gives up; from the left of the
+# root it takes about five
+_LEVEL_ITERS = 60
+
+
+def _bridge_level(e, dt, beta, log_y, b):
+    """In place, b (a row per row of e, e^Z at nodes 1..S-1 of bridges of
+    S steps of dt) becomes the endpoint B_t + mu t at which x0 = 1's
+    theta_t = e^b/(1 + beta a(b)) reaches e^{log_y}, a(b) the trapezoid
+    integral of e^{Z_s + b s/t}; b must start at or below that root.
+
+    g(b) = b - log_y - ln(1 + beta a(b)) is increasing (g' >= 1/(1 +
+    beta a)) and concave, ln(1 + beta a) being a log-sum-exp of affine
+    functions of b.  So Newton's tangent lies above g and every step from
+    the left lands left of the root again: the iterates rise to it.  A
+    step that rounding makes negative is clipped to 0, and all rows stop
+    once every step is within 1e-12.
+    """
+    S = e.shape[1] + 1
+    frac = np.arange(1, S) / S
+    w = np.empty_like(e)
+    for _ in range(_LEVEL_ITERS):
+        np.multiply.outer(b, frac, out=w)
+        np.exp(w, out=w)
+        w *= e
+        x = np.exp(b)
+        beta_a = beta * dt * (0.5 + 0.5 * x + w.sum(axis=1))
+        beta_da = beta * dt * (0.5 * x + w @ frac)
+        step = np.maximum((b - log_y - np.log1p(beta_a)) / (beta_da / (1.0 + beta_a) - 1.0), 0.0)
+        b += step
+        if step.max() <= 1e-12:
+            return b
+    raise ConvergenceError(f"bridge level: a step of {step.max():.3g} after {_LEVEL_ITERS} steps")
+
+
+def _normal_sf(u):
+    """P[N(0, 1) > u] for each u."""
+    return 0.5 * np.array([math.erfc(v / math.sqrt(2.0)) for v in u.tolist()])
+
+
+def _window_probability(e, dt, params, t, lo, hi):
+    """P(lo <= theta_t <= hi | Z) for each row of e, e^Z at nodes 1..S-1
+    of bridges of S steps of dt: given Z the endpoint b = B_t + mu t is
+    N(mu t, t), and theta_t is increasing in b (_bridge_level)."""
+    log_lo = math.log(lo / params.x0)
+    b_lo = _bridge_level(e, dt, params.beta, log_lo, np.full(e.shape[0], log_lo))
+    # the root at lo is left of the one at hi
+    b_hi = _bridge_level(e, dt, params.beta, math.log(hi / params.x0), b_lo.copy())
+    # mirrored where the window starts at or below the mean, so the lower
+    # end's tail is at most 1/2: never a difference of two values near one
+    sign = np.where(b_lo > params.mu * t, 1.0, -1.0)
+    u_lo, u_hi = ((b - params.mu * t) * sign / math.sqrt(t) for b in (b_lo, b_hi))
+    return sign * (_normal_sf(u_lo) - _normal_sf(u_hi))
+
+
+def simulate_bridge_window(params, grid, lo, hi, n, seed, threads=1):
+    """P(lo <= theta_t <= hi | Z) on each of n Brownian bridges Z over grid,
+    block-parallel: conditional Monte Carlo for the window probability
+    (Glasserman, 2003, sec. 4.5; Asmussen and Glynn, Stochastic
+    Simulation, 2007, sec. V.4).  Given Z the endpoint b = B_t + mu t is
+    N(mu t, t), and theta_t = x0 e^b/(1 + beta a(b, Z)), a the trapezoid
+    integral on grid, is strictly increasing in b; so each bridge's value
+    is the normal mass between the two endpoints at which theta_t reaches
+    lo and hi, found by Newton to 1e-12.  Its mean is the window's
+    probability under the trapezoid rule; thread counts change no bit.
+    """
+    require_positive("lo", lo)
+    if not (math.isfinite(hi) and hi > lo):
+        raise DomainError("hi must be finite and > lo")
+    t, dt = grid.t_end, grid.dt
+
+    def consume(m, tiles):
+        p = np.empty(m)
+        for c0, e in tiles:
+            p[c0 : c0 + len(e)] = _window_probability(e, dt, params, t, lo, hi)
+        return p
+
+    return np.concatenate(_walk_bridges(grid, n, seed, consume, threads))
 
 
 # --- change of measure ------------------------------------------------------

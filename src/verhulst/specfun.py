@@ -462,11 +462,21 @@ def theta_yor_integral(x, gamma, mu, t):
     sums = np.zeros((2, u.size))  # at each v node, the zeta sum and that of its absolute terms
     rows = max(1, 2**15 // u.size)  # zeta in 256 KiB blocks
     taylor = [1.0 / math.factorial(k) for k in range(18, 1, -1)]  # (e^y - 1 - y)/y^2
+    y_buf, p_buf = np.empty((2, min(rows, z.size) * u.size))
     for i in range(0, z.size, rows):
         cr = np.multiply.outer(2.0 * np.sinh(0.5 * z[i : i + rows]) ** 2, 4.0 * np.exp(lq - u))
         bracket = np.expm1(-cr) + cr
         near = cr < 1.0  # where that cancels, Taylor to degree 18: within 1e-17
-        bracket[near] = np.polyval(taylor, -cr[near]) * cr[near] ** 2
+        y = np.compress(near.ravel(), cr.ravel(), out=y_buf[: np.count_nonzero(near)])
+        np.negative(y, out=y)
+        # Horner in place: np.polyval's multiply-then-add steps, the same bits
+        p = p_buf[: y.size]
+        p.fill(taylor[0])
+        for coef in taylor[1:]:
+            p *= y
+            p += coef
+        p *= np.square(y, out=y)
+        bracket[near] = p
         sums += np.stack((kern[i : i + rows], np.abs(kern[i : i + rows]))) @ bracket
     unsigned = float(sums[1] @ f)
     val, floor = _zeta_value(float(sums[0] @ f), unsigned, t, "theta_yor_integral")

@@ -31,6 +31,7 @@ from .density import (
 )
 from .errors import DomainError, require_count, require_nonnegative, require_positive
 from .simulate import (
+    BLOCK_PATHS,
     McEstimate,
     ModelParams,
     TimeGrid,
@@ -39,6 +40,7 @@ from .simulate import (
     laplace_mc_besq,
     laplace_mc_direct,
     laplace_mc_gbm,
+    simulate_bridge_window,
     simulate_exp_terminal,
     simulate_functional,
     simulate_terminal_batch,
@@ -438,15 +440,16 @@ class SuiteConfig:
 
 # Knobs per budget.  Thresholds never loosen with budget except where they
 # are sample-size-bound by construction (the KS bands); those floors match
-# the full-scale tolerances.  `dt` is the step of the two checks that read
-# an indicator of theta_T at a fixed level (measure_change and the
-# general-density histogram); the other path checks step at _CERTIFIED_DT.
+# the full-scale tolerances.  `dt` is the step of measure_change, whose
+# indicators of theta_T at fixed levels a coarser step moves; the other
+# path checks step at _CERTIFIED_DT.  `ks_general_n` sizes the
+# general_density_cdf batch, `hist_half` is its histogram's halfwidth.
 _BUDGETS = {
     "quick": dict(
         n=20_000,
         dt=2e-3,
         ks_fixed_n=20_000,
-        hist_n=100_000,
+        ks_general_n=100_000,
         hist_half=0.05,
         cells="corners",
         curve_points=400,
@@ -455,19 +458,19 @@ _BUDGETS = {
         n=100_000,
         dt=1e-3,
         ks_fixed_n=1_000_000,
-        hist_n=1_000_000,
+        ks_general_n=1_000_000,
         hist_half=0.02,
         cells="all",
         curve_points=600,
     ),
 }
 
-# step of fixed_time, exp_time, martingale and moment at every budget.  On
-# the same Brownian paths against dt = 1e-3, the shift of each one's
-# statistic (theta_T's CDF at its deciles, the Girsanov weight, e^{beta int
-# theta}) plus three of its standard errors stays under a tenth of the
-# check's full-budget resolution: the *_step_bias_paired tests in
-# tests/test_simulate.py
+# step of fixed_time, exp_time, martingale, moment and the KS batch of
+# general_density at every budget.  On the same Brownian paths against
+# dt = 1e-3, the shift of each one's statistic (theta_T's CDF at its
+# deciles, the Girsanov weight, e^{beta int theta}) plus three of its
+# standard errors stays under a tenth of the check's full-budget
+# resolution: the *_step_bias_paired tests in tests/test_simulate.py
 _CERTIFIED_DT = 5e-3
 
 # the Monte Carlo cells of martingale and moment, keyed by the budget's
@@ -670,20 +673,9 @@ def _check_laplace(config, knobs, seed):
 
 def _check_general_density(config, knobs, seed):
     gamma, mu, t = 1.0, 0.0, 1.0
-    hist_n, half = knobs["hist_n"], knobs["hist_half"]
-    # the budget step: on paired paths at dt = 0.01 against 1e-3 the
-    # histogram window's probability moves by 7e-5 +- 9.8e-5, against a
-    # full-budget standard error of 1.2e-4, so no coarser step is certified
-    grid = TimeGrid.with_step(t, knobs["dt"])
-    stats = simulate_terminal_batch(
-        ModelParams(mu=mu, beta=gamma, x0=1.0), grid, hist_n, seed, threads=config.threads
-    )
-    count = int(np.count_nonzero(np.abs(stats.theta - 1.0) <= half))
-    p_hist = count / (2.0 * half * hist_n)
-    se_hist = math.sqrt(max(count, 1)) / (2.0 * half * hist_n)
-
-    n = knobs["n"]
-    # one path batch serves the histogram point x = 1 and the mass grid
+    params = ModelParams(mu=mu, beta=gamma, x0=1.0)
+    half, n = knobs["hist_half"], knobs["n"]
+    # one bridge batch serves the histogram point x = 1 and the mass grid
     x_grid = np.geomspace(0.01, 20.0, 72)
     k = int(np.searchsorted(x_grid, 1.0))
     both, errs = curve_general_mc(
@@ -691,10 +683,29 @@ def _check_general_density(config, knobs, seed):
     )
     est, se = float(both.values[k]), float(errs[k])
     curve = DensityCurve(x_grid, np.delete(both.values, k))
-    quad = density_general_quad(gamma, mu, t, 1.0)
+    # the histogram: P(|theta_T - 1| <= half) / (2 half), averaged over one
+    # block of bridges given their shape (conditional Monte Carlo), at the
+    # curve's certified bridge step (test_window_step_bias_paired) on a
+    # seed of its own, so the gate's two errors are independent
+    bridges = TimeGrid(t, GENERAL_MC_STEPS)
+    window = McEstimate.from_samples(simulate_bridge_window(
+        params, bridges, 1.0 - half, 1.0 + half, BLOCK_PATHS, seed + 2, threads=config.threads
+    ))
+    p_hist, se_hist = window.mean / (2.0 * half), window.stderr / (2.0 * half)
+    # variance of the indicator 1{|theta_T - 1| <= half} over that of the conditional values
+    ratio = window.mean * (1.0 - window.mean) / (window.stderr**2 * window.n)
+    near, quad, far = (
+        density_general_quad(gamma, mu, t, x) for x in (1.0 - half, 1.0, 1.0 + half)
+    )
+    # the window's mean density less the density at 1, by Simpson's rule
+    curvature = (near + 4.0 * quad + far) / 6.0 - quad
+
+    ks_n = knobs["ks_general_n"]
+    grid = TimeGrid.with_step(t, _CERTIFIED_DT)
+    stats = simulate_terminal_batch(params, grid, ks_n, seed, threads=config.threads)
     # the curve's params state its bridge steps and largest zeroed fraction
     curve_work = f"curve {both.params}; path-steps={n * GENERAL_MC_STEPS}"
-    both_work = f"histogram dt={grid.dt:g}, path-steps={hist_n * grid.n_steps}; {curve_work}"
+    ks_work = f"KS batch dt={grid.dt:g}, path-steps={ks_n * grid.n_steps}"
     hist = TestReport(
         name="general_density_histogram",
         statistic=abs(est - p_hist) / math.hypot(se, se_hist),
@@ -702,8 +713,11 @@ def _check_general_density(config, knobs, seed):
         n_or_tolerance=f"n={n}",
         details=(
             f"gamma=1 mu=0 t=1 x=1; estimate={est!r}+-{se!r}; "
-            f"histogram={p_hist:.4f}+-{se_hist:.4f} (n={hist_n}, halfwidth={half:g}); "
-            f"substitution quadrature={quad:.4f}; {both_work}"
+            f"histogram={p_hist:.4f}+-{se_hist:.4f} (conditional on n={window.n} bridges, "
+            f"halfwidth={half:g}, variance {ratio:.0f}x below the indicator's, "
+            f"curvature bias {curvature:.2g}); substitution quadrature={quad:.4f}; "
+            f"histogram dt={bridges.dt:g}, path-steps={window.n * bridges.n_steps}; "
+            f"{curve_work}; {ks_work}"
         ),
     )
     mass = TestReport(
@@ -713,10 +727,10 @@ def _check_general_density(config, knobs, seed):
         n_or_tolerance=f"n={n}",
         details=f"mass={curve.total_mass:.4f}; grid=[0.01,20]x72; {curve_work}",
     )
-    # the Kolmogorov band is below the 1e-2 floor at both budgets' hist_n
+    # the Kolmogorov band is below the 1e-2 floor at both budgets' ks_general_n
     cdf = _ks_report(
         "general_density_cdf", stats.theta, curve, 1e-2,
-        f"sup |curve CDF - empirical CDF|; grid=[0.01,20]x72; {both_work}",
+        f"sup |curve CDF - empirical CDF|; grid=[0.01,20]x72; {ks_work}; {curve_work}",
     )
     return [hist, mass, cdf]
 

@@ -35,6 +35,7 @@ from verhulst.simulate import (
     laplace_mc_besq,
     laplace_mc_direct,
     laplace_mc_gbm,
+    simulate_bridge_window,
     simulate_exp_terminal,
     simulate_terminal_batch,
 )
@@ -127,7 +128,7 @@ def test_criterion_09_laplace_triangle():
 
 def test_criterion_10_general_density():
     reports = _suite(10, "general_density", 99000)
-    assert "general_density_cdf" in reports  # sup-CDF against the 1e6 histogram paths
+    assert "general_density_cdf" in reports  # sup-CDF against 1e6 paths at dt = 5e-3
     hist = reports["general_density_histogram"]
     # negative control: the tilt kernel averaged over unconditional
     # drift-mu paths (seed 99001, the curve's seed) instead of paths given
@@ -201,6 +202,11 @@ def test_criterion_13_determinism():
     assert np.array_equal(curves[0][0].values, curves[1][0].values)
     assert np.array_equal(curves[0][1], curves[1][1])
 
+    windows = [simulate_bridge_window(params, grid, 0.95, 1.05, n, 55008, threads=th)
+               for th in (1, 3)]
+    assert np.array_equal(windows[0], windows[1])
+
     _verdict(13, "determinism across worker counts", 0.0, 0.0,
              "terminal batch, exp-time sampler, three transform routes, "
-             "measure change, general density: bit-identical at threads 1 vs 3")
+             "measure change, general density and its conditional window: "
+             "bit-identical at threads 1 vs 3")

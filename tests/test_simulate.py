@@ -34,11 +34,14 @@ from verhulst.simulate import (
     sample_besq0,
     sample_exp_time,
     simulate_bridge_integrals,
+    simulate_bridge_window,
     simulate_exp_terminal,
     simulate_functional,
     simulate_terminal_batch,
 )
-from verhulst.simulate import _BATCH_CHUNK_ELEMS, _ROW_ADD_WIDTH, _block_rng, _run_blocks
+from verhulst.simulate import (
+    _BATCH_CHUNK_ELEMS, _ROW_ADD_WIDTH, _block_rng, _bridge_level, _run_blocks, _window_probability
+)
 from verhulst.validate import _CERTIFIED_DT, _MART_CELLS, _MOMENT_CELLS
 
 
@@ -94,6 +97,8 @@ _NON_FINITE = {
     "laplace_mc_direct t=inf": lambda: laplace_mc_direct(1.0, _P, math.inf, 10, seed=1),
     "exp_terminal rate=nan": lambda: simulate_exp_terminal(_P, math.nan, 1e-3, 10, seed=1),
     "exp_terminal dt=nan": lambda: simulate_exp_terminal(_P, 1.0, math.nan, 10, seed=1),
+    "bridge_window lo=nan": lambda: simulate_bridge_window(_P, TimeGrid(1.0, 10), math.nan, 1.0, 10, 1),
+    "bridge_window hi=nan": lambda: simulate_bridge_window(_P, TimeGrid(1.0, 10), 0.5, math.nan, 10, 1),
     "girsanov gamma=nan": lambda: girsanov_weight_batch(
         simulate_terminal_batch(_P, TimeGrid(1.0, 10), 2, seed=1), math.nan, _P
     ),
@@ -106,6 +111,8 @@ _COUNTED = {
         _P, TimeGrid(1.0, 10), seed=1, **{"n": 5, **kw}),
     "exp_terminal": lambda **kw: simulate_exp_terminal(_P, 1.0, 1e-2, seed=1, **{"n": 5, **kw}),
     "laplace_mc_besq": lambda **kw: laplace_mc_besq(1.0, _P, 1.0, seed=1, **{"n": 5, **kw}),
+    "bridge_window": lambda **kw: simulate_bridge_window(
+        _P, TimeGrid(1.0, 10), 0.9, 1.1, seed=1, **{"n": 5, **kw}),
 }
 _NON_INTEGRAL = {
     f"{name} {arg}={bad}": (arg, lambda call=call, arg=arg, bad=bad: call(**{arg: bad}))
@@ -579,6 +586,10 @@ def test_sampler_working_memory():
     exp_time = _traced_peak_mib(lambda: simulate_exp_terminal(
         ModelParams.coupled_start(1.0), 1.0, 1e-3, 8192, seed=1))
     assert exp_time <= 3.6
+    # the bridge walker's two tiles and the Newton's one
+    window = _traced_peak_mib(lambda: simulate_bridge_window(
+        ModelParams(mu=0.0, beta=1.0), TimeGrid(1.0, 1000), 0.95, 1.05, 8192, seed=1))
+    assert window <= 3.5
 
 
 def test_exp_terminal_horizon_overflow_refused():
@@ -908,34 +919,43 @@ def _bridge_integrals(z, dt, xs):
     return np.trapezoid(f, dx=dt, axis=1)
 
 
-def _paired_bridges(t, xs, n, seed, group):
-    """(fine, coarse) integrals of the same n bridges over [0, t].  The
-    fine bridges take 1000 steps, from the block streams as
-    simulate_bridge_integrals draws them; the coarse bridges read the fine
-    ones at every `group`-th node."""
+def _paired_bridges(t, n, seed, group, of):
+    """(fine, coarse) values of(z, dt) of the same n bridges over [0, t],
+    z a row of Z at nodes 1..S per bridge on steps of dt.  The fine
+    bridges take 1000 steps, from the block streams as the library's
+    bridge walker draws them; the coarse bridges read the fine ones at
+    every `group`-th node."""
     S, dt = 1000, t / 1000
-    out = np.empty((2, n, xs.size))
 
     def fill(lo, m, rng):
+        parts = []
         for c0 in range(0, m, 128):
             c = min(128, m - c0)
             w = np.cumsum(rng.standard_normal((c, S)) * math.sqrt(dt), axis=1)
             z = w - w[:, -1:] * (np.arange(1, S + 1) / S)
-            sl = slice(lo + c0, lo + c0 + c)
-            out[0, sl] = _bridge_integrals(z, dt, xs)
-            out[1, sl] = _bridge_integrals(z[:, group - 1 :: group], group * dt, xs)
+            parts.append((of(z, dt), of(z[:, group - 1 :: group], group * dt)))
+        return [np.concatenate(side) for side in zip(*parts)]
 
-    _run_blocks(n, seed, fill, threads=2)
-    return out
+    return np.stack([np.concatenate(side) for side in zip(*_run_blocks(n, seed, fill, threads=2))])
+
+
+def _window(params, t, lo, hi):
+    """of(z, dt) for _paired_bridges: each bridge's conditional probability
+    of lo <= theta_t <= hi, from the library's Newton."""
+    return lambda z, dt: _window_probability(np.exp(z[:, :-1]), dt, params, t, lo, hi)
 
 
 def test_paired_bridges_fine_side_is_the_sampler():
     xs, n = np.array([0.01, 1.0, 20.0]), 2 * BLOCK_PATHS + 5
-    fine, coarse = _paired_bridges(1.0, xs, n, seed=51, group=4)
+    fine, coarse = _paired_bridges(1.0, n, 51, 4, lambda z, dt: _bridge_integrals(z, dt, xs))
     blocks = simulate_bridge_integrals(TimeGrid(1.0, 1000), xs, n, 51, lambda v: v)
     assert [b.shape[0] for b in blocks] == [BLOCK_PATHS, BLOCK_PATHS, 5]
     np.testing.assert_allclose(np.concatenate(blocks), fine, rtol=1e-12, atol=0.0)
     assert np.all(coarse != fine)
+    # the window estimator walks the same bridges
+    fine, _ = _paired_bridges(1.0, n, 51, 4, _window(_P, 1.0, 0.95, 1.05))
+    window = simulate_bridge_window(_P, TimeGrid(1.0, 1000), 0.95, 1.05, n, 51)
+    np.testing.assert_allclose(window, fine, rtol=0.0, atol=1e-12)
 
 
 def test_bridge_integrals_mean_and_threads():
@@ -964,11 +984,67 @@ def test_general_mc_step_bias_paired():
     group = 1000 // GENERAL_MC_STEPS
     assert group * GENERAL_MC_STEPS == 1000
     xs = np.array([0.01, 0.02, 0.1, 0.3, 1.0, 3.0, 8.0, 14.0, 20.0])
-    v = _paired_bridges(t, xs, 100_000, 53, group).reshape(-1, xs.size)
+    v = _paired_bridges(t, 100_000, 53, group, lambda z, dt: _bridge_integrals(z, dt, xs))
+    v = v.reshape(-1, xs.size)
     _tilt_kernel(gamma, mu, t, xs, v)
     fine, coarse = v.reshape(2, -1, xs.size)
     for k, x in enumerate(xs):
         _assert_step_bias_small(fine[:, k], coarse[:, k], x)
+
+
+@pytest.mark.parametrize("half", [0.05, 0.02])
+def test_window_step_bias_paired(half):
+    """validate's general-density histogram averages the conditional window
+    probability over bridges of GENERAL_MC_STEPS steps: against 1000 steps
+    on the same bridges its shift stays under a tenth of its standard error
+    at n = 1e5, at each budget's halfwidth."""
+    group = 1000 // GENERAL_MC_STEPS
+    fine, coarse = _paired_bridges(1.0, 20_000, 59, group, _window(_P, 1.0, 1.0 - half, 1.0 + half))
+    _assert_step_bias_small(fine, coarse, half)
+
+
+def test_general_density_cdf_step_bias_paired():
+    """validate's general_density_cdf batch steps at _CERTIFIED_DT: at its
+    point (mu = 0, beta = gamma = 1, x0 = 1, t = 1) the CDF of theta_T moves
+    at its deciles by less than a tenth of the check's KS floor 1e-2."""
+    group = 5
+    assert TimeGrid.with_step(1.0, _CERTIFIED_DT) == TimeGrid(1.0, 1000 // group)
+    fine, coarse = _paired_batches(_P, 1.0, 100_000, 61, group)
+    assert _worst_decile_shift(fine.theta, coarse.theta) <= 1e-3
+
+
+@pytest.mark.parametrize("beta, y", [(1.0, 0.5), (2.5, 1.3), (0.7, 20.0), (0.0, 2.0)])
+def test_bridge_level_reaches_its_level(beta, y):
+    # theta_t = e^b/(1 + beta a(b)) at the root, a the bridge's own trapezoid
+    m, S, dt = 64, 50, 0.02
+    w = np.cumsum(np.random.default_rng(5).standard_normal((m, S)) * math.sqrt(dt), axis=1)
+    z = w[:, :-1] - w[:, -1:] * (np.arange(1, S) / S)
+    b = _bridge_level(np.exp(z), dt, beta, math.log(y), np.full(m, math.log(y)))
+    nodes = np.pad(z, ((0, 0), (1, 1))) + b[:, None] * (np.arange(S + 1) / S)
+    a = np.trapezoid(np.exp(nodes), dx=dt, axis=1)
+    np.testing.assert_allclose(np.exp(b) / (1.0 + beta * a), y, rtol=1e-12)
+
+
+def test_bridge_window_beta_zero_is_lognormal():
+    # theta_t = x0 e^b whatever the bridge: every value is the normal mass
+    params, t = ModelParams(mu=0.2, beta=0.0, x0=1.5), 2.0
+    vals = simulate_bridge_window(params, TimeGrid(t, 20), 1.0, 2.0, 100, seed=7)
+    u = [(math.log(y / 1.5) - 0.2 * t) / math.sqrt(2.0 * t) for y in (1.0, 2.0)]
+    np.testing.assert_allclose(vals, 0.5 * (math.erfc(-u[1]) - math.erfc(-u[0])), rtol=1e-14)
+
+
+def test_bridge_window_matches_the_indicator():
+    # a bridge under an independent N(mu t, t) endpoint is the random walk,
+    # so on the same steps the conditional mean is the terminal batch's
+    # window probability, at a fraction of the indicator's variance
+    params, grid, lo, hi = ModelParams(mu=0.3, beta=0.7, x0=1.2), TimeGrid(1.0, 50), 0.9, 1.3
+    cond = McEstimate.from_samples(simulate_bridge_window(params, grid, lo, hi, 8192, seed=61))
+    theta = simulate_terminal_batch(params, grid, 100_000, seed=62).theta
+    ind = McEstimate.from_samples(((theta >= lo) & (theta <= hi)).astype(float))
+    assert abs(cond.mean - ind.mean) < 3.0 * math.hypot(cond.stderr, ind.stderr)
+    assert cond.stderr**2 * cond.n < 0.1 * ind.stderr**2 * ind.n
+    with pytest.raises(DomainError, match="hi must be finite and > lo"):
+        simulate_bridge_window(params, grid, 1.3, 1.3, 10, seed=1)
 
 
 # --- serialization ----------------------------------------------------------

@@ -17,6 +17,8 @@ import threading
 import numpy as np
 import pytest
 
+from verhulst import simulate, validate
+from verhulst.density import GENERAL_MC_STEPS
 from verhulst.errors import DomainError
 from verhulst.simulate import ModelParams, TimeGrid, laplace_mc_direct, simulate_terminal_batch
 from verhulst.validate import (
@@ -33,7 +35,7 @@ from verhulst.validate import (
     write_report_csv,
     z2_symmetry_check,
 )
-from verhulst.validate import _mean_representation_residual
+from verhulst.validate import _CERTIFIED_DT, _mean_representation_residual
 from verhulst.density import density_exp_time
 
 # --- reports ------------------------------------------------------------------
@@ -385,6 +387,29 @@ def test_suite_groups_run_on_the_calling_thread(threads):
 
     run_suite(SuiteConfig(threads=threads), registry=[(f"g{i}", record) for i in range(4)])
     assert ran == [threading.get_ident()] * 4
+
+
+def test_general_density_work(monkeypatch):
+    # criterion 10 at the quick budget: the KS batch steps at the certified
+    # step, and no more bridges are drawn than the curve's and one block
+    # for the histogram's conditional window probability
+    batches, bridges = [], []
+
+    def batch(params, grid, n, seed, threads=1, _real=validate.simulate_terminal_batch):
+        batches.append((grid, n))
+        return _real(params, grid, n, seed, threads=threads)
+
+    def walk(grid, n, seed, consume, threads, _real=simulate._walk_bridges):
+        bridges.append((grid, n))
+        return _real(grid, n, seed, consume, threads)
+
+    monkeypatch.setattr(validate, "simulate_terminal_batch", batch)
+    monkeypatch.setattr(simulate, "_walk_bridges", walk)
+    reports = run_suite(SuiteConfig(budget="quick", only=("general_density",)))
+    assert [r.passed for r in reports] == [True] * 3
+    assert batches == [(TimeGrid.with_step(1.0, _CERTIFIED_DT), 100_000)]
+    assert {grid for grid, _ in bridges} == {TimeGrid(1.0, GENERAL_MC_STEPS)}
+    assert sum(n for _, n in bridges) <= 20_000 + 4096
 
 
 def test_suite_rerun_and_thread_invariance():
