@@ -38,7 +38,6 @@ from .simulate import (
 )
 from .specfun import (
     BESSEL_I_MAX_X,
-    BesselOrder,
     bessel_i,
     bessel_k,
     bessel_product_F,

@@ -28,7 +28,7 @@ from .density import (
     exp_time_total_mass,
     write_density_csv,
 )
-from .errors import ConvergenceError, DomainError, require_positive
+from .errors import ConvergenceError, DomainError, require_count, require_positive
 from .simulate import (
     ModelParams,
     TimeGrid,
@@ -58,6 +58,7 @@ def _resolve_seed(args):
         seed = secrets.randbits(32)
         print(f"seed={seed}")
         return seed
+    require_count("--seed", args.seed, 0)
     return args.seed
 
 
@@ -171,11 +172,9 @@ def cmd_validate(args):
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _add_common(sp, seed=True, threads=True):
-    if seed:
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed (default: OS entropy, echoed)")
-    if threads:
-        sp.add_argument("--threads", type=int, default=1, help="worker cap; results do not depend on it")
+def _add_common(sp):
+    sp.add_argument("--seed", type=int, default=None, help="RNG seed (default: OS entropy, echoed)")
+    sp.add_argument("--threads", type=int, default=1, help="worker cap; results do not depend on it")
 
 
 def build_parser():

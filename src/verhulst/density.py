@@ -19,7 +19,6 @@ from .errors import (
 from .simulate import TimeGrid, simulate_bridge_integrals
 from .specfun import (
     T_MIN_THETA,
-    BesselOrder,
     anchored_time_laplace,
     bessel_product_F,
     hartman_watson_theta_grid,
@@ -132,6 +131,12 @@ def curve_exact_half(x_start, t, n_points=600):
     return DensityCurve(grid, vals, kind="exact_half", params=params)
 
 
+def _bessel_order(lam):
+    """Bessel order sqrt(2 lam + 1/4) of the exponential-time law at rate lam > 0."""
+    require_positive("rate", lam)
+    return math.sqrt(2.0 * lam + 0.25)
+
+
 def density_exp_time(x_start, lam, z):
     """Density at z of the process started at x_start, stopped at an
     independent exponential time of rate lam.
@@ -142,8 +147,7 @@ def density_exp_time(x_start, lam, z):
     z = float(z)
     require_positive("x_start", x)
     require_positive("z", z)
-    order = BesselOrder.from_rate(lam)
-    f = bessel_product_F(order, x, z)
+    f = bessel_product_F(_bessel_order(lam), x, z)
     if f <= 0.0:
         return 0.0
     log_pref = math.log(2.0 * lam) + x - z + 0.5 * (math.log(x) - 3.0 * math.log(z))
@@ -184,7 +188,7 @@ def exp_time_total_mass(x_start, lam):
     require_positive("x_start", x)
     if not 0.05 <= lam <= 20.0:
         raise DomainError("exp_time_total_mass supports rates in [0.05, 20]")
-    nu = BesselOrder.from_rate(lam).nu
+    nu = _bessel_order(lam)
     lo = x * 10.0 ** (-max(9.0, 12.0 / (nu - 0.5)))
     # past the kink z = x for every x; beyond it the density falls like e^{-2(z - x)}
     hi = x + 30.0
@@ -316,8 +320,13 @@ def density_exp_time_mixture(x_start, lam, w):
     return lam * value, lam * (bound + tail)
 
 
-def _theta_log_interp(r_lo, r_hi, tau, n=2000):
-    """Dense linear interpolant of log Theta~(r, tau) on a log-r grid.
+# nodes of _theta_log_interp's log-r grid
+_THETA_NODES = 2000
+
+
+def _theta_log_interp(r_lo, r_hi, tau):
+    """Dense linear interpolant of log Theta~(r, tau) on _THETA_NODES
+    nodes of a log-r grid.
 
     Also returns the trust edge r_reliable: below it the quadrature output
     is dominated by its own error floor (the true value vanishes beyond
@@ -332,6 +341,7 @@ def _theta_log_interp(r_lo, r_hi, tau, n=2000):
     slopes[j] (L - lg[j]) + logs[j], and L is clipped to the table, so
     the lookup equals np.interp bit for bit, its end clamps included.
     """
+    n = _THETA_NODES
     grid = np.geomspace(r_lo, r_hi, n)
     vals, floor = hartman_watson_theta_grid(grid, tau)
     trusted = vals > 30.0 * floor  # below it a vanishing Theta is positive noise

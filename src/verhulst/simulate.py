@@ -26,7 +26,7 @@ from .specfun import laplace_kernel_F
 
 BLOCK_PATHS = 4096
 
-# default time step of laplace_grid.  On paired paths the stepped
+# time step of laplace_grid.  On paired paths the stepped
 # routes' trapezoid bias at dt = 0.01 against dt = 1e-3 stays under a
 # tenth of their standard error at n = 1e5 (test_laplace_step_bias_paired
 # in tests/test_simulate.py); at dt = 0.04 the gbm route's is significant
@@ -44,6 +44,7 @@ _ROW_ADD_WIDTH = 512
 
 
 def _block_rng(seed, block):
+    require_count("seed", seed, 0)
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((int(seed), int(block)))))
 
 
@@ -151,7 +152,6 @@ class TerminalStats:
     theta: np.ndarray
     bmd: np.ndarray
     a: np.ndarray
-    A: np.ndarray
     int_theta: np.ndarray
     int_theta_sq: np.ndarray
 
@@ -252,7 +252,7 @@ def simulate_terminal_batch(params, grid, n, seed, threads=1):
 
     A block of m paths walks step-major in tiles of max(1, 2**17 // m)
     steps, normal j m + i for step j + 1 of path i, in about 3 MiB a
-    worker.  theta, B + mu t and a_T are sequential sums; A, int theta and
+    worker.  theta, B + mu t and a_T are sequential sums; int theta and
     int theta^2 add tile sums, so their last bits follow m's tile heights.
 
     At beta = 0, theta is x0 e^{B + mu t}, so the running a_t is never
@@ -263,26 +263,22 @@ def simulate_terminal_batch(params, grid, n, seed, threads=1):
     require_count("n", n, 1)
     S, dt = grid.n_steps, grid.dt
     mu, beta, x0 = params.mu, params.beta, params.x0
-    out = TerminalStats(*(np.empty(n) for _ in range(6)))
+    out = TerminalStats(*(np.empty(n) for _ in range(5)))
 
     def fill(lo, m, rng):
-        sums = np.zeros((3, m))  # e^{2(B + mu t)}, theta and theta^2 at nodes 1..S
+        sums = np.zeros((2, m))  # theta and theta^2 at nodes 1..S
         for _, w, c, carry in _walk_tiles(rng, _batch_plan(m, S), math.sqrt(dt), mu * dt):
             e_T = w[-1].copy()
-            ee = np.einsum("ij,ij->j", w, w)
-            sums[0] += ee
             _theta(w, c, beta, x0, dt)
-            sums[1] += w.sum(axis=0)
-            # at beta = 0 and x0 = 1, theta is e^{B + mu t} itself
-            sums[2] += ee if beta == 0.0 and x0 == 1.0 else np.einsum("ij,ij->j", w, w)
+            sums[0] += w.sum(axis=0)
+            sums[1] += np.einsum("ij,ij->j", w, w)
         th_T = w[-1]
         sl = slice(lo, lo + m)
         out.theta[sl] = th_T
         out.bmd[sl] = carry[0] + mu * dt * S  # B + mu t at node S, as the last tile formed it
         out.a[sl] = _trapezoid(carry[1], e_T, 1.0, dt)
-        out.A[sl] = _trapezoid(sums[0], e_T * e_T, 1.0, dt)
-        out.int_theta[sl] = _trapezoid(sums[1], th_T, x0, dt)
-        out.int_theta_sq[sl] = _trapezoid(sums[2], th_T * th_T, x0 * x0, dt)
+        out.int_theta[sl] = _trapezoid(sums[0], th_T, x0, dt)
+        out.int_theta_sq[sl] = _trapezoid(sums[1], th_T * th_T, x0 * x0, dt)
 
     _run_blocks(n, seed, fill, threads)
     return out
@@ -552,48 +548,48 @@ def laplace_mc_besq(lam, params, t, n, seed, threads=1):
     return McEstimate.from_samples(vals)
 
 
-def laplace_grid(t, n_steps=None):
+def laplace_grid(t):
     """Step grid of laplace_mc_gbm and laplace_mc_direct over [0, t]:
-    n_steps steps, or by default max(1, round(t / 0.01)) steps of about
-    dt = 0.01, so t = 1 takes 100 steps and t = 10 takes 1000."""
-    if n_steps is None:
-        return TimeGrid.with_step(t, _LAPLACE_DT)
-    return TimeGrid(t, n_steps)
+    max(1, round(t / 0.01)) steps of about dt = 0.01, so t = 1 takes 100
+    steps and t = 10 takes 1000."""
+    return TimeGrid.with_step(t, _LAPLACE_DT)
 
 
-def laplace_mc_gbm(lam, params, t, n, seed, n_steps=None, threads=1):
+def laplace_mc_gbm(lam, params, t, n, seed, threads=1):
     """E e^{-lambda theta_t} through the plain-GBM representation
-    e^beta E exp(-(beta+lam) e^{B+mu t} + beta (mu+1/2) a_t - (beta^2/2) A_t).
+    e^beta E exp(-(beta+lam) e^{B+mu t} + beta (mu+1/2) a_t - (beta^2/2) A_t),
+    A_t the integral of e^{2(B + mu t)}: the int theta^2 of a terminal
+    batch at beta = 0 and x0 = 1.
 
     The representation is stated for x0 = 1; theta scales with its start,
     theta(x0, beta) = x0 theta(1, beta), so any x0 enters it as
-    lam -> lam x0.  Paths step on laplace_grid(t, n_steps), dt = 0.01 by
-    default; the paired test test_laplace_step_bias_paired bounds that
-    step's bias by a tenth of this route's standard error at n = 1e5.
+    lam -> lam x0.  Paths step on laplace_grid(t); the paired test
+    test_laplace_step_bias_paired bounds that step's bias by a tenth of
+    this route's standard error at n = 1e5.
     """
     require_nonnegative("lam", lam)
     lam_eff, beta = lam * params.x0, params.beta
     gbm = ModelParams(mu=params.mu, beta=0.0, x0=1.0)
-    stats = simulate_terminal_batch(gbm, laplace_grid(t, n_steps), n, seed, threads=threads)
+    stats = simulate_terminal_batch(gbm, laplace_grid(t), n, seed, threads=threads)
     e_T = np.exp(stats.bmd)
     expo = (
         beta
         - (beta + lam_eff) * e_T
         + beta * (params.mu + 0.5) * stats.a
-        - 0.5 * beta * beta * stats.A
+        - 0.5 * beta * beta * stats.int_theta_sq
     )
     return McEstimate.from_samples(np.exp(expo))
 
 
-def laplace_mc_direct(lam, params, t, n, seed, n_steps=None, threads=1):
+def laplace_mc_direct(lam, params, t, n, seed, threads=1):
     """Brute-force E e^{-lambda theta_t}: average over functional paths.
 
-    Paths step on laplace_grid(t, n_steps), dt = 0.01 by default; the
-    paired test test_laplace_step_bias_paired bounds that step's bias by
-    a tenth of this route's standard error at n = 1e5.
+    Paths step on laplace_grid(t); the paired test
+    test_laplace_step_bias_paired bounds that step's bias by a tenth of
+    this route's standard error at n = 1e5.
     """
     require_nonnegative("lam", lam)
-    stats = simulate_terminal_batch(params, laplace_grid(t, n_steps), n, seed, threads=threads)
+    stats = simulate_terminal_batch(params, laplace_grid(t), n, seed, threads=threads)
     return McEstimate.from_samples(np.exp(-lam * stats.theta))
 
 

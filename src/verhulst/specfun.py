@@ -7,7 +7,6 @@ numpy; no external special-function library.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,26 +31,6 @@ T_MIN_THETA = 0.2
 # (on the e^{r} scale of the value) its integrand is cut.
 _MAX_PANELS = 2000
 _Z_CUT_FACTOR = 10.0
-
-
-@dataclass(frozen=True)
-class BesselOrder:
-    """Order nu >= 0 of I_nu / K_nu."""
-
-    nu: float
-
-    def __post_init__(self):
-        require_nonnegative("Bessel order", self.nu)
-
-    @classmethod
-    def from_rate(cls, lam):
-        """Order sqrt(2*lam + 1/4) attached to an exponential rate lam > 0."""
-        require_positive("rate", lam)
-        return cls(math.sqrt(2.0 * lam + 0.25))
-
-
-def _order(nu):
-    return nu.nu if isinstance(nu, BesselOrder) else BesselOrder(float(nu)).nu
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -102,7 +81,7 @@ def bessel_i(nu, x):
     0 <= x <= 600 (DomainError above; the series itself would overflow
     near x ~ 700), any finite nu >= 0.
     """
-    nu = _order(nu)
+    require_nonnegative("Bessel order", nu)
     require_nonnegative("x", x)
     if x > BESSEL_I_MAX_X:
         raise DomainError(f"bessel_i overflow guard: x > {BESSEL_I_MAX_X:g}")
@@ -130,9 +109,9 @@ def bessel_k(nu, x):
     Gauss-Legendre panels; the truncation point solves
     x(cosh u - 1) - nu*u = L by fixed-point iteration.  Refused where
     cosh(nu*u) overflows on that range (large nu or tiny x), before any
-    node is allocated.
+    node is allocated.  Any finite nu >= 0.
     """
-    nu = _order(nu)
+    require_nonnegative("Bessel order", nu)
     require_positive("x", x)
     L = -math.log(ABS_TOL) + 18.0
     u_max = 1.0
@@ -199,30 +178,29 @@ def _half_period_breaks(t, damp, log_cut, width, z_peak):
     return np.array(breaks)
 
 
-def _theta_breaks(r, t, r_cap=None):
-    """_half_period_breaks for the Theta integrand, damping
-    e^{-r(cosh z - 1)}.
+def _theta_breaks(r_min, r_max, t):
+    """_half_period_breaks for the Theta integrand of every r in [r_min,
+    r_max], damping e^{-r(cosh z - 1)}.
 
-    The panel width is capped at min(1.5, 3.5/sqrt(r_cap)) so both the
-    cosh envelope at large t and the near-Gaussian e^{-r z^2/2} envelope
-    at large r stay resolved by a 16-node rule.  The cut is at ABS_TOL *
+    The panel width is capped at min(1.5, 3.5/sqrt(r)) so both the cosh
+    envelope at large t and the near-Gaussian e^{-r z^2/2} envelope at
+    large r stay resolved by a 16-node rule.  The cut is at ABS_TOL *
     _Z_CUT_FACTOR on the e^{r} scale of the value (prefactor r/sqrt(2 pi^3
     t) e^{pi^2/(2t)}), and the envelope peak solves 1 - z/t - r sinh z =
     0, so z* <= min(t, asinh(1/r)).
 
-    Grid callers pass r = smallest element (weakest damping, so the range
-    covers every element) and r_cap = largest (finest width requirement
-    and biggest prefactor, so the cut is deep enough for every element);
-    for a single r the two coincide.
+    The damping and the peak take r_min (weakest damping, so the range
+    covers every r), the width and the cut r_max (finest width and
+    biggest prefactor, so the cut is deep enough for every r); for a
+    single r the two coincide.
     """
-    rc = r_cap if r_cap is not None else r
-    log_pref = math.pi**2 / (2.0 * t) + math.log(rc / math.sqrt(2.0 * math.pi**3 * t))
+    log_pref = math.pi**2 / (2.0 * t) + math.log(r_max / math.sqrt(2.0 * math.pi**3 * t))
     return _half_period_breaks(
         t,
-        lambda z: r * (math.cosh(z) - 1.0),
+        lambda z: r_min * (math.cosh(z) - 1.0),
         math.log(ABS_TOL * _Z_CUT_FACTOR) - log_pref,
-        min(1.5, 3.5 / math.sqrt(rc)),
-        min(t, math.asinh(1.0 / r)),
+        min(1.5, 3.5 / math.sqrt(r_max)),
+        min(t, math.asinh(1.0 / r_min)),
     )
 
 
@@ -296,7 +274,7 @@ def hartman_watson_theta_grid(rs, t):
         raise DomainError("theta needs finite r > 0")
     if not (math.isfinite(t) and t >= T_MIN_THETA):
         raise DomainError(f"theta t must be finite and >= {T_MIN_THETA:g}, got t={t:g}")
-    z, base = _zeta_nodes(_theta_breaks(r_min, t, r_cap=r_max), t)
+    z, base = _zeta_nodes(_theta_breaks(r_min, r_max, t), t)
     abs_base = np.abs(base)
     cz = np.cosh(z) - 1.0
     sums = np.empty((2, rs.size))

@@ -170,7 +170,7 @@ def test_criterion_13_determinism():
     grid = TimeGrid(1.0, 100)
 
     batches = [simulate_terminal_batch(params, grid, n, 55000, threads=th) for th in (1, 3)]
-    for f in ("theta", "bmd", "a", "A", "int_theta", "int_theta_sq"):
+    for f in ("theta", "bmd", "a", "int_theta", "int_theta_sq"):
         assert np.array_equal(getattr(batches[0], f), getattr(batches[1], f))
 
     exps = [
@@ -184,8 +184,8 @@ def test_criterion_13_determinism():
         routes.append(
             (
                 laplace_mc_besq(1.0, params, 1.0, n, 55002, threads=th),
-                laplace_mc_gbm(1.0, params, 1.0, n, 55003, n_steps=100, threads=th),
-                laplace_mc_direct(1.0, params, 1.0, n, 55004, n_steps=100, threads=th),
+                laplace_mc_gbm(1.0, params, 1.0, n, 55003, threads=th),
+                laplace_mc_direct(1.0, params, 1.0, n, 55004, threads=th),
             )
         )
     for a, b in zip(*routes):

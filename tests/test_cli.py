@@ -248,6 +248,23 @@ def test_density_general_mc_grid_bounds_exit_2(bounds, flag, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "10"],
+    ["laplace", "--n", "100"],
+    ["density", "--kind", "general-mc", "--n", "100"],
+    ["validate"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_2(argv, tmp_path, capsys):
+    # refused before any work: no traceback, no partial table, no file
+    out = tmp_path / "out.csv"
+    extra = [] if argv[0] == "laplace" else ["--output", str(out)]
+    assert main(argv + extra + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be an integer >= 0\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # --- simulate ------------------------------------------------------------------
 
 

@@ -21,6 +21,7 @@ from verhulst import density, specfun
 from verhulst.density import (
     GENERAL_MC_STEPS,
     DensityCurve,
+    _THETA_NODES,
     _theta_log_interp,
     _tilt_kernel,
     conditional_laplace,
@@ -426,6 +427,9 @@ def test_exp_time_total_mass_domain():
         exp_time_total_mass(1.0, 0.01)  # exponent nu - 1/2 too flat to truncate
     with pytest.raises(DomainError):
         exp_time_total_mass(1.0, 25.0)
+    # the Bessel order sqrt(2 lam + 1/4) needs a rate > 0
+    with pytest.raises(DomainError, match="rate"):
+        density_exp_time(1.0, 0.0, 1.0)
 
 
 def test_exp_time_mirror_identity():
@@ -546,7 +550,8 @@ def test_conditional_vs_binned_mc():
     )
     sel = (np.abs(stats.a - 1.0) < 0.1) & (np.abs(stats.bmd) < 0.1)
     assert sel.sum() > 5_000
-    binned = float(np.exp(-0.5 * stats.A[sel]).mean())
+    # at beta = 0 and x0 = 1, int theta^2 is A_1
+    binned = float(np.exp(-0.5 * stats.int_theta_sq[sel]).mean())
     assert abs(binned - COND_0_1_1_0_1) < 5e-2
 
 
@@ -747,7 +752,7 @@ def test_non_finite_inputs_refused(pattern, call):
 def test_theta_log_interp_equals_np_interp(table, monkeypatch):
     # the smooth Theta table hides a lookup in the neighbouring panel, or a
     # missing end clamp, below the last bit; a jagged table shows both
-    r_lo, r_hi, tau, n = 0.02, 300.0, 0.25, 2000
+    r_lo, r_hi, tau, n = 0.02, 300.0, 0.25, _THETA_NODES
     grid = np.geomspace(r_lo, r_hi, n)
     if table == "theta":
         vals, _ = hartman_watson_theta_grid(grid, tau)
@@ -755,7 +760,7 @@ def test_theta_log_interp_equals_np_interp(table, monkeypatch):
         vals = np.exp(3.0 * np.random.default_rng(0).standard_normal(n))
         monkeypatch.setattr("verhulst.density.hartman_watson_theta_grid",
                             lambda *_, **__: (vals, np.zeros(n)))
-    interp, _ = _theta_log_interp(r_lo, r_hi, tau, n)
+    interp, _ = _theta_log_interp(r_lo, r_hi, tau)
     lg = np.log(grid)
     logs = np.log(np.maximum(vals, 1e-300))
     rng = np.random.default_rng(4)

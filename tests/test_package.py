@@ -5,7 +5,9 @@ uses."""
 import ast
 import importlib
 import inspect
+import math
 import pkgutil
+from collections import defaultdict
 from pathlib import Path
 
 import verhulst
@@ -76,3 +78,44 @@ def test_no_unused_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
     assert unused == []
+
+
+def _callee(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def test_every_default_is_set_by_a_caller():
+    # a parameter with a default that no library or benchmark call sets is
+    # a setting without a caller, and should be a constant.  A call matches
+    # a def by callee name, bare or after the last dot, and sets a
+    # parameter by keyword or at its position; one with *args or **kwargs
+    # sets them all
+    src = sorted(Path(verhulst.__file__).parent.glob("*.py"))
+    benchmarks = sorted((Path(__file__).resolve().parents[1] / "benchmarks").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in src + benchmarks}
+    calls = defaultdict(list)  # callee -> per call (positional count, keywords), None for all
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                spread = any(isinstance(a, ast.Starred) for a in node.args)
+                spread |= any(k.arg is None for k in node.keywords)
+                calls[_callee(node)].append(
+                    None if spread else (len(node.args), {k.arg for k in node.keywords})
+                )
+    unset = []
+    for path in src:
+        tree = trees[path]
+        methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            shift = id(fn) in methods  # a method's self or cls is the call's object
+            defaults = [(i - shift, p.arg) for i, p in enumerate(positional) if i >= first]
+            defaults += [(math.inf, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            unset += [f"{fn.name}({name})" for pos, name in defaults
+                      if not any(c is None or pos < c[0] or name in c[1] for c in calls[fn.name])]
+    assert unset == []

@@ -70,8 +70,6 @@ def test_time_grid():
     for bad in (math.nan, 2.5, 4.0, "4"):
         with pytest.raises(DomainError, match="n_steps must be an integer"):
             TimeGrid(1.0, bad)
-    with pytest.raises(DomainError, match="n_steps must be an integer"):
-        laplace_mc_direct(1.0, _P, 1.0, 10, seed=1, n_steps=2.5)
     assert TimeGrid.with_step(1.0, 0.3) == TimeGrid(1.0, 3)
     assert TimeGrid.with_step(0.004, 0.01) == TimeGrid(0.004, 1)
 
@@ -106,19 +104,19 @@ _NON_FINITE = {
 
 
 _COUNTED = {
-    # each call takes n = 5 paths on 1 thread unless told otherwise
+    # each call takes n = 5 paths at seed 1 on 1 thread unless told otherwise
     "terminal_batch": lambda **kw: simulate_terminal_batch(
-        _P, TimeGrid(1.0, 10), seed=1, **{"n": 5, **kw}),
-    "exp_terminal": lambda **kw: simulate_exp_terminal(_P, 1.0, 1e-2, seed=1, **{"n": 5, **kw}),
-    "laplace_mc_besq": lambda **kw: laplace_mc_besq(1.0, _P, 1.0, seed=1, **{"n": 5, **kw}),
+        _P, TimeGrid(1.0, 10), **{"n": 5, "seed": 1, **kw}),
+    "exp_terminal": lambda **kw: simulate_exp_terminal(_P, 1.0, 1e-2, **{"n": 5, "seed": 1, **kw}),
+    "laplace_mc_besq": lambda **kw: laplace_mc_besq(1.0, _P, 1.0, **{"n": 5, "seed": 1, **kw}),
     "bridge_window": lambda **kw: simulate_bridge_window(
-        _P, TimeGrid(1.0, 10), 0.9, 1.1, seed=1, **{"n": 5, **kw}),
+        _P, TimeGrid(1.0, 10), 0.9, 1.1, **{"n": 5, "seed": 1, **kw}),
 }
 _NON_INTEGRAL = {
     f"{name} {arg}={bad}": (arg, lambda call=call, arg=arg, bad=bad: call(**{arg: bad}))
     for name, call in _COUNTED.items()
     for arg, bad in (("n", math.nan), ("n", 2.5), ("n", 0), ("threads", math.nan),
-                     ("threads", 1.5))
+                     ("threads", 1.5), ("seed", 1.5), ("seed", -1))
 }
 _REFUSALS = {
     **{key: ("must be finite", call) for key, call in _NON_FINITE.items()},
@@ -194,6 +192,7 @@ def test_batch_path_zero_matches_single_path():
         ModelParams.coupled_start(2.0),
         ModelParams(mu=1.0, beta=0.5, x0=0.7),
         ModelParams(mu=0.3, beta=0.0, x0=2.5),  # the batch's beta = 0 skip
+        ModelParams(mu=0.3, beta=0.0),  # theta is e^{B + mu t}: int theta^2 is A_t
     )
     for params in params_sets:
         for n_steps in (1, 7, 250, 1000):
@@ -206,12 +205,14 @@ def test_batch_path_zero_matches_single_path():
                 assert batch.theta[0] == single.theta[-1], case
                 assert batch.bmd[0] == single.bmd[-1], case
                 assert batch.a[0] == a_run[-1], case
-                for got, ref in ((batch.A, big_a), (batch.int_theta, i_th),
-                                 (batch.int_theta_sq, i_th2)):
+                refs = [(batch.int_theta, i_th), (batch.int_theta_sq, i_th2)]
+                if params.beta == 0.0 and params.x0 == 1.0:
+                    refs.append((batch.int_theta_sq, big_a))
+                for got, ref in refs:
                     assert got[0] == pytest.approx(ref[-1], rel=1e-12), case
 
 
-_STATS_FIELDS = ("theta", "bmd", "a", "A", "int_theta", "int_theta_sq")
+_STATS_FIELDS = ("theta", "bmd", "a", "int_theta", "int_theta_sq")
 
 
 def test_batch_thread_count_invariance():
@@ -229,13 +230,13 @@ def _terminal_batch_whole_block(params, grid, n, seed):
     the full path at every beta and x0: each pass of the running a_t, then
     the divide and the product.  B, the running sum of e^{B + mu t} and
     theta are sequential sums down the step axis, so they do not depend
-    on the sampler's tile heights; A, int theta and int theta^2 add the
+    on the sampler's tile heights; int theta and int theta^2 add the
     per-tile sums, so this replays the tile plan: max(1, budget // m)
     steps a tile, at the budget in force when it is called."""
     S, dt = grid.n_steps, grid.dt
     sqdt = math.sqrt(dt)
     mu, beta, x0 = params.mu, params.beta, params.x0
-    out = TerminalStats(*(np.empty(n) for _ in range(6)))
+    out = TerminalStats(*(np.empty(n) for _ in _STATS_FIELDS))
     for b in range((n + BLOCK_PATHS - 1) // BLOCK_PATHS):
         lo = b * BLOCK_PATHS
         m = min(BLOCK_PATHS, n - lo)
@@ -245,7 +246,6 @@ def _terminal_batch_whole_block(params, grid, n, seed):
         w += mu * dt * np.arange(1, S + 1)[:, None]
         bmd_T = w[-1].copy()
         np.exp(w, out=w)
-        e_T = w[-1].copy()
         cum = np.cumsum(w, axis=0)
         cum -= 0.5 * w
         cum += 0.5
@@ -253,18 +253,17 @@ def _terminal_batch_whole_block(params, grid, n, seed):
         a_T = cum[-1].copy()
         th = w / (cum * beta + 1.0) * x0
         k = max(1, simulate._BATCH_CHUNK_ELEMS // m)
-        sums = np.zeros((3, m))
+        sums = np.zeros((2, m))
         for j0 in range(0, S, k):
-            e, t = w[j0 : j0 + k], th[j0 : j0 + k]
-            sums += (np.einsum("ij,ij->j", e, e), t.sum(axis=0), np.einsum("ij,ij->j", t, t))
+            t = th[j0 : j0 + k]
+            sums += (t.sum(axis=0), np.einsum("ij,ij->j", t, t))
         th_T = th[-1]
         sl = slice(lo, lo + m)
         out.theta[sl] = th_T
         out.bmd[sl] = bmd_T
         out.a[sl] = a_T
-        out.A[sl] = dt * (sums[0] - 0.5 * e_T * e_T + 0.5)
-        out.int_theta[sl] = dt * (sums[1] - 0.5 * th_T + 0.5 * x0)
-        out.int_theta_sq[sl] = dt * (sums[2] - 0.5 * th_T * th_T + 0.5 * x0 * x0)
+        out.int_theta[sl] = dt * (sums[0] - 0.5 * th_T + 0.5 * x0)
+        out.int_theta_sq[sl] = dt * (sums[1] - 0.5 * th_T * th_T + 0.5 * x0 * x0)
     return out
 
 
@@ -604,9 +603,9 @@ def test_exp_terminal_horizon_overflow_refused():
 
 def test_laplace_at_zero_is_exactly_one():
     p = ModelParams(mu=0.0, beta=1.0, x0=1.0)
-    d = laplace_mc_direct(0.0, p, 1.0, 100, seed=1, n_steps=50)
+    d = laplace_mc_direct(0.0, p, 1.0, 100, seed=1)
     assert (d.mean, d.stderr) == (1.0, 0.0)
-    g0 = laplace_mc_gbm(0.0, ModelParams(mu=0.0, beta=0.0, x0=1.0), 1.0, 100, seed=1, n_steps=50)
+    g0 = laplace_mc_gbm(0.0, ModelParams(mu=0.0, beta=0.0, x0=1.0), 1.0, 100, seed=1)
     assert (g0.mean, g0.stderr) == (1.0, 0.0)
 
 
@@ -637,14 +636,14 @@ def test_laplace_besq_any_start():
     assert a.mean == b.mean and a.stderr == b.stderr
     p = ModelParams(mu=0.3, beta=0.7, x0=2.0)
     besq = laplace_mc_besq(1.0, p, 1.0, 30_000, seed=26)
-    direct = laplace_mc_direct(1.0, p, 1.0, 30_000, seed=27, n_steps=500)
+    direct = laplace_mc_direct(1.0, p, 1.0, 30_000, seed=27)
     assert abs(besq.mean - direct.mean) < 3.0 * math.hypot(besq.stderr, direct.stderr)
 
 
 def test_laplace_direct_monotone_in_lambda():
     p = ModelParams(mu=0.0, beta=1.0, x0=1.0)
     means = [
-        laplace_mc_direct(lam, p, 1.0, 4_000, seed=3, n_steps=100).mean
+        laplace_mc_direct(lam, p, 1.0, 4_000, seed=3).mean
         for lam in (0.5, 1.0, 2.0)
     ]
     assert means[0] > means[1] > means[2]  # shared paths: exact pointwise order
@@ -653,7 +652,7 @@ def test_laplace_direct_monotone_in_lambda():
 def test_laplace_direct_beta_zero_lognormal_oracle():
     mu, t, lam = 0.2, 1.0, 0.7
     p = ModelParams(mu=mu, beta=0.0, x0=1.0)
-    est = laplace_mc_direct(lam, p, t, 20_000, seed=14, n_steps=200)
+    est = laplace_mc_direct(lam, p, t, 20_000, seed=14)
     # in-test quadrature oracle: E e^{-lam e^X}, X ~ N(mu t, t)
     x = np.linspace(mu * t - 10.0, mu * t + 10.0, 20_001)
     pdf = np.exp(-((x - mu * t) ** 2) / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
@@ -663,16 +662,16 @@ def test_laplace_direct_beta_zero_lognormal_oracle():
 
 def test_laplace_stderr_clt_scaling():
     p = ModelParams(mu=0.0, beta=1.0, x0=1.0)
-    small = laplace_mc_direct(1.0, p, 1.0, 4_000, seed=15, n_steps=100)
-    large = laplace_mc_direct(1.0, p, 1.0, 8_000, seed=15, n_steps=100)
+    small = laplace_mc_direct(1.0, p, 1.0, 4_000, seed=15)
+    large = laplace_mc_direct(1.0, p, 1.0, 8_000, seed=15)
     ratio = small.stderr / large.stderr
     assert abs(ratio - math.sqrt(2.0)) < 0.2 * math.sqrt(2.0)
 
 
 def test_laplace_routes_agree():
     p = ModelParams(mu=0.0, beta=1.0, x0=1.0)
-    d = laplace_mc_direct(1.0, p, 1.0, 30_000, seed=16, n_steps=500)
-    g = laplace_mc_gbm(1.0, p, 1.0, 30_000, seed=17, n_steps=500)
+    d = laplace_mc_direct(1.0, p, 1.0, 30_000, seed=16)
+    g = laplace_mc_gbm(1.0, p, 1.0, 30_000, seed=17)
     b = laplace_mc_besq(1.0, p, 1.0, 30_000, seed=18)
     for lhs, rhs in ((d, g), (d, b), (g, b)):
         z = abs(lhs.mean - rhs.mean) / math.hypot(lhs.stderr, rhs.stderr)
@@ -683,11 +682,11 @@ def test_laplace_gbm_coupled_convention():
     # coupled x = 1 coincides with the generic (mu=-1/2, beta=1) start-1 model
     pc = ModelParams.coupled_start(1.0)
     pg = ModelParams(mu=-0.5, beta=1.0, x0=1.0)
-    a = laplace_mc_gbm(1.0, pc, 1.0, 2_000, seed=19, n_steps=100)
-    b = laplace_mc_gbm(1.0, pg, 1.0, 2_000, seed=19, n_steps=100)
+    a = laplace_mc_gbm(1.0, pc, 1.0, 2_000, seed=19)
+    b = laplace_mc_gbm(1.0, pg, 1.0, 2_000, seed=19)
     assert a.mean == b.mean and a.stderr == b.stderr
     # theta(x0, beta) = x0 theta(1, beta): any start is the start-1 route at lam x0
-    kw = dict(t=1.0, n=2_000, seed=19, n_steps=100)
+    kw = dict(t=1.0, n=2_000, seed=19)
     c = laplace_mc_gbm(1.0, ModelParams(mu=0.0, beta=1.0, x0=2.0), **kw)
     d = laplace_mc_gbm(2.0, ModelParams(mu=0.0, beta=1.0, x0=1.0), **kw)
     assert c.mean == d.mean and c.stderr == d.stderr
@@ -695,11 +694,9 @@ def test_laplace_gbm_coupled_convention():
 
 def test_laplace_thread_count_invariance():
     p = ModelParams(mu=0.0, beta=1.0, x0=1.0)
-    for n_steps in (60, None):  # None: the default step
-        kw = dict(t=1.0, n=9_000, n_steps=n_steps)
-        one = laplace_mc_direct(1.0, p, seed=20, threads=1, **kw)
-        four = laplace_mc_direct(1.0, p, seed=20, threads=4, **kw)
-        assert (one.mean, one.stderr) == (four.mean, four.stderr)
+    one = laplace_mc_direct(1.0, p, 1.0, 9_000, seed=20, threads=1)
+    four = laplace_mc_direct(1.0, p, 1.0, 9_000, seed=20, threads=4)
+    assert (one.mean, one.stderr) == (four.mean, four.stderr)
     b1 = laplace_mc_besq(1.0, p, 1.0, 9_000, seed=21, threads=1)
     b4 = laplace_mc_besq(1.0, p, 1.0, 9_000, seed=21, threads=4)
     assert (b1.mean, b1.stderr) == (b4.mean, b4.stderr)
@@ -707,15 +704,21 @@ def test_laplace_thread_count_invariance():
 
 @pytest.mark.parametrize("t, steps", [(0.004, 1), (1.0, 100), (10.0, 1000)])
 def test_laplace_default_step(t, steps):
-    # no n_steps means max(1, round(t / 0.01)) steps; an explicit count wins
-    assert laplace_grid(t) == TimeGrid(t, steps)
-    p = ModelParams(mu=0.0, beta=1.0, x0=1.0)
-    for route in (laplace_mc_direct, laplace_mc_gbm):
-        default = route(1.0, p, t, 200, seed=24)
-        explicit = route(1.0, p, t, 200, seed=24, n_steps=steps)
-        other = route(1.0, p, t, 200, seed=24, n_steps=steps + 1)
-        assert (default.mean, default.stderr) == (explicit.mean, explicit.stderr)
-        assert default.mean != other.mean
+    # max(1, round(t / 0.01)) steps, and both stepped routes walk them: each
+    # is its representation on a terminal batch over laplace_grid(t), the
+    # gbm route's A_t being int theta^2 of the batch at beta = 0 and x0 = 1
+    grid = laplace_grid(t)
+    assert grid == TimeGrid(t, steps)
+    mu, beta, lam, n = 0.3, 0.7, 1.2, 300
+    p = ModelParams(mu=mu, beta=beta)
+    direct = McEstimate.from_samples(np.exp(-lam * simulate_terminal_batch(p, grid, n, 24).theta))
+    s = simulate_terminal_batch(ModelParams(mu, 0.0, 1.0), grid, n, 24)
+    gbm = McEstimate.from_samples(np.exp(
+        beta - (beta + lam) * np.exp(s.bmd) + beta * (mu + 0.5) * s.a
+        - 0.5 * beta * beta * s.int_theta_sq
+    ))
+    assert laplace_mc_direct(lam, p, t, n, seed=24) == direct
+    assert laplace_mc_gbm(lam, p, t, n, seed=24) == gbm
 
 
 # --- step bias on paired paths -----------------------------------------------
@@ -746,12 +749,12 @@ def _trapezoid_nodes(g, dt, params):
 def _trapezoid_terminals(g, dt, params):
     """TerminalStats of the paths whose rows of increments are g, by numpy's
     trapezoid rule on the step-dt nodes."""
-    bmd, e, a, theta = _trapezoid_nodes(g, dt, params)
+    bmd, _, a, theta = _trapezoid_nodes(g, dt, params)
 
     def integral(v):
         return np.trapezoid(v, dx=dt, axis=1)
 
-    return TerminalStats(theta=theta[:, -1], bmd=bmd[:, -1], a=a[:, -1], A=integral(e * e),
+    return TerminalStats(theta=theta[:, -1], bmd=bmd[:, -1], a=a[:, -1],
                          int_theta=integral(theta), int_theta_sq=integral(theta * theta))
 
 
@@ -820,17 +823,16 @@ def test_laplace_step_bias_paired(mu, beta, t):
     standard error at n = 1e5."""
     lam, group = 1.0, 10
     assert laplace_grid(t) == TimeGrid(t, round(t / _FINE_DT) // group)
-    params = ModelParams(mu=mu, beta=beta)
-    fine, coarse = _paired_batches(params, t, 20_000, 31, group)
 
     def direct(s):
         return np.exp(-lam * s.theta)
 
-    def gbm(s):
+    def gbm(s):  # on paths at beta = 0 and x0 = 1, as the route draws them
         return np.exp(beta - (beta + lam) * np.exp(s.bmd) + beta * (mu + 0.5) * s.a
-                      - 0.5 * beta * beta * s.A)
+                      - 0.5 * beta * beta * s.int_theta_sq)
 
-    for route in (direct, gbm):
+    for route, drawn in ((direct, ModelParams(mu=mu, beta=beta)), (gbm, ModelParams(mu, 0.0))):
+        fine, coarse = _paired_batches(drawn, t, 20_000, 31, group)
         _assert_step_bias_small(route(fine), route(coarse), route.__name__)
 
 

@@ -20,7 +20,6 @@ from verhulst.specfun import (
     BESSEL_I_MAX_X,
     REL_TOL,
     T_MIN_THETA,
-    BesselOrder,
     _k1_nodes,
     _k1_scaled,
     _panels,
@@ -109,10 +108,6 @@ def test_bessel_i_mpmath_grid(nu, x):
     assert bessel_i(nu, x) == pytest.approx(ref, rel=REL)
 
 
-def test_bessel_i_order_wrapper():
-    assert bessel_i(BesselOrder(1.0), 2.0) == bessel_i(1.0, 2.0)
-
-
 def test_bessel_i_domain():
     with pytest.raises(DomainError):
         bessel_i(0.5, -1.0)
@@ -193,12 +188,10 @@ def test_bessel_product_domain():
 
 
 def test_bessel_order_validation():
-    with pytest.raises(DomainError):
-        BesselOrder(-0.1)
-    assert BesselOrder.from_rate(1.0).nu == 1.5  # sqrt(2 + 1/4) exactly
-    assert BesselOrder.from_rate(1e-9).nu > 0.5
-    with pytest.raises(DomainError):
-        BesselOrder.from_rate(0.0)
+    for call in (lambda nu: bessel_i(nu, 2.0), lambda nu: bessel_k(nu, 2.0),
+                 lambda nu: bessel_product_F(nu, 1.0, 2.0)):
+        with pytest.raises(DomainError, match="Bessel order"):
+            call(-0.1)
 
 
 # --- Hartman-Watson Theta ---------------------------------------------------
@@ -232,10 +225,10 @@ def test_theta_grid_rows_independent_of_batch():
         assert hartman_watson_theta_grid([r], np.array(t))[0][0] == one
     # 2.0 and 2.5 alone build the batch's node set; 3.0 alone does not
     rs = np.array([2.0, 2.5, 3.0])
-    batch_breaks = _theta_breaks(rs.min(), t, r_cap=rs.max())
+    batch_breaks = _theta_breaks(rs.min(), rs.max(), t)
     grid = hartman_watson_theta_grid(rs, t)[0]
     for r, g in zip(rs[:2], grid[:2]):
-        assert np.array_equal(_theta_breaks(r, t), batch_breaks)
+        assert np.array_equal(_theta_breaks(r, r, t), batch_breaks)
         assert g == hartman_watson_theta_grid([r], t)[0][0]
     # at each t, a value does not depend on where its r sits in the batch
     for ti in (t, 1.0, 4.0):
@@ -248,7 +241,7 @@ def test_theta_grid_blocks_keep_bits():
     # 5000 r x 640 z run in blocks of 51 rows; the whole matrix at once is
     # the reference, entry for entry and row for row
     rs, t = np.geomspace(1e-3, 300.0, 5000), 0.25
-    z, w = _panels(_theta_breaks(rs.min(), t, r_cap=rs.max()))
+    z, w = _panels(_theta_breaks(rs.min(), rs.max(), t))
     base = np.exp(-z * z / (2.0 * t)) * np.sinh(z) * np.sin(np.pi * z / t) * w
     damp = np.exp(-np.multiply.outer(rs, np.cosh(z) - 1.0))
     pref = rs / math.sqrt(2.0 * math.pi**3 * t) * math.exp(math.pi**2 / (2.0 * t))
@@ -302,7 +295,7 @@ def test_theta_grid_t_shapes_and_domain(monkeypatch):
     # allows, leaves t = 0.7 and 1 negative at r = 0.1
     breaks = specfun._theta_breaks
     with monkeypatch.context() as m:
-        m.setattr(specfun, "_theta_breaks", lambda r, t, r_cap=None: breaks(r, t, r_cap)[:3])
+        m.setattr(specfun, "_theta_breaks", lambda *args: breaks(*args)[:3])
         assert hartman_watson_theta_grid([0.1], 4.0)[0][0] > 0.0
         for t in (0.7, 1.0):
             with pytest.raises(ConvergenceError, match=f"t={t:g} negative"):
@@ -390,7 +383,7 @@ _NON_FINITE = {
     "bessel_i x=inf": lambda: bessel_i(1.0, _INF),
     "bessel_i nu=nan": lambda: bessel_i(_NAN, 1.0),
     "bessel_i nu=inf": lambda: bessel_i(_INF, 1.0),
-    "BesselOrder nu=nan": lambda: BesselOrder(_NAN),
+    "bessel_product_F nu=nan": lambda: bessel_product_F(_NAN, 1.0, 1.0),
     "bessel_k x=nan": lambda: bessel_k(1.0, _NAN),
     "bessel_k x=inf": lambda: bessel_k(1.0, _INF),
     "bessel_k nu=nan": lambda: bessel_k(_NAN, 1.0),
