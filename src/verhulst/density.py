@@ -20,7 +20,7 @@ from .simulate import TimeGrid, simulate_bridge_integrals
 from .specfun import (
     T_MIN_THETA,
     anchored_time_laplace,
-    bessel_product_F,
+    bessel_product_log,
     hartman_watson_theta_grid,
     log_panel_integral,
     theta_k1_log_integral,
@@ -105,27 +105,36 @@ def density_exact_half(x_start, t, w):
     is the value (1.20e-8 against 3.65e-11 at (x, t, w) = (1, 0.25, 0.02));
     its bound, H's relative floor, comes back from _exact_half, and
     curve_exact_half reports the largest.  Needs t >= T_MIN_THETA.
+    Broadcasts over x_start, t and w in one theta_k1_log_integral call
+    (numbers give a float).
     """
     return _exact_half(x_start, t, w)[0]
 
 
 def _exact_half(x, t, w):
-    """(density_exact_half, relative floor of theta_k1_log_integral)."""
+    """(density_exact_half, relative floor of theta_k1_log_integral), the
+    prefactor added item by item in logs."""
     log_h, rel_floor = theta_k1_log_integral(x, w, t)
-    log_pref = -0.125 * t - 2.0 * w + math.log(2.0) + 1.5 * math.log(x) - 0.5 * math.log(w)
-    return math.exp(log_pref + log_h), rel_floor
+    items = np.broadcast(x, t, w, log_h)
+    vals = [
+        math.exp(-0.125 * ti - 2.0 * wi + math.log(2.0) + 1.5 * math.log(xi)
+                 - 0.5 * math.log(wi) + lh)
+        for xi, ti, wi, lh in items
+    ]
+    return (vals[0] if items.shape == () else np.reshape(vals, items.shape)), rel_floor
 
 
 def curve_exact_half(x_start, t, n_points=600):
     """Fixed-time density curve on the log grid exp(ln(x0/(1 + x0 t)) - t/2
     +- 8 sqrt(t)): theta_t = x0 e^{B_t - t/2}/(1 + x0 a_t) forgets a large x0.
-    params end with the largest relative floor of a point, with its w."""
+    One density_exact_half call on the whole grid; params end with the
+    largest relative floor of a point, with its w."""
     require_positive("x_start", x_start)
     _require_t(t, T_MIN_THETA)
     require_count("n_points", n_points, 2)
     center = math.log(x_start / (1.0 + x_start * t)) - 0.5 * t
     grid = np.exp(np.linspace(center - 8.0 * math.sqrt(t), center + 8.0 * math.sqrt(t), n_points))
-    vals, floors = np.array([_exact_half(x_start, t, w) for w in grid]).T
+    vals, floors = _exact_half(x_start, t, grid)
     k = int(np.argmax(floors))
     params = f"x={x_start:g} t={t:g} floor_max={floors[k]:.3g}@w={grid[k]:.4g}"
     return DensityCurve(grid, vals, kind="exact_half", params=params)
@@ -141,22 +150,23 @@ def density_exp_time(x_start, lam, z):
     """Density at z of the process started at x_start, stopped at an
     independent exponential time of rate lam.
 
-    2 lam e^{x-z} sqrt(x/z^3) I_nu(min) K_nu(max), nu = sqrt(2 lam + 1/4).
+    2 lam e^{x-z} sqrt(x/z^3) I_nu(min) K_nu(max), nu = sqrt(2 lam + 1/4),
+    broadcast over x_start and z (numbers give a float).  Formed in logs
+    (specfun.bessel_product_log), so the value stays representable where
+    K_nu alone underflows (max(x, z) past ~745); it is 0 only where
+    I_nu(min) or the density itself underflows.
     """
-    x = float(x_start)
-    z = float(z)
-    require_positive("x_start", x)
+    require_positive("x_start", x_start)
     require_positive("z", z)
-    f = bessel_product_F(_bessel_order(lam), x, z)
-    if f <= 0.0:
-        return 0.0
-    log_pref = math.log(2.0 * lam) + x - z + 0.5 * (math.log(x) - 3.0 * math.log(z))
-    return math.exp(log_pref + math.log(f))
+    log_f = bessel_product_log(_bessel_order(lam), x_start, z)
+    x, z = np.asarray(x_start, dtype=float), np.asarray(z, dtype=float)
+    out = np.exp(math.log(2.0 * lam) + x - z + 0.5 * (np.log(x) - 3.0 * np.log(z)) + log_f)
+    return float(out) if out.ndim == 0 else out
 
 
 def curve_exp_time(x_start, lam, n_points=600):
     """Exponential-time density curve on [1e-8, 40], log-spaced on each
-    side of x_start."""
+    side of x_start, by one density_exp_time call."""
     require_count("n_points", n_points, 2)
     z_lo, z_hi = 1e-8, 40.0
     # z = x_start is a grid point: the density has a slope kink there
@@ -169,9 +179,9 @@ def curve_exp_time(x_start, lam, n_points=600):
         (np.geomspace(z_lo, x_start, n_lo),
          np.geomspace(x_start, z_hi, n_points - n_lo + 1)[1:])
     )
-    vals = np.array([density_exp_time(x_start, lam, z) for z in grid])
     return DensityCurve(
-        grid, vals, kind="exp_time", params=f"x={x_start:g} lam={lam:g}"
+        grid, density_exp_time(x_start, lam, grid), kind="exp_time",
+        params=f"x={x_start:g} lam={lam:g}",
     )
 
 
@@ -192,7 +202,7 @@ def exp_time_total_mass(x_start, lam):
     lo = x * 10.0 ** (-max(9.0, 12.0 / (nu - 0.5)))
     # past the kink z = x for every x; beyond it the density falls like e^{-2(z - x)}
     hi = x + 30.0
-    return log_panel_integral(lambda zi: density_exp_time(x, lam, zi), lo, hi, x)
+    return log_panel_integral(lambda z: density_exp_time(x, lam, z), lo, hi, x)
 
 
 def _sinh_ratio(s):
@@ -313,7 +323,7 @@ def density_exp_time_mixture(x_start, lam, w):
     t_hi = 45.0 / (rates[0] + 0.125)
     closed = [density_exp_time(x, rate, w) / rate for rate in rates]
     value, bound, dens = anchored_time_laplace(
-        lambda t: density_exact_half(x, t, w), t_hi, lam, rates, closed,
+        lambda ts: density_exact_half(x, ts, w), t_hi, lam, rates, closed,
         _MIX_ANCHOR_NOISE * closed[0],
     )
     tail = math.exp(-45.0) * float(dens.max()) * t_hi

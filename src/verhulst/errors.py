@@ -4,6 +4,8 @@ raise them: NaN passes every `x <= 0` test, so a guard names it."""
 import math
 import numbers
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """Argument outside the supported numerical domain."""
@@ -13,19 +15,40 @@ class ConvergenceError(RuntimeError):
     """A quadrature failed to meet its tolerance within budget."""
 
 
+def _require(name, x, rule, ok):
+    """DomainError unless ok holds for the number x or for every element of
+    the array (or sequence) x; the message names the first value that fails."""
+    if not isinstance(x, (float, int, np.ndarray, np.generic)):
+        x = np.asarray(x, dtype=float)
+    good = ok(x)
+    if good is True or (good is not False and np.all(good)):
+        return
+    bad = np.asarray(x, dtype=float)[~np.asarray(good)]
+    raise DomainError(f"{name} must be {rule}, got {name}={bad.flat[0]:g}")
+
+
+def _finite(v):
+    return abs(v) < math.inf
+
+
+def _positive(v):
+    return (v > 0) & (v < math.inf)
+
+
+def _nonnegative(v):
+    return (v >= 0) & (v < math.inf)
+
+
 def require_finite(name, x):
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite")
+    _require(name, x, "finite", _finite)
 
 
 def require_positive(name, x):
-    if not (math.isfinite(x) and x > 0):
-        raise DomainError(f"{name} must be finite and > 0")
+    _require(name, x, "finite and > 0", _positive)
 
 
 def require_nonnegative(name, x):
-    if not (math.isfinite(x) and x >= 0):
-        raise DomainError(f"{name} must be finite and >= 0")
+    _require(name, x, "finite and >= 0", _nonnegative)
 
 
 def require_count(name, x, minimum):

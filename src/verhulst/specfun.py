@@ -6,6 +6,8 @@ the arcosh-based Laplace kernel.  Everything is plain
 numpy; no external special-function library.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -34,16 +36,28 @@ _Z_CUT_FACTOR = 10.0
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# element budget of a block of a batched kernel's temporaries (256 KiB)
+_BLOCK_ELEMS = 2**15
+# node budget of a chunk of a batched quadrature's items (64 KiB a node
+# array): its dozen node arrays stay in cache and below the allocator's
+# mmap threshold, so a whole curve adds no more than a lone point to the
+# resident set
+_CHUNK_NODES = 2**13
 
 
-def _panels(breaks):
-    """Gauss-Legendre 16 nodes/weights over consecutive [a,b] panels."""
-    a, b = breaks[:-1], breaks[1:]
-    h = 0.5 * (b - a)
-    mid = a + h
+def _panels(lo, hi):
+    """Gauss-Legendre 16 nodes/weights over the panels [lo[i], hi[i]]."""
+    h = 0.5 * (hi - lo)
+    mid = lo + h
     z = (h[:, None] * _GL_NODES + mid[:, None]).ravel()
     w = (h[:, None] * _GL_WEIGHTS).ravel()
     return z, w
+
+
+def _starts(counts):
+    """Index of each item's first element, the items' runs of `counts`
+    elements laid back to back (the offsets np.add.reduceat takes)."""
+    return list(itertools.accumulate(counts[:-1], initial=0))
 
 
 def log_panels(u_lo, u_hi, per_unit, min_panels, u_kink=None):
@@ -62,86 +76,146 @@ def log_panels(u_lo, u_hi, per_unit, min_panels, u_kink=None):
         np.linspace(a, b, max(min_panels, int(math.ceil(per_unit * (b - a)))) + 1)
         for a, b in pieces
     ]
-    u, w = _panels(np.concatenate([breaks[0]] + [b[1:] for b in breaks[1:]]))
+    breaks = np.concatenate([breaks[0]] + [b[1:] for b in breaks[1:]])
+    u, w = _panels(breaks[:-1], breaks[1:])
     return np.exp(u), w
 
 
 def log_panel_integral(fn, lo, hi, kink):
-    """Integral of the scalar fn over [lo, hi] on log panels (2.4 per
-    unit of ln z, at least 4 a side), with a break at the kink."""
+    """Integral of fn over [lo, hi] on log panels (2.4 per unit of ln z, at
+    least 4 a side), with a break at the kink; fn takes the node array."""
     z, w = log_panels(math.log(lo), math.log(hi), 2.4, 4, math.log(kink))
-    return float(np.dot(w, z * np.array([fn(zi) for zi in z])))
+    return float(np.dot(w, z * fn(z)))
 
 
 def bessel_i(nu, x):
-    """Modified Bessel I_nu(x) by the ascending power series.
+    """Modified Bessel I_nu(x) by the ascending power series, for a number
+    or an array x (a number gives a float).
 
     All series terms are positive, so there is no cancellation and the
-    term-ratio stop at REL_TOL is also a remainder bound.  Supported for
-    0 <= x <= 600 (DomainError above; the series itself would overflow
-    near x ~ 700), any finite nu >= 0.
+    term-ratio stop at REL_TOL is also a remainder bound.  The stop rule
+    reads the running sum, so the batch steps k over the x whose series
+    has not stopped, each x leaving at its own stop: an element's terms
+    and sum are those of its series alone, whatever else the batch holds.
+    Supported for 0 <= x <= 600 (DomainError above, naming the x; the
+    series itself would overflow near x ~ 700), any finite nu >= 0.
     """
     require_nonnegative("Bessel order", nu)
     require_nonnegative("x", x)
-    if x > BESSEL_I_MAX_X:
-        raise DomainError(f"bessel_i overflow guard: x > {BESSEL_I_MAX_X:g}")
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    term = math.exp(nu * math.log(0.5 * x) - math.lgamma(nu + 1.0))
-    total = term
-    q = 0.25 * x * x
+    xs = np.asarray(x, dtype=float)
+    over = xs > BESSEL_I_MAX_X
+    if over.any():
+        raise DomainError(
+            f"bessel_i overflow guard: x > {BESSEL_I_MAX_X:g}, got x={xs[over].flat[0]:g}"
+        )
+    uniq, inv = np.unique(xs, return_inverse=True)
+    out = np.full(uniq.shape, 1.0 if nu == 0.0 else 0.0)
+    live = np.flatnonzero(uniq > 0.0)
+    xl = uniq[live]
+    term = np.exp(nu * np.log(0.5 * xl) - math.lgamma(nu + 1.0))
+    total = term.copy()
+    q = 0.25 * xl * xl
     k = 0
-    while True:
+    while live.size:
         k += 1
-        term *= q / (k * (k + nu))
-        total += term
-        if k > 3 and term <= REL_TOL * 1e-4 * total:
-            return total
         if k > 10000:  # unreachable on the guarded domain
             raise ConvergenceError("bessel_i series stalled")
+        term *= q / (k * (k + nu))
+        total += term
+        if k > 3 and (done := term <= REL_TOL * 1e-4 * total).any():
+            out[live[done]] = total[done]
+            keep = ~done
+            live, term, total, q = live[keep], term[keep], total[keep], q[keep]
+    out = out[inv.ravel()].reshape(xs.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _bessel_k_scaled(nu, x):
+    """e^{x} K_nu(x) for an array x > 0, the scaled integral behind
+    bessel_k: each x its own cut u_max and panel count, the panels of all
+    x back to back in chunks of about _CHUNK_NODES nodes, one
+    np.add.reduceat per chunk."""
+    require_nonnegative("Bessel order", nu)
+    require_positive("x", x)
+    xs = np.asarray(x, dtype=float)
+    uniq, inv = np.unique(xs, return_inverse=True)
+    L = -math.log(ABS_TOL) + 18.0
+    u_max = np.ones_like(uniq)
+    live = np.ones(uniq.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny x: u_max of inf or NaN
+        for _ in range(60):
+            nxt = np.arccosh(1.0 + (L + nu * u_max) / uniq)
+            live &= ~(np.abs(nxt - u_max) < 1e-9)
+            if not live.any():
+                break
+            u_max = np.where(live, nxt, u_max)
+        bad = ~(nu * u_max <= _LOG_DBL_MAX)  # also a cut u_max of inf or NaN
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DomainError(
+            f"bessel_k(nu={nu:g}, x={uniq[k]:g}) is out of range: the quadrature cut "
+            f"u_max={u_max[k]:g} is not finite or cosh(nu*u_max) overflows"
+        )
+    width = min(0.5, 2.0 / (1.0 + nu))
+    n_pan = np.maximum(4, np.ceil(u_max / width)).astype(np.intp)
+    out = np.empty_like(uniq)
+    rows = max(1, _CHUNK_NODES // (16 * int(n_pan.max())))
+    for i in range(0, uniq.size, rows):
+        n, u = n_pan[i : i + rows], u_max[i : i + rows]
+        item = np.repeat(np.arange(n.size), n)
+        j = np.arange(item.size) - np.repeat(_starts(n), n)
+        step = (u / n)[item]
+        # np.linspace(0, u, n + 1) of each x, its last break u itself
+        hi = (j + 1) * step
+        hi[np.cumsum(n) - 1] = u
+        z, w = _panels(j * step, hi)
+        vals = np.exp(-np.repeat(uniq[i : i + rows], 16 * n) * (np.cosh(z) - 1.0)) * np.cosh(nu * z)
+        out[i : i + rows] = np.add.reduceat(w * vals, _starts(16 * n))
+    return out[inv.ravel()].reshape(xs.shape)
 
 
 def bessel_k(nu, x):
-    """Modified Bessel K_nu(x) via K_nu = integral e^{-x cosh u} cosh(nu u) du.
+    """Modified Bessel K_nu(x) via K_nu = integral e^{-x cosh u} cosh(nu u)
+    du, for a number or an array x (a number gives a float).
 
     Computed in the scaled form e^x K_nu (integrand e^{-x(cosh u - 1)}
     cosh(nu u), positive and monotone-decaying past its peak) on composite
     Gauss-Legendre panels; the truncation point solves
-    x(cosh u - 1) - nu*u = L by fixed-point iteration.  Refused where
-    cosh(nu*u) overflows on that range (large nu or tiny x), before any
-    node is allocated.  Any finite nu >= 0.
+    x(cosh u - 1) - nu*u = L by fixed-point iteration, each x on its own.
+    Refused where cosh(nu*u) overflows on that range (large nu or tiny
+    x), naming the x, before any node is allocated.  Any finite nu >= 0.
+    Past x ~ 745 e^{-x} underflows and the value is 0; a product with
+    K_nu that must stay representable takes _bessel_k_scaled in logs.
     """
-    require_nonnegative("Bessel order", nu)
+    xs = np.asarray(x, dtype=float)
+    out = np.exp(-xs) * _bessel_k_scaled(nu, xs)
+    return float(out) if out.ndim == 0 else out
+
+
+def bessel_product_log(nu, x, y):
+    """ln(I_nu(min(x,y)) K_nu(max(x,y))), broadcast over x and y.
+
+    Formed from the scaled e^{max} K_nu(max) of bessel_k's quadrature, so
+    it stays finite where the product itself underflows (where max - min
+    passes ~745); -inf only where I_nu(min) underflows.
+    """
     require_positive("x", x)
-    L = -math.log(ABS_TOL) + 18.0
-    u_max = 1.0
-    for _ in range(60):
-        nxt = math.acosh(1.0 + (L + nu * u_max) / x)
-        if abs(nxt - u_max) < 1e-9:
-            break
-        u_max = nxt
-    if not nu * u_max <= _LOG_DBL_MAX:  # also a cut u_max of inf or NaN
-        raise DomainError(
-            f"bessel_k(nu={nu:g}, x={x:g}) is out of range: the quadrature cut "
-            f"u_max={u_max:g} is not finite or cosh(nu*u_max) overflows"
-        )
-    width = min(0.5, 2.0 / (1.0 + nu))
-    n_pan = max(4, int(math.ceil(u_max / width)))
-    z, w = _panels(np.linspace(0.0, u_max, n_pan + 1))
-    vals = np.exp(-x * (np.cosh(z) - 1.0)) * np.cosh(nu * z)
-    return math.exp(-x) * float(np.dot(w, vals))
+    require_positive("y", y)
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    with np.errstate(divide="ignore"):  # I_nu(min) underflowed
+        out = np.log(bessel_i(nu, lo)) + np.log(_bessel_k_scaled(nu, hi)) - hi
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_product_F(nu, x, y):
-    """Symmetric product I_nu(min(x,y)) * K_nu(max(x,y)).
+    """Symmetric product I_nu(min(x,y)) * K_nu(max(x,y)), broadcast over x
+    and y: e to bessel_product_log.
 
     I takes the smaller argument and K the larger one; that orientation is
     what makes the exponential-time density integrable at both ends.
     """
-    require_positive("x", x)
-    require_positive("y", y)
-    lo, hi = (x, y) if x <= y else (y, x)
-    return bessel_i(nu, lo) * bessel_k(nu, hi)
+    out = np.exp(bessel_product_log(nu, x, y))
+    return float(out) if out.ndim == 0 else out
 
 
 def _half_period_breaks(t, damp, log_cut, width, z_peak):
@@ -204,26 +278,38 @@ def _theta_breaks(r_min, r_max, t):
     )
 
 
-def _zeta_nodes(breaks, t):
-    """Gauss-Legendre 16 nodes z on `breaks`, and their weights times the
-    kernel e^{-z^2/(2t)} sinh(z) sin(pi z/t) of Theta and its mixtures."""
-    z, w = _panels(breaks)
-    return z, np.exp(-z * z / (2.0 * t)) * np.sinh(z) * np.sin(np.pi * z / t) * w
+def _zeta_nodes(lo, hi, t):
+    """Gauss-Legendre 16 nodes z on the panels [lo[i], hi[i]], and their
+    weights times the kernel e^{-z^2/(2t)} sinh(z) sin(pi z/t) of Theta and
+    its mixtures, t one number or one per node."""
+    z, w = _panels(lo, hi)
+    kern = np.exp(z * z / (-2.0 * t))  # the bits of e^{-z^2/(2t)}: negation is exact
+    kern *= np.sinh(z)
+    kern *= np.sin(np.pi * z / t)
+    kern *= w
+    return z, kern
 
 
-def _zeta_value(signed, unsigned, t, what, scale=1.0):
-    """(value, floor 8 eps pref unsigned) of a _zeta_nodes sum `signed` times
-    pref = scale/sqrt(2 pi^3 t) e^{pi^2/(2t)}, `unsigned` its sum of absolute
-    terms.  A value below -max(ABS_TOL * _Z_CUT_FACTOR, (8 eps + REL_TOL)
-    pref unsigned) raises ConvergenceError; smaller negatives, which the
-    cut depth or the floor allow, are clamped to 0."""
-    pref = scale / math.sqrt(2.0 * math.pi**3 * t) * math.exp(math.pi**2 / (2.0 * t))
+def _zeta_value(signed, unsigned, ts, what, scale=1.0):
+    """(value, floor 8 eps pref unsigned) of each item's _zeta_nodes sum
+    `signed` times pref = scale/sqrt(2 pi^3 t) e^{pi^2/(2t)}, at the item's
+    t in the sequence `ts` (one t may serve every item), `unsigned` its sum
+    of absolute terms.  A value below -max(ABS_TOL * _Z_CUT_FACTOR, (8 eps
+    + REL_TOL) pref unsigned) raises ConvergenceError, naming its t;
+    smaller negatives, which the cut depth or the floor allow, are clamped
+    to 0."""
+    # t's factors in math, one t at a time: an item's bits are those of its lone call
+    root, growth = np.array([(math.sqrt(2.0 * math.pi**3 * t), math.exp(math.pi**2 / (2.0 * t)))
+                             for t in ts]).T
+    pref = scale / root * growth
     vals = pref * signed
     unsigned = pref * unsigned
-    guard = np.maximum(ABS_TOL * _Z_CUT_FACTOR, (8.0 * _EPS + REL_TOL) * unsigned)
-    if (vals < -guard).any():
+    neg = vals < -np.maximum(ABS_TOL * _Z_CUT_FACTOR, (8.0 * _EPS + REL_TOL) * unsigned)
+    if np.count_nonzero(neg):
+        k = int(np.argmax(neg))
         raise ConvergenceError(
-            f"{what} at t={t:g} negative beyond quadrature floor: {float(np.min(vals)):g}"
+            f"{what} at t={np.broadcast_to(ts, neg.shape)[k]:g} negative beyond "
+            f"quadrature floor: {vals[k]:g}"
         )
     return np.maximum(vals, 0.0), 8.0 * _EPS * unsigned
 
@@ -274,14 +360,15 @@ def hartman_watson_theta_grid(rs, t):
         raise DomainError("theta needs finite r > 0")
     if not (math.isfinite(t) and t >= T_MIN_THETA):
         raise DomainError(f"theta t must be finite and >= {T_MIN_THETA:g}, got t={t:g}")
-    z, base = _zeta_nodes(_theta_breaks(r_min, r_max, t), t)
+    breaks = _theta_breaks(r_min, r_max, t)
+    z, base = _zeta_nodes(breaks[:-1], breaks[1:], t)
     abs_base = np.abs(base)
     cz = np.cosh(z) - 1.0
     sums = np.empty((2, rs.size))
     # rows of r in 256 KiB blocks: every entry and row sum is the same
     # whatever the block, and a table of thousands of r (the bridge
     # curve's interpolant) never holds its whole r x z matrix at once
-    rows = max(1, 2**15 // z.size)
+    rows = max(1, _BLOCK_ELEMS // z.size)
     for i in range(0, rs.size, rows):
         # in place: at 240 r x 300 z, allocating a fresh matrix for each
         # step doubled the time of the step (0.83 against 0.41 ms)
@@ -293,7 +380,7 @@ def hartman_watson_theta_grid(rs, t):
         # in an order that depends on the number of rows
         sums[0, i : i + rows] = np.vecdot(damp, base)
         sums[1, i : i + rows] = np.vecdot(damp, abs_base)
-    return _zeta_value(sums[0], sums[1], t, "theta", scale=rs)
+    return _zeta_value(sums[0], sums[1], [t], "theta", scale=rs)
 
 
 def _k1_nodes(rho0):
@@ -311,26 +398,41 @@ def _k1_nodes(rho0):
     sit at Im v = pi/2 or farther for every rho >= rho0.  22 nodes from
     rho0 = 1/2 up, 93 at rho0 = 1e-8.
     """
-    c = min(math.sqrt(2.0 * rho0), 1.0)
+    return _k1_nodes_at(min(math.sqrt(2.0 * rho0), 1.0))
+
+
+@functools.lru_cache(maxsize=16)
+def _k1_nodes_at(c):
+    """_k1_nodes at the map's scale c, built once: c = 1, the one node set
+    of every rho0 >= 1/2, serves nearly every call.  Read-only arrays."""
     v = 0.125 * np.arange(math.ceil(8.0 * math.asinh(6.3 / c)) + 1)
     s = c * np.sinh(v)
     wts = 0.125 * c * np.cosh(v) * np.exp(-s * s)
     wts[0] *= 0.5
-    return s * s, wts
+    s2 = s * s
+    s2.flags.writeable = wts.flags.writeable = False
+    return s2, wts
 
 
 def _k1_scaled(rho, nodes):
     """e^{rho} K_1(rho) along a 1-d array rho on _k1_nodes(rho0), rho >=
     rho0: within 4.7e-16 relative of mpmath for rho0 in [1e-8, 1e4] and
-    rho up to 1e8 rho0."""
+    rho up to 1e8 rho0.  Rows of rho in blocks of _BLOCK_ELEMS entries,
+    one dot product per row (np.vecdot), so a value depends on neither
+    the block nor the rest of rho."""
     s2, wts = nodes
-    q = np.multiply.outer(1.0 / rho, s2)
-    f = 1.0 + q
-    q *= 0.5
-    q += 1.0
-    np.sqrt(q, out=q)
-    f /= q
-    return np.sqrt(2.0 / rho) * (f @ wts)
+    rows = max(1, _BLOCK_ELEMS // s2.size)
+    out = np.empty(rho.size)
+    for i in range(0, rho.size, rows):
+        r = rho[i : i + rows]
+        q = np.multiply.outer(1.0 / r, s2)
+        f = 1.0 + q
+        q *= 0.5
+        q += 1.0
+        np.sqrt(q, out=q)
+        f /= q
+        out[i : i + rows] = np.sqrt(2.0 / r) * np.vecdot(f, wts)
+    return out
 
 
 def theta_k1_log_integral(x, w, t):
@@ -339,9 +441,10 @@ def theta_k1_log_integral(x, w, t):
         H = e^{x+w}/(2xw) integral_0^inf e^{-z/2 - (x^2+w^2)/(2z)}
             Theta(xw/z, t) dz/z,
 
-    as one integral in Theta's own variable zeta.  With the Theta integral
-    inside, the z integral is closed, integral_0^inf z^{-2} e^{-z/2 -
-    rho^2/(2z)} dz = 2 K_1(rho)/rho (Gradshteyn-Ryzhik 3.471.9), so
+    as one integral in Theta's own variable zeta, broadcast over x, w and
+    t (numbers give floats).  With the Theta integral inside, the z
+    integral is closed, integral_0^inf z^{-2} e^{-z/2 - rho^2/(2z)} dz = 2
+    K_1(rho)/rho (Gradshteyn-Ryzhik 3.471.9), so
 
         H = e^{pi^2/(2t)}/sqrt(2 pi^3 t) integral_0^inf e^{-zeta^2/(2t)}
             sinh(zeta) sin(pi zeta/t) e^{rho0 - rho} S(rho)/rho dzeta,
@@ -368,35 +471,79 @@ def theta_k1_log_integral(x, w, t):
     rounding, and a clamped value gives (-inf, inf).  Where the cut would
     pass ln(DBL_MAX), which takes both a large t and a tiny xw (t = 1e6 at
     x = w = 1e-200), DomainError.  Needs t >= T_MIN_THETA.
+
+    A batch is one pass: each item keeps its own breaks, the items' panels
+    lie back to back in chunks of about _CHUNK_NODES nodes of items next
+    to each other on one S node set (every rho0 >= 1/2 shares one), S runs
+    once over a chunk's nodes, and each item reduces its own nodes, so an
+    item's value is its one-item call's bit for bit.  One bad item refuses
+    the whole call.
     """
     require_positive("x", x)
     require_positive("w", w)
-    if not (math.isfinite(t) and t >= T_MIN_THETA):
-        raise DomainError(f"theta t must be finite and >= {T_MIN_THETA:g}, got t={t:g}")
-    x, w, t = float(x), float(w), float(t)
-    rho0 = x + w
-    if rho0 == math.inf:
-        raise DomainError(f"theta_k1_log_integral: x + w overflows at x={x:g}, w={w:g}")
-    sxw = math.sqrt(x) * math.sqrt(w)  # xw itself may underflow
+    items = np.broadcast(x, w, t)
+    out, chunk, nodes = [], [], 0
+    for xi, wi, ti in items:
+        xi, wi, ti = float(xi), float(wi), float(ti)
+        if not T_MIN_THETA <= ti < math.inf:
+            raise DomainError(f"theta t must be finite and >= {T_MIN_THETA:g}, got t={ti:g}")
+        r0 = xi + wi
+        if r0 == math.inf:
+            raise DomainError(f"theta_k1_log_integral: x + w overflows at x={xi:g}, w={wi:g}")
+        s = math.sqrt(xi) * math.sqrt(wi)  # xw itself may underflow
 
-    def gap(z):
-        a = 2.0 * sxw * math.sinh(0.5 * z)
-        return a * (a / (math.hypot(rho0, a) + rho0))
+        def gap(z):  # called only within this item's _half_period_breaks
+            a = 2.0 * s * math.sinh(0.5 * z)
+            return a * (a / (math.hypot(r0, a) + r0))
 
-    z, terms = _zeta_nodes(_half_period_breaks(
-        t, gap, math.log(_EPS),
-        min(1.5, 3.5 * math.sqrt(rho0) / sxw),
-        min(t, 2.0 * math.asinh(0.5 * rho0 / sxw / sxw)),
-    ), t)
-    a = 2.0 * sxw * np.sinh(0.5 * z)
-    rho = np.hypot(rho0, a)
-    k1 = _k1_scaled(np.concatenate(([rho0], rho)), _k1_nodes(rho0))
+        breaks = _half_period_breaks(
+            ti, gap, math.log(_EPS),
+            min(1.5, 3.5 * math.sqrt(r0) / s),
+            min(ti, 2.0 * math.asinh(0.5 * r0 / s / s)),
+        )
+        k1_nodes = _k1_nodes(r0)  # built once for every rho0 >= 1/2
+        # a chunk holds about _CHUNK_NODES nodes of items on one S node set
+        if chunk and (nodes >= _CHUNK_NODES or k1_nodes is not chunk[0][3]):
+            out += _k1_mixture_chunk(chunk)
+            chunk, nodes = [], 0
+        chunk.append((ti, r0, 2.0 * s, k1_nodes, breaks))
+        nodes += 16 * (breaks.size - 1)
+    if chunk:
+        out += _k1_mixture_chunk(chunk)
+    log_h, rel_floor = zip(*out)
+    if items.shape == ():  # numbers
+        return float(log_h[0]), float(rel_floor[0])
+    return np.reshape(log_h, items.shape), np.reshape(rel_floor, items.shape)
+
+
+def _k1_mixture_chunk(items):
+    """(ln H, relative floor) of each item (t, rho0, 2 sqrt(xw), the S node
+    set they share, breaks) of theta_k1_log_integral: one pass over the
+    items' nodes, each item reduced on its own."""
+    n = len(items)
+    ts, rho0, two_sxw, k1_nodes, breaks = zip(*items)
+    counts = [16 * (b.size - 1) for b in breaks]
+    per = np.array((ts, rho0, two_sxw))
+    rho0 = per[1]
+    t, r0, c = per.repeat(counts, axis=1)
+    # the items' panels back to back
+    lo, hi = np.concatenate([b[:-1] for b in breaks]), np.concatenate([b[1:] for b in breaks])
+    z, terms = _zeta_nodes(lo, hi, t)
+    a = c * np.sinh(0.5 * z)
+    rho = np.hypot(r0, a)
+    # S at each item's rho0, then at its nodes
+    k1 = _k1_scaled(np.concatenate((rho0, rho)), k1_nodes[0])
     with np.errstate(under="ignore"):
-        terms *= np.exp(-a * (a / (rho + rho0))) * k1[1:] * (rho0 / k1[0] / rho)
-    val, floor = _zeta_value(terms.sum(), np.abs(terms).sum(), t, "theta_k1_log_integral")
-    if val > 0.0:
-        return math.log(val) + math.log(k1[0]) - math.log(rho0), float(floor / val)
-    return -math.inf, math.inf
+        terms *= np.exp(-a * (a / (rho + r0))) * k1[n:] / rho
+    starts = _starts(counts)
+    signed, unsigned = np.add.reduceat(terms, starts), np.add.reduceat(np.abs(terms), starts)
+    # on the scale of the integrand's amplitude S(rho0)/rho0 at zeta = 0
+    val, floor = _zeta_value(signed, unsigned, ts, "theta_k1_log_integral", scale=rho0 / k1[:n])
+    # a value clamped to 0 gives (-inf, inf)
+    return [
+        (math.log(v) + math.log(k) - math.log(r), f / v) if v > 0.0 else (-math.inf, math.inf)
+        for v, f, k, r in zip(val.tolist(), floor.tolist(), k1[:n].tolist(), rho0.tolist())
+    ]
 
 
 def theta_yor_integral(x, gamma, mu, t):
@@ -432,13 +579,14 @@ def theta_yor_integral(x, gamma, mu, t):
     u = np.linspace(u_lo, u_hi, 2 * math.ceil(5.0 * (u_hi - u_lo)) + 1)
     lq = 0.5 * (math.log(x) + np.log1p(gamma * np.exp(u)))
     expo = (2.0 * mu + 1.0) * lq - u - 2.0 * (1.0 + np.exp(lq)) ** 2 * np.exp(-u)
-    z, kern = _zeta_nodes(_half_period_breaks(t, lambda z: -z, math.log(_EPS), 1.5, 2.0 * t), t)
+    breaks = _half_period_breaks(t, lambda z: -z, math.log(_EPS), 1.5, 2.0 * t)
+    z, kern = _zeta_nodes(breaks[:-1], breaks[1:], t)
     with np.errstate(under="ignore"):
         f = 2.0 * (u[1] - u[0]) * np.exp(expo)
     f[[0, -1]] *= 0.5
     halving = np.where(np.arange(u.size) % 2 == 1, -f, f)  # the even nodes' rule less f's
     sums = np.zeros((2, u.size))  # at each v node, the zeta sum and that of its absolute terms
-    rows = max(1, 2**15 // u.size)  # zeta in 256 KiB blocks
+    rows = max(1, _BLOCK_ELEMS // u.size)  # zeta in 256 KiB blocks
     taylor = [1.0 / math.factorial(k) for k in range(18, 1, -1)]  # (e^y - 1 - y)/y^2
     y_buf, p_buf = np.empty((2, min(rows, z.size) * u.size))
     for i in range(0, z.size, rows):
@@ -457,7 +605,7 @@ def theta_yor_integral(x, gamma, mu, t):
         bracket[near] = p
         sums += np.stack((kern[i : i + rows], np.abs(kern[i : i + rows]))) @ bracket
     unsigned = float(sums[1] @ f)
-    val, floor = _zeta_value(float(sums[0] @ f), unsigned, t, "theta_yor_integral")
+    (val,), (floor,) = _zeta_value(float(sums[0] @ f), unsigned, [t], "theta_yor_integral")
     # floor / (8 eps unsigned) is pref; the halving and exponent terms vanish with `unsigned`
     extra = abs(float(sums[0] @ halving)) + _EPS * float(np.abs(expo * f) @ np.abs(sums[0]))
     return float(val), float(floor + floor / (8.0 * _EPS * unsigned) * extra if floor else 0.0)
@@ -546,7 +694,7 @@ def anchored_time_laplace(f, t_hi, s, rates, closed, noise):
     increasing `rates`; returns (value, bound, f at the nodes).
 
     Q, the [T_MIN_THETA, t_hi] part, is panel quadrature in log t on
-    log_panels' rule of 2 panels per unit, one f call per node.  The
+    log_panels' rule of 2 panels per unit, one f call on the node array.  The
     anchors closed[j] - Q(rates[j]) pin the mass below T_MIN_THETA: Q(s)
     gains the midpoint of _anchor_completion's bracket, and the bound is
     its halfwidth plus `noise`.  A first anchor within `noise` is
@@ -554,7 +702,7 @@ def anchored_time_laplace(f, t_hi, s, rates, closed, noise):
     """
     t, w = log_panels(math.log(T_MIN_THETA), math.log(t_hi), 2.0, 2)
     wt = w * t
-    vals = np.array([f(ti) for ti in t])
+    vals = f(t)
 
     def q(rate):
         return float(np.dot(wt * np.exp(-rate * t), vals))
@@ -606,7 +754,7 @@ def theta_time_laplace(r, s):
     if not math.isfinite(closed[0]):
         raise DomainError(f"theta_time_laplace(r={r:g}): e^r I_0.3(r) overflows")
     value, bound, _ = anchored_time_laplace(
-        lambda ti: hartman_watson_theta_grid([r], ti)[0][0],
+        lambda ts: np.array([hartman_watson_theta_grid([r], ti)[0][0] for ti in ts]),
         _T_LAPLACE_HI, s, s_anchors, closed, 4e-9 * (er + closed[0]),
     )
     scale = math.exp(-r)

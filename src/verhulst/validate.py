@@ -211,8 +211,8 @@ def _bessel_product_quad(nu, x, w):
     if np.any(big):
         lf = -0.5 * z[big] - d * d / (2.0 * z[big]) + np.log(_bessel_i_scaled_asym(nu, a[big]))
         vals[big] = np.exp(lf)
-    for i in np.nonzero(~big)[0]:
-        vals[i] = math.exp(-0.5 * z[i] - (x * x + w * w) / (2.0 * z[i])) * bessel_i(nu, a[i])
+    zs = z[~big]
+    vals[~big] = np.exp(-0.5 * zs - (x * x + w * w) / (2.0 * zs)) * bessel_i(nu, a[~big])
     return 0.5 * float(np.dot(wts, vals))
 
 
@@ -396,7 +396,7 @@ def z2_symmetry_check(lam, z_grid):
     lhs, rhs = np.empty_like(zg), np.empty_like(zg)
     for i, z in enumerate(zg.tolist()):
         lhs[i] = z * z * log_panel_integral(
-            lambda x: 2.0 * math.exp(-2.0 * x) * density_exp_time(x, lam, z),
+            lambda x: 2.0 * np.exp(-2.0 * x) * density_exp_time(x, lam, z),
             1e-8,
             x_hi,
             kink=z,

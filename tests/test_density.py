@@ -52,6 +52,12 @@ from verhulst.specfun import _panels, hartman_watson_theta_grid
 # nu = sqrt(2 lam + 1/4).
 P_EXP_1_1_2 = 0.013736729166550635
 P_EXP_1_HALF_HALF = 0.63395044561728636
+# Where K_nu(z) alone underflows (z > ~745) but the density does not,
+# the same formula at dps=30: (x, lam, z, density)
+P_EXP_FAR = [
+    (600.0, 1.0, 750.0, 9.1492848270689263701e-137),
+    (500.0, 1.0, 748.0, 6.9477557350030317046e-222),
+]
 
 # Frozen from mpmath at dps=40: the K_1 form of the drift -1/2 density,
 # e^{-t/8} e^{x-w} sqrt(x/w^3) 2xw e^{pi^2/(2t)}/sqrt(2 pi^3 t) integral_0^inf
@@ -221,7 +227,8 @@ def curve_cdf(curve, points):
 def gl_mass(fn, breaks):
     """Composite 16-node Gauss-Legendre integral of fn over log-spaced
     panel breaks (fn takes the untransformed variable)."""
-    u, w = _panels(np.asarray(breaks, dtype=float))
+    breaks = np.asarray(breaks, dtype=float)
+    u, w = _panels(breaks[:-1], breaks[1:])
     z = np.exp(u)
     return float(np.sum(w * z * np.array([fn(zi) for zi in z])))
 
@@ -397,6 +404,12 @@ def test_exp_time_frozen_values():
     )
 
 
+@pytest.mark.parametrize("x,lam,z,ref", P_EXP_FAR)
+def test_exp_time_far_tail_pins(x, lam, z, ref):
+    # formed in logs from e^{z} K_nu(z): K_nu(z) times e^{x - z} underflowed to 0
+    assert abs(density_exp_time(x, lam, z) / ref - 1.0) <= 1e-9
+
+
 @pytest.mark.parametrize("lam", [1.0, 2.0])
 def test_exp_time_mass(lam):
     x = 1.0
@@ -512,6 +525,71 @@ def test_mixture_rate_domain():
         density_exp_time_mixture(1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         density_exp_time_mixture(1.0, 20.0, 1.0)  # beyond the anchor range
+
+
+# --- one kernel call per node set ---------------------------------------------
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_exact_half_node_sets_take_one_mixture_call(monkeypatch):
+    # a curve's grid and a mixture's t-nodes are one theta_k1_log_integral
+    # call each, not one per point
+    calls = _counting(monkeypatch, density, "theta_k1_log_integral")
+    curve_exact_half(1.0, 1.0, n_points=50)
+    assert len(calls) == 1
+    calls.clear()
+    density_exp_time_mixture(1.0, 1.0, 0.5)
+    assert len(calls) == 1
+
+
+def test_exp_time_node_sets_take_one_bessel_pass(monkeypatch):
+    # a curve and the mass quadrature each form I_nu and e^{z} K_nu (the
+    # kernel behind bessel_k) once on their whole node set
+    calls_i = _counting(monkeypatch, specfun, "bessel_i")
+    calls_k = _counting(monkeypatch, specfun, "_bessel_k_scaled")
+    curve_exp_time(1.0, 1.0, n_points=50)
+    assert (len(calls_i), len(calls_k)) == (1, 1)
+    exp_time_total_mass(1.0, 1.0)
+    assert (len(calls_i), len(calls_k)) == (2, 2)
+
+
+def test_curve_point_is_its_single_call():
+    # bit for bit: a curve's value at grid[i] is the lone call at grid[i]
+    for t in (0.25, 4.0):
+        curve = curve_exact_half(1.0, t, n_points=80)
+        lone = [density_exact_half(1.0, t, w) for w in curve.abscissae.tolist()]
+        assert np.array_equal(curve.values.view(np.uint64), np.array(lone).view(np.uint64))
+    curve = curve_exp_time(1.0, 1.0, n_points=80)
+    lone = [density_exp_time(1.0, 1.0, z) for z in curve.abscissae.tolist()]
+    assert np.array_equal(curve.values.view(np.uint64), np.array(lone).view(np.uint64))
+    zs = np.array([0.3, 1.0, 2.0])
+    both = density_exp_time(np.array([[0.5], [3.0]]), 1.0, zs)
+    assert both.shape == (2, 3) and both[1, 0] == density_exp_time(3.0, 1.0, 0.3)
+    ts = np.array([0.2, 1.0, 30.0])
+    assert np.array_equal(density_exact_half(1.0, ts, 0.7),
+                          [density_exact_half(1.0, t, 0.7) for t in ts.tolist()])
+
+
+def test_density_batch_refusal_and_numbers():
+    with pytest.raises(DomainError, match="z=-2"):
+        density_exp_time(1.0, 1.0, np.array([1.0, -2.0]))
+    with pytest.raises(DomainError, match="w=nan"):
+        density_exact_half(1.0, 1.0, np.array([0.5, math.nan]))
+    with pytest.raises(DomainError, match="t=0.1"):
+        density_exact_half(1.0, np.array([1.0, 0.1]), 0.5)
+    for value in (density_exact_half(1.0, 1.0, 0.5), density_exp_time(1.0, 1.0, 0.5)):
+        assert type(value) is float
 
 
 # --- conditional Laplace transform -------------------------------------------

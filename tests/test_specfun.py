@@ -27,6 +27,7 @@ from verhulst.specfun import (
     bessel_i,
     bessel_k,
     bessel_product_F,
+    bessel_product_log,
     hartman_watson_theta,
     hartman_watson_theta_grid,
     laplace_kernel_F,
@@ -241,7 +242,8 @@ def test_theta_grid_blocks_keep_bits():
     # 5000 r x 640 z run in blocks of 51 rows; the whole matrix at once is
     # the reference, entry for entry and row for row
     rs, t = np.geomspace(1e-3, 300.0, 5000), 0.25
-    z, w = _panels(_theta_breaks(rs.min(), rs.max(), t))
+    breaks = _theta_breaks(rs.min(), rs.max(), t)
+    z, w = _panels(breaks[:-1], breaks[1:])
     base = np.exp(-z * z / (2.0 * t)) * np.sinh(z) * np.sin(np.pi * z / t) * w
     damp = np.exp(-np.multiply.outer(rs, np.cosh(z) - 1.0))
     pref = rs / math.sqrt(2.0 * math.pi**3 * t) * math.exp(math.pi**2 / (2.0 * t))
@@ -421,6 +423,20 @@ _REFUSALS = {
     "bessel_k x=1e-250": (r"bessel_k\(nu=1.5, x=1e-250\)", lambda: bessel_k(1.5, 1e-250)),
     "bessel_k x=1e-310": (r"bessel_k\(nu=1.5, x=1e-310\)", lambda: bessel_k(1.5, 1e-310)),
     "bessel_k nu=1e6": (r"bessel_k\(nu=1e\+06, x=0.001\)", lambda: bessel_k(1e6, 1e-3)),
+    # one bad element of a batch refuses the whole call, by its value
+    "bessel_i batch x=nan": ("x=nan", lambda: bessel_i(1.0, np.array([1.0, _NAN, 2.0]))),
+    "bessel_i batch x=-2": ("x=-2", lambda: bessel_i(1.0, [1.0, -2.0])),
+    "bessel_i batch x=601": ("x=601", lambda: bessel_i(1.0, [1.0, BESSEL_I_MAX_X + 1.0])),
+    "bessel_k batch x=0": ("x=0", lambda: bessel_k(1.0, [1.0, 0.0])),
+    "bessel_k batch x=inf": ("x=inf", lambda: bessel_k(1.0, [1.0, _INF])),
+    "bessel_k batch x=1e-250": (
+        r"bessel_k\(nu=1.5, x=1e-250\)", lambda: bessel_k(1.5, [1.0, 1e-250, 2.0])
+    ),
+    "bessel_product_F batch y=nan": ("y=nan", lambda: bessel_product_F(1.0, 1.0, [2.0, _NAN])),
+    "theta_k1 batch w=nan": ("w=nan", lambda: theta_k1_log_integral(1.0, [1.0, _NAN], 1.0)),
+    "theta_k1 batch x=-1": ("x=-1", lambda: theta_k1_log_integral([1.0, -1.0], 1.0, 1.0)),
+    "theta_k1 batch t=0.1": ("t=0.1", lambda: theta_k1_log_integral(1.0, 1.0, [1.0, 0.1, 2.0])),
+    "theta_k1 batch t=inf": ("t=inf", lambda: theta_k1_log_integral(1.0, 1.0, [1.0, _INF])),
 }
 
 
@@ -431,6 +447,84 @@ def test_non_finite_inputs_refused(pattern, call):
     # later complaint
     with pytest.raises(DomainError, match=pattern):
         call()
+
+
+# --- batched kernels: a batch member is its single call ---------------------
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.uint64),
+                          np.asarray(b, dtype=float).view(np.uint64))
+
+
+# zeros, duplicates, the I guard's edge and K's tiny and large arguments
+BESSEL_XS = np.array([0.0, 1e-300, 1e-8, 0.03, 0.5, 1.0, 1.0, 2.5, 17.0, 119.9, 300.0, 600.0])
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.6, 1.5, 5.0])
+def test_bessel_batch_member_is_single_call(nu):
+    xs = BESSEL_XS
+    batch_i = bessel_i(nu, xs)
+    assert batch_i.shape == xs.shape
+    assert _same_bits(batch_i, [bessel_i(nu, float(x)) for x in xs])
+    ks = xs[xs > 1e-20]  # cosh(nu u) overflows on K's range at x = 1e-300 from nu = 0.6 on
+    batch_k = bessel_k(nu, ks)
+    assert _same_bits(batch_k, [bessel_k(nu, float(x)) for x in ks])
+    # a 2-d x keeps its shape, and a reversed batch its values
+    assert _same_bits(bessel_k(nu, ks[::-1].reshape(1, -1))[0], batch_k[::-1])
+    grid = np.geomspace(1e-3, 500.0, 9)
+    prod = bessel_product_F(nu, grid[:, None], grid[None, :])
+    logs = bessel_product_log(nu, 2.0, grid * 1.8)
+    for i, x in enumerate(grid.tolist()):
+        assert _same_bits(logs[i], bessel_product_log(nu, 2.0, x * 1.8))
+        for j, y in enumerate(grid.tolist()):
+            assert _same_bits(prod[i, j], bessel_product_F(nu, x, y))
+
+
+def test_bessel_batch_matches_mpmath():
+    # one batch spanning the series lengths and quadrature cuts of every x
+    xs = np.array([0.05, 0.5, 1.0, 5.0, 12.0, 30.0, 50.0])
+    for nu in (0.0, 0.6, 3.0):
+        ref_i = np.array([float(mpmath.besseli(nu, x)) for x in xs])
+        ref_k = np.array([float(mpmath.besselk(nu, x)) for x in xs])
+        assert np.max(np.abs(bessel_i(nu, xs) / ref_i - 1.0)) <= REL
+        assert np.max(np.abs(bessel_k(nu, xs) / ref_k - 1.0)) <= REL
+
+
+def test_bessel_product_log_past_k_underflow():
+    # K_nu(800) underflows, e^{800} K_nu(800) does not: the log product
+    # stays finite where the product is 0
+    nu = 1.5
+    ref = mpmath.log(mpmath.besseli(nu, 100) * mpmath.besselk(nu, 800))
+    assert bessel_k(nu, 800.0) == 0.0
+    assert bessel_product_log(nu, 100.0, 800.0) == pytest.approx(float(ref), rel=1e-12)
+
+
+def test_theta_k1_batch_member_is_single_call():
+    # over w and over t, with a start whose rho0 < 1/2 takes its own S node
+    # set, and enough t = 0.25 items that the batch runs in several chunks
+    ws = np.geomspace(0.01, 20.0, 60)
+    for x in (0.05, 1.0):
+        log_h, floor = theta_k1_log_integral(x, ws, 0.25)
+        assert log_h.shape == floor.shape == ws.shape
+        for i, w in enumerate(ws.tolist()):
+            one = theta_k1_log_integral(x, w, 0.25)
+            assert _same_bits(log_h[i], one[0]) and _same_bits(floor[i], one[1])
+    ts = np.array([0.2, 0.25, 0.7, 1.0, 4.0, 40.0, 250.0])
+    log_h, floor = theta_k1_log_integral(1.0, 0.6, ts)
+    for i, t in enumerate(ts.tolist()):
+        one = theta_k1_log_integral(1.0, 0.6, t)
+        assert _same_bits(log_h[i], one[0]) and _same_bits(floor[i], one[1])
+    # x, w and t broadcast together
+    log_h, _ = theta_k1_log_integral(np.array([[0.3], [2.0]]), ws[:3], ts[:3])
+    assert log_h.shape == (2, 3)
+    assert _same_bits(log_h[1, 2], theta_k1_log_integral(2.0, float(ws[2]), float(ts[2]))[0])
+
+
+def test_numbers_give_floats():
+    for value in (bessel_i(0.6, 2.0), bessel_k(0.6, 2.0), bessel_product_F(0.6, 1.0, 2.0),
+                  bessel_product_log(0.6, 1.0, 2.0), *theta_k1_log_integral(1.0, 0.5, 1.0)):
+        assert type(value) is float
 
 
 # --- arcosh kernel ----------------------------------------------------------

@@ -108,6 +108,17 @@ def test_bessel_product_identity():
     assert "48 combinations" in r.details
 
 
+def test_bessel_product_quad_one_series_pass_per_cell(monkeypatch):
+    # the quadrature's small-argument nodes take one bessel_i call a cell
+    calls = []
+    real = validate.bessel_i
+    monkeypatch.setattr(validate, "bessel_i", lambda *a: calls.append(a) or real(*a))
+    for x, w in ((0.5, 3.0), (2.0, 2.0)):
+        calls.clear()
+        validate._bessel_product_quad(1.0, x, w)
+        assert len(calls) == 1 and np.size(calls[0][1]) > 100
+
+
 def test_hartman_watson_identity():
     r = hartman_watson_identity_check()
     assert r.passed
@@ -220,6 +231,15 @@ def test_z2_symmetry(lam):
     assert type(r.statistic) is float
     assert r.name == f"z2_symmetry[lam={lam:g}]"
     assert r.details.endswith("; z_grid=[0.5, 1.0, 2.0]")
+
+
+def test_z2_one_density_call_per_integral(monkeypatch):
+    # each side of each z is one log-panel integral over one node array
+    calls = []
+    real = validate.density_exp_time
+    monkeypatch.setattr(validate, "density_exp_time", lambda *a: calls.append(a) or real(*a))
+    assert z2_symmetry_check(1.0, (0.5, 2.0)).passed
+    assert len(calls) == 4
 
 
 def test_z2_integrands_share_kernel():
